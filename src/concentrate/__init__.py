@@ -56,7 +56,6 @@ from .method_of_types import (
     TypeComposition,
     count_types,
     enumerate_types,
-    exponent_of_log_sum,
     log_sequence_prob,
     log_type_class_prob,
     log_type_class_size,

@@ -7,16 +7,14 @@ invariant the numerical modules promise. Results come back as an
 ExperimentRecord carrying metadata plus self-describing rows, serializable
 to CSV (LF, UTF-8, 17 significant digits) or JSON ({"meta": ..., "rows":
 ...}). Identical configuration and seed produce byte-identical files: no
-wall-clock data is ever written, and parallel row evaluation assembles
-results in key order.
+wall-clock data is ever written, and rows come out in the order of their
+keys.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,27 +68,8 @@ from .spectra import (
     tilted_entropy,
 )
 
-ENV_THREADS = "CONCENTRATE_THREADS"
-
 #: default acceptance window for the final convergence residual
 DEFAULT_CONVERGENCE_TOL = 0.02
-
-
-def worker_count() -> int:
-    """Thread cap from the environment; absent means one per CPU (max 8)."""
-    raw = os.environ.get(ENV_THREADS)
-    if raw:
-        return max(1, int(raw))
-    return min(8, os.cpu_count() or 1)
-
-
-def _map_ordered(fn, items):
-    items = list(items)
-    workers = worker_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 @dataclass(frozen=True)
@@ -230,7 +209,7 @@ def run_convergence(cfg: ExperimentConfig) -> ExperimentRecord:
             within_tolerance=(residual is not None and abs(residual) <= tol),
         )
 
-    rows = _map_ordered(one, n_list)
+    rows = [one(n) for n in n_list]
     meta = _base_meta(cfg, "convergence")
     meta.update(
         {
@@ -286,7 +265,7 @@ def run_sweep(cfg: ExperimentConfig) -> ExperimentRecord:
             s_minus=c.s_star,
         )
 
-    rows = _map_ordered(one, grid)
+    rows = [one(r) for r in grid]
     meta = _base_meta(cfg, "sweep")
     meta.update(
         {
@@ -395,7 +374,7 @@ def _check_type_sandwiches(rng, tol):
                 for t in types:
                     h = _entropy_with_zeros(t)
                     size = log_type_class_size(t)
-                    div = _divergence_with_zeros(t, q)
+                    div = relative_entropy(t, q)
                     slack = d * math.log2(n + 1)
                     worst = max(worst, size - n * h, (n * h - slack) - size)
                     prob = log_type_class_prob(t, q)
@@ -407,12 +386,6 @@ def _entropy_with_zeros(t) -> float:
     q = t.distribution()
     mask = q > 0
     return float(-(q[mask] @ np.log2(q[mask])))
-
-
-def _divergence_with_zeros(t, p: SchmidtSpectrum) -> float:
-    q = t.distribution()
-    mask = q > 0
-    return float(q[mask] @ (np.log2(q[mask]) - p.log2[mask]))
 
 
 def _check_type_completeness(rng, tol):
@@ -569,7 +542,7 @@ def _check_exponent_lower_bound(rng, tol):
 def _discrete_direct_bound(p: SchmidtSpectrum, n: int, rate: float) -> float:
     best = np.inf
     for t in enumerate_types(n, p.dim):
-        div = _divergence_with_zeros(t, p)
+        div = relative_entropy(t, p)
         if div + _entropy_with_zeros(t) <= rate:
             best = min(best, div)
     return float(best)

@@ -112,8 +112,3 @@ def log_sequence_prob(t: TypeComposition, q) -> float:
 def log_type_class_prob(t: TypeComposition, q) -> float:
     """log2 probability of the whole type class under q**n."""
     return log_type_class_size(t) + log_sequence_prob(t, q)
-
-
-def exponent_of_log_sum(a: float, b: float) -> float:
-    """Asymptotic exponent of 2**(-n a) + 2**(-n b): the smaller of the two."""
-    return min(a, b)

@@ -56,14 +56,18 @@ def bisect_for_value(
 ) -> float:
     """Solve fn(x) = target for monotone fn on [lo, hi] by bisection.
 
-    Stops when |fn(x) - target| <= f_tol or after max_iter halvings and
-    returns the midpoint either way; the callers' functions are continuous,
-    so 200 halvings leave the residual at the arithmetic noise floor.
+    Stops when |fn(x) - target| <= f_tol, when the bracket has shrunk to two
+    adjacent floats, or after max_iter halvings, and returns the midpoint in
+    every case. No halving can move the midpoint of two adjacent floats, so
+    that exit returns what the full loop would; it is the usual one when
+    f_tol lies below the roundoff of fn near the root.
     """
     a, b = lo, hi
     mid = 0.5 * (a + b)
     for _ in range(max_iter):
         mid = 0.5 * (a + b)
+        if not (a < mid < b):
+            return mid
         val = fn(mid)
         if abs(val - target) <= f_tol:
             return mid

@@ -6,7 +6,7 @@ Four curves map an exponent r > 0 to Bell pairs per copy:
     converse_yield           E*(r)  = max_{D(q||p) <= r} H(q)
     fidelity_direct_yield    equal to E(r)
     fidelity_converse_yield  E*(r) up to the slope-one point r', then the
-                             straight line r - r' + E*(r')
+                             straight line r + H_{1/2}(p)
 
 E governs how fast the failure probability of an optimal scheme can decay
 while the yield stays above the entropy floor; E* governs the forced decay
@@ -15,6 +15,11 @@ computed through the tilted family h(s): the optimizer is h(s+) (s > 1) for
 E and h(s-) (0 < s < 1) for E*, with F(s) = r pinning the tilt, so the cost
 is independent of the spectrum dimension. E saturates at -log2 p_1 once
 r >= -log2 p_1 and E* saturates at log2 d once r >= D(u||p).
+
+Along the converse branch dE*/dr = s/(1-s), which is one at s = 1/2, so the
+slope-one point is r' = F(1/2) in closed form. Past it the fidelity-converse
+line is E*(r') + r - r' = r + 2 psi(1/2) = r + H_{1/2}(p), the Renyi-1/2
+entropy; on a flat spectrum that is r + log2 d.
 
 brute_force_direct / brute_force_converse evaluate the defining simplex
 optimizations literally on a grid (d <= 3). They exist purely as
@@ -26,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -40,7 +44,6 @@ from .spectra import (
     SATURATED,
     SchmidtSpectrum,
     big_f,
-    divergence_from_uniform,
     psi,
     psi_derivatives,
     shannon_entropy,
@@ -110,57 +113,28 @@ class RPrimeResult:
     degenerate: bool = False
 
 
-def _converse_slope(p: SchmidtSpectrum, r: float, step: float = 1e-6) -> float:
-    h = min(step, 0.5 * r)
-    lo = converse_yield(p, r - h).yield_bits
-    hi = converse_yield(p, r + h).yield_bits
-    return (hi - lo) / (2.0 * h)
+def r_prime(p: SchmidtSpectrum) -> RPrimeResult:
+    """The slope-one point of the converse curve, r' = F(1/2).
 
-
-@lru_cache(maxsize=64)
-def r_prime(p: SchmidtSpectrum, slope_tol: float = 1e-8) -> RPrimeResult:
-    """The r where dE*/dr passes through 1, by bisection on a central
-    difference (step 1e-6). The slope runs from +inf at r -> 0 down to 0
-    at saturation, so the crossing is unique.
-
-    Cached per spectrum object (spectra are immutable), since the
-    fidelity-converse curve consults it at every point of a sweep.
+    dE*/dr = s/(1-s) along the tilted family, so the slope passes through
+    one exactly at the tilt s = 1/2.
     """
     if p.is_uniform:
         return RPrimeResult(0.0, degenerate=True)
-    c = divergence_from_uniform(p)
-    lo, hi = 1e-4 * c, (1.0 - 1e-9) * c
-    while _converse_slope(p, lo) <= 1.0:
-        lo *= 0.25
-        if lo < 1e-15:
-            return RPrimeResult(0.0, degenerate=True)
-    mid = 0.5 * (lo + hi)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        slope = _converse_slope(p, mid)
-        if abs(slope - 1.0) <= slope_tol or hi - lo < 1e-13:
-            break
-        if slope > 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return RPrimeResult(mid)
+    return RPrimeResult(big_f(p, 0.5))
 
 
 def fidelity_converse_yield(p: SchmidtSpectrum, r: float) -> RateCurvePoint:
-    """E*_F(r): follows E*(r) up to r', then climbs with slope exactly one.
+    """E*_F(r): follows E*(r) up to r', then the line r + H_{1/2}(p).
 
-    Uniform spectra degenerate to the line r + log2 d from the start, which
-    for a product state (d = 1) is the bare line E*_F(r) = r.
+    H_{1/2}(p) = 2 psi(1/2) is the Renyi-1/2 entropy. Uniform spectra are on
+    the line r + log2 d from the start, which for a product state (d = 1) is
+    the bare line E*_F(r) = r.
     """
     _require_positive(r)
-    rp = r_prime(p)
-    if rp.degenerate:
-        return RateCurvePoint(r, r + math.log2(p.dim), REGIME_LINEAR)
-    if r <= rp.value:
+    if r <= r_prime(p).value:
         return converse_yield(p, r)
-    anchor = converse_yield(p, rp.value).yield_bits
-    return RateCurvePoint(r, r - rp.value + anchor, REGIME_LINEAR)
+    return RateCurvePoint(r, r + 2.0 * psi(p, 0.5), REGIME_LINEAR)
 
 
 def inverse_direct(p: SchmidtSpectrum, rate: float) -> float:

@@ -228,7 +228,7 @@ def tilted_entropy(p: SchmidtSpectrum, s: float) -> float:
     return psi(p, s) - s * prime
 
 
-def solve_s_plus(p: SchmidtSpectrum, r: float, f_tol: float = 1e-12):
+def solve_s_plus(p: SchmidtSpectrum, r: float):
     """The unique s > 1 with F(s) = r, or SATURATED when r >= -log2 p_1.
 
     Uniform spectra have F identically zero, so every positive r saturates.
@@ -239,17 +239,13 @@ def solve_s_plus(p: SchmidtSpectrum, r: float, f_tol: float = 1e-12):
     if p.is_uniform or r >= -float(p.log2[0]):
         return SATURATED
     hi = expand_bracket(lambda s: big_f(p, s), r, 2.0)
-    return bisect_for_value(
-        lambda s: big_f(p, s), r, 1.0, hi, increasing=True, f_tol=f_tol
-    )
+    return bisect_for_value(lambda s: big_f(p, s), r, 1.0, hi, increasing=True)
 
 
-def solve_s_minus(p: SchmidtSpectrum, r: float, f_tol: float = 1e-12):
+def solve_s_minus(p: SchmidtSpectrum, r: float):
     """The unique 0 < s < 1 with F(s) = r, or SATURATED when r >= D(u||p)."""
     if r <= 0.0:
         raise NonPositiveExponentError(f"exponent must be positive, got {r!r}")
     if p.is_uniform or r >= divergence_from_uniform(p):
         return SATURATED
-    return bisect_for_value(
-        lambda s: big_f(p, s), r, 0.0, 1.0, increasing=False, f_tol=f_tol
-    )
+    return bisect_for_value(lambda s: big_f(p, s), r, 0.0, 1.0, increasing=False)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from concentrate import new_spectrum, psi
 from concentrate.cli import main, _parse_n_list, _parse_r_grid
 
 
@@ -74,6 +75,20 @@ def test_yield_all_kinds(capsys):
             "yield", "--spectrum", "0.75,0.25", "--r", "0.1", "--kind", kind,
         )
         assert code == 0 and "yield_bits" in out
+
+
+def test_near_flat_spectrum_fidelity_converse(capsys):
+    # p_1 - p_2 = 2e-9: not flagged uniform, yet D(u||p) rounds to zero
+    code, out, _ = run_cli(
+        capsys,
+        "yield", "--spectrum", "0.500000001,0.499999999", "--r", "0.01",
+        "--kind", "fidelity-converse", "--format", "json",
+    )
+    assert code == 0
+    row = json.loads(out)["rows"][0]
+    p = new_spectrum([0.500000001, 0.499999999])
+    assert row["yield_bits"] == 0.01 + 2.0 * psi(p, 0.5)
+    assert row["regime"] == "linear"
 
 
 def test_spectrum_file_input(tmp_path, capsys):

@@ -150,11 +150,3 @@ def test_check_suite_deterministic_text():
     b = run_check_suite(ExperimentConfig(seed=5)).to_csv_text()
     assert a == b
 
-
-def test_worker_count_env_does_not_change_results(monkeypatch):
-    cfg = ExperimentConfig(spectrum=P34, r_grid=tuple(np.linspace(0.02, 0.5, 16)))
-    monkeypatch.setenv("CONCENTRATE_THREADS", "1")
-    serial = run_sweep(cfg).to_csv_text()
-    monkeypatch.setenv("CONCENTRATE_THREADS", "4")
-    threaded = run_sweep(cfg).to_csv_text()
-    assert serial == threaded

@@ -11,7 +11,6 @@ from concentrate import (
     TypeComposition,
     count_types,
     enumerate_types,
-    exponent_of_log_sum,
     log_sequence_prob,
     log_type_class_prob,
     log_type_class_size,
@@ -135,8 +134,3 @@ def test_size_and_prob_sandwiches():
                     assert prob <= -n * div + 1e-9
                     assert prob >= -n * div - slack - 1e-9
 
-
-def test_exponent_of_log_sum():
-    assert exponent_of_log_sum(0.3, 0.7) == 0.3
-    assert exponent_of_log_sum(0.5, 0.5) == 0.5
-    assert exponent_of_log_sum(1.0, 0.2) == 0.2

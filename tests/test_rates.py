@@ -115,7 +115,7 @@ def test_fidelity_direct_equals_direct():
 def test_r_prime_matches_half_tilt_closed_form():
     rp = r_prime(P34)
     assert not rp.degenerate
-    assert rp.value == pytest.approx(big_f(P34, 0.5), abs=1e-6)
+    assert rp.value == big_f(P34, 0.5)
     # slope really is one there (central differences)
     h = 1e-6
     slope = (
@@ -131,17 +131,24 @@ def test_r_prime_flat_spectrum_flagged():
 
 
 def test_fidelity_converse_tracks_then_departs():
-    rp = r_prime(P34)
-    for r in np.linspace(0.2 * rp.value, rp.value, 7):
-        assert fidelity_converse_yield(P34, float(r)).yield_bits == converse_yield(
-            P34, float(r)
-        ).yield_bits
-    anchor = converse_yield(P34, rp.value).yield_bits
-    for r in (rp.value * 1.5, rp.value + 0.3, 2.0):
-        point = fidelity_converse_yield(P34, r)
-        assert point.regime == "linear"
-        assert point.yield_bits == pytest.approx(r - rp.value + anchor, abs=1e-12)
-        assert point.yield_bits >= converse_yield(P34, r).yield_bits - 1e-12
+    rng = np.random.default_rng(83)
+    spectra = [P34] + [random_spectrum(rng, int(rng.integers(2, 9))) for _ in range(12)]
+    for p in spectra:
+        rp = r_prime(p)
+        for r in np.linspace(0.2 * rp.value, rp.value, 7):
+            assert fidelity_converse_yield(p, float(r)).yield_bits == converse_yield(
+                p, float(r)
+            ).yield_bits
+        # the line r - r' + E*(r') through the curve, and the Renyi-1/2
+        # entropy 2 log2 sum sqrt(p_i) summed directly
+        anchor = converse_yield(p, rp.value).yield_bits
+        renyi_half = 2.0 * math.log2(sum(math.sqrt(x) for x in p.probs))
+        for r in (rp.value * 1.5, rp.value + 0.3, 2.0):
+            point = fidelity_converse_yield(p, r)
+            assert point.regime == "linear"
+            assert point.yield_bits == pytest.approx(r + renyi_half, abs=1e-12)
+            assert point.yield_bits == pytest.approx(r - rp.value + anchor, abs=1e-12)
+            assert point.yield_bits >= converse_yield(p, r).yield_bits - 1e-12
 
 
 def test_fidelity_converse_separable_state_is_the_line():

@@ -33,6 +33,7 @@ from concentrate import (
     tilted,
     tilted_entropy,
 )
+from concentrate.numerics import bisect_for_value, expand_bracket
 from conftest import random_spectrum
 
 mp.mp.dps = 50
@@ -214,6 +215,34 @@ def test_solve_s_minus_examples():
     s = solve_s_minus(p, 0.05)
     assert 0.0 < s < 1.0
     assert big_f(p, s) == pytest.approx(0.05, abs=1e-12)
+
+
+def test_bisection_stops_on_collapsed_bracket():
+    # near -log2 p_1 at d = 1024 the roundoff of F exceeds f_tol = 1e-12, so
+    # only the bracket shrinking to two adjacent floats ends the search
+    rng = np.random.default_rng(0)
+    p = new_spectrum(rng.dirichlet(np.ones(1024)), renormalize=True)
+    r = 0.99 * -float(p.log2[0])
+    hi = expand_bracket(lambda s: big_f(p, s), r, 2.0)
+    evals = []
+
+    def counted(s):
+        evals.append(s)
+        return big_f(p, s)
+
+    s = bisect_for_value(counted, r, 1.0, hi, increasing=True)
+    # reference: the plain loop of 200 halvings
+    a, b = 1.0, hi
+    for halvings in range(1, 201):
+        ref = 0.5 * (a + b)
+        val = big_f(p, ref)
+        if abs(val - r) <= 1e-12:
+            break
+        a, b = (ref, b) if val < r else (a, ref)
+    assert halvings == 200
+    assert len(evals) < 100
+    assert s == ref
+    assert solve_s_plus(p, r) == s
 
 
 def test_solver_roundtrip_random():
