@@ -219,17 +219,7 @@ def run_convergence(cfg: ExperimentConfig) -> ExperimentRecord:
             "tolerance": tol,
         }
     )
-    columns = [
-        "n",
-        "rate_requested",
-        "rate_actual",
-        "exponent",
-        "predicted",
-        "residual",
-        "finite_size_allowance",
-        "within_tolerance",
-    ]
-    return ExperimentRecord(meta, columns, rows)
+    return ExperimentRecord(meta, list(rows[0]), rows)
 
 
 # ---------------------------------------------------------------------------

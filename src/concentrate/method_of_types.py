@@ -8,8 +8,9 @@ computation in this package:
     log2 |T_q|                in [n H(q) - d log2(n+1), n H(q)]
     log2 Pr[T_q under p**n]   in [-n D(q||p) - d log2(n+1), -n D(q||p)]
 
-Multinomials go through log-gamma, never integer factorials, because d = 2
-sweeps push n into the thousands. Everything returns base-2 logs.
+type_matrix builds the lattice in d - 1 numpy passes. Multinomials come
+from one log-gamma table, never integer factorials, because d = 2 sweeps
+push n into the thousands. Everything returns base-2 logs.
 """
 
 from __future__ import annotations
@@ -56,42 +57,45 @@ def count_types(n: int, d: int) -> int:
 def enumerate_types(
     n: int, d: int, max_count: int = DEFAULT_TYPE_GUARD
 ) -> Iterator[TypeComposition]:
-    """Stream every type with denominator n over d symbols, lexicographically
-    descending in the counts, each exactly once and in constant memory."""
+    """Every type with denominator n over d symbols: the rows of type_matrix,
+    built eagerly, so its memory is bounded by max_count."""
+    return (TypeComposition(tuple(r)) for r in type_matrix(n, d, max_count).tolist())
+
+
+def type_matrix(n: int, d: int, max_count: int = DEFAULT_TYPE_GUARD) -> np.ndarray:
+    """All types as an int64 (count, d) array, rows lexicographically
+    descending. Column by column, each row so far, with rest = n - its sum,
+    spawns rest + 1 rows whose next count runs rest, ..., 0."""
     if n < 1 or d < 1:
         raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
     if count_types(n, d) > max_count:
         raise TooManyTypesError(
             f"{count_types(n, d)} types for (n={n}, d={d}) exceeds guard {max_count}"
         )
-    return (TypeComposition(c) for c in _compositions(n, d))
-
-
-def _compositions(n: int, d: int) -> Iterator[tuple[int, ...]]:
-    if d == 1:
-        yield (n,)
-        return
-    for first in range(n, -1, -1):
-        for rest in _compositions(n - first, d - 1):
-            yield (first,) + rest
-
-
-def type_matrix(n: int, d: int, max_count: int = DEFAULT_TYPE_GUARD) -> np.ndarray:
-    """All types at once as an integer array of shape (count, d)."""
-    return np.array([t.counts for t in enumerate_types(n, d, max_count)], dtype=np.int64)
+    rows = np.zeros((1, 0), dtype=np.int64)
+    rest = np.array([n], dtype=np.int64)
+    for _ in range(d - 1):
+        sizes = rest + 1
+        starts = np.cumsum(sizes) - sizes
+        offset = np.arange(int(sizes.sum()), dtype=np.int64) - np.repeat(starts, sizes)
+        column = np.repeat(rest, sizes) - offset
+        rows = np.column_stack((np.repeat(rows, sizes, axis=0), column))
+        rest = offset
+    return np.column_stack((rows, rest))
 
 
 def log_type_class_size(t: TypeComposition) -> float:
     """log2 of the multinomial n! / prod(counts_i!), via log-gamma."""
-    counts = np.asarray(t.counts, dtype=float)
-    return float((gammaln(t.n + 1) - gammaln(counts + 1).sum()) / LN2)
+    return float(log_multinomial_rows(t.counts))
 
 
 def log_multinomial_rows(counts: np.ndarray) -> np.ndarray:
-    """Row-wise log2 multinomials for an integer (m, d) counts array."""
-    counts = np.asarray(counts, dtype=float)
+    """Row-wise log2 multinomials for an integer (m, d) counts array; rows
+    may differ in n, and every log-gamma comes from one table."""
+    counts = np.asarray(counts, dtype=np.int64)
     n = counts.sum(axis=-1)
-    return (gammaln(n + 1) - gammaln(counts + 1).sum(axis=-1)) / LN2
+    table = gammaln(np.arange(int(n.max(initial=0)) + 2))
+    return (table[n + 1] - table[counts + 1].sum(axis=-1)) / LN2
 
 
 def log_sequence_prob(t: TypeComposition, q) -> float:

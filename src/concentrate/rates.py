@@ -39,7 +39,7 @@ from .errors import (
     NonPositiveExponentError,
     RateOutOfRangeError,
 )
-from .numerics import bisect_for_value
+from .numerics import bisect_for_value, expand_bracket
 from .spectra import (
     SATURATED,
     SchmidtSpectrum,
@@ -143,7 +143,8 @@ def inverse_direct(p: SchmidtSpectrum, rate: float) -> float:
     Solves D(h(s)||p) + H(h(s)) = rate for s > 1 (the combination equals
     -psi'(s), strictly decreasing) and returns F(s). At the lower endpoint
     the optimizer escapes to infinity; the limit is the divergence of the
-    flat distribution on the maximal coefficients.
+    flat distribution on the maximal coefficients. Near-flat tops raise
+    SolverError (root past the bracket cap).
     """
     floor = -float(p.log2[0])
     entropy = shannon_entropy(p)
@@ -156,11 +157,7 @@ def inverse_direct(p: SchmidtSpectrum, rate: float) -> float:
     def objective(s):
         return -psi_derivatives(p, s)[0]
 
-    hi = 2.0
-    while objective(hi) > rate:
-        hi *= 2.0
-        if hi > 1e6:
-            break
+    hi = expand_bracket(lambda s: -objective(s), -rate, 2.0)
     s = bisect_for_value(objective, rate, 1.0, hi, increasing=False)
     return big_f(p, s)
 

@@ -16,7 +16,9 @@ from concentrate import (
     run_convergence,
     run_nonadditivity,
     run_sweep,
+    shannon_entropy,
 )
+from concentrate.harness import DEFAULT_CONVERGENCE_TOL
 
 P34 = new_spectrum([0.75, 0.25])
 
@@ -105,6 +107,24 @@ def test_convergence_record_direct():
         assert row["finite_size_allowance"] == pytest.approx(
             2 * math.log2(row["n"] + 1) / row["n"], abs=1e-12
         )
+
+
+@pytest.mark.parametrize("regime", ["direct", "converse"])
+def test_convergence_three_symbols_reaches_n_2000(regime):
+    # about 2M types at n = 2000; the residual shrinks at every step and
+    # ends within the default tolerance
+    p = new_spectrum([0.6, 0.3, 0.1])
+    entropy = shannon_entropy(p)
+    if regime == "direct":
+        rate = 0.5 * (-math.log2(0.6) + entropy)
+    else:
+        rate = 0.5 * (entropy + math.log2(3))
+    cfg = ExperimentConfig(spectrum=p, rate=rate, n_list=(100, 400, 1000, 2000))
+    record = run_convergence(cfg)
+    assert record.meta["regime"] == regime
+    residuals = [abs(row["residual"]) for row in record.rows]
+    assert all(b < a for a, b in zip(residuals, residuals[1:]))
+    assert residuals[-1] <= DEFAULT_CONVERGENCE_TOL
 
 
 def test_convergence_rejects_out_of_regime_rate():

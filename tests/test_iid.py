@@ -15,6 +15,7 @@ import pytest
 from concentrate import (
     RateOutOfRangeError,
     SizeOutOfRangeError,
+    SolverError,
     exact_success_prob,
     exponent_sweep,
     grouped_spectrum,
@@ -22,6 +23,7 @@ from concentrate import (
     optimal_probability,
 )
 from concentrate.iid import _solve_grouped_threshold
+from concentrate.numerics import LN2, log2_sub, logsumexp2
 from conftest import random_spectrum
 
 
@@ -127,6 +129,75 @@ def test_threshold_size_identity():
         bits = float(rng.uniform(0.0, spec.total_log_dim))
         log_t, _, log_p, _ = _solve_grouped_threshold(spec, bits)
         assert log_p == pytest.approx(log_t + bits, abs=1e-10)
+
+
+def _reference_threshold(spec, log2_size):
+    """The k-by-k threshold scan, one group count at a time."""
+    lp = spec.log_probs
+    lm = spec.log_mults
+    log_above = np.logaddexp2.accumulate(lm)
+    log_tail = np.logaddexp2.accumulate((lm + lp)[::-1])[::-1]
+    for k in range(lp.size):
+        log_a = -np.inf if k == 0 else log_above[k - 1]
+        if log_a >= log2_size:
+            break
+        log_t = log_tail[k] - log2_sub(log2_size, log_a)
+        upper_ok = k == 0 or lp[k - 1] > log_t
+        lower_ok = log_t >= lp[k] - 1e-12
+        if upper_ok and lower_ok:
+            if k == 0:
+                return log_t, k, 0.0, -np.inf
+            excess = lm[:k] + lp[:k]
+            excess += np.log1p(-np.exp2(log_t - lp[:k])) / LN2
+            return log_t, k, min(log_t + log2_size, 0.0), logsumexp2(excess)
+    raise SolverError("reference scan found no threshold")
+
+
+def _scan_outcome(scan, spec, log2_size):
+    try:
+        return scan(spec, log2_size)
+    except SolverError:
+        return SolverError
+
+
+def _edge_sizes(spec, rng):
+    """Sizes 0 and d**n, random sizes, sizes that put the threshold exactly
+    on a group value, and sizes just above a count of groups."""
+    top = spec.total_log_dim
+    log_above = np.logaddexp2.accumulate(spec.log_mults)
+    log_tail = np.logaddexp2.accumulate(
+        (spec.log_mults + spec.log_probs)[::-1]
+    )[::-1]
+    sizes = [0.0, top, *rng.uniform(0.0, top, size=3).tolist()]
+    for j in rng.integers(0, spec.group_count, size=3).tolist():
+        # t = value of group j: L = (count above j) + (mass from j) / t
+        above = -np.inf if j == 0 else log_above[j - 1]
+        sizes.append(float(np.logaddexp2(above, log_tail[j] - spec.log_probs[j])))
+        sizes.append(float(log_above[j]) + float(rng.choice([1e-12, 1e-9, 1e-6, 1e-3])))
+    return [min(max(b, 0.0), top) for b in sizes]
+
+
+def test_vectorized_scan_matches_reference_loop():
+    rng = np.random.default_rng(83)
+    # dyadic spectra, whose product coefficients tie and merge into groups
+    dyadic = ([0.5, 0.25, 0.25], [0.5, 0.5], [0.25, 0.25, 0.25, 0.125, 0.125])
+    spectra = [new_spectrum(q) for q in dyadic]
+    for _ in range(300):
+        spectra.append(random_spectrum(rng, int(rng.integers(2, 5))))
+    checked = 0
+    for p in spectra:
+        n = int(rng.integers(1, {2: 300, 3: 40}.get(p.dim, 14)))
+        spec = grouped_spectrum(p, n)
+        for bits in _edge_sizes(spec, rng):
+            # at size d**n the count above can round up to the size before
+            # the last group; then both scans raise SolverError
+            got = _scan_outcome(_solve_grouped_threshold, spec, bits)
+            want = _scan_outcome(_reference_threshold, spec, bits)
+            assert got == want, (p.probs, n, bits)
+            if want is not SolverError:
+                assert [type(a) for a in got] == [type(b) for b in want]
+                checked += 1
+    assert checked >= 300 * 10
 
 
 def test_failure_prob_accurate_when_success_is_close_to_one():

@@ -1,9 +1,11 @@
 """Type enumeration and the class-size / class-probability sandwiches."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from concentrate import (
     DimensionMismatchError,
@@ -16,7 +18,8 @@ from concentrate import (
     log_type_class_size,
     new_spectrum,
 )
-from concentrate.numerics import logsumexp2
+from concentrate.method_of_types import log_multinomial_rows, type_matrix
+from concentrate.numerics import LN2, logsumexp2
 from conftest import random_spectrum
 
 
@@ -52,6 +55,67 @@ def test_enumeration_respects_polynomial_bound():
 def test_enumeration_guard():
     with pytest.raises(TooManyTypesError):
         list(enumerate_types(100, 8, max_count=10_000))
+
+
+def _product_reference(n, d):
+    """Compositions of n into d parts via itertools.product, descending."""
+    rows = [
+        head + (n - sum(head),)
+        for head in itertools.product(range(n + 1), repeat=d - 1)
+        if sum(head) <= n
+    ]
+    return np.array(sorted(rows, reverse=True), dtype=np.int64).reshape(-1, d)
+
+
+def test_type_matrix_matches_product_reference():
+    for d in range(1, 6):
+        for n in range(1, 13):
+            got = type_matrix(n, d)
+            want = _product_reference(n, d)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want), (n, d)
+
+
+def test_type_matrix_lattice_invariants():
+    n, d = 60, 4
+    rows = type_matrix(n, d)
+    assert rows.shape == (count_types(n, d), d)
+    assert np.all(rows >= 0) and np.all(rows.sum(axis=1) == n)
+    assert len({tuple(r) for r in rows.tolist()}) == rows.shape[0]
+    # strictly descending in lexicographic order: the first differing
+    # count of each consecutive pair drops
+    diff = rows[:-1] - rows[1:]
+    first = diff[np.arange(diff.shape[0]), np.argmax(diff != 0, axis=1)]
+    assert np.all(first > 0)
+
+
+def test_type_matrix_argument_errors_and_guard():
+    with pytest.raises(ValueError):
+        type_matrix(0, 3)
+    with pytest.raises(ValueError):
+        type_matrix(3, 0)
+    # about 1.7e11 types: the guard must fire before anything is allocated
+    with pytest.raises(TooManyTypesError):
+        type_matrix(10_000, 4, max_count=10**6)
+    with pytest.raises(TooManyTypesError):
+        enumerate_types(100, 8, max_count=10_000)
+
+
+def test_enumerate_types_wraps_matrix_rows():
+    types = list(enumerate_types(7, 3))
+    assert [t.counts for t in types] == [tuple(r) for r in type_matrix(7, 3).tolist()]
+    assert all(type(c) is int for t in types for c in t.counts)
+
+
+def test_log_multinomial_rows_bit_equal_to_per_entry_gammaln():
+    rng = np.random.default_rng(71)
+    counts = rng.integers(0, 400, size=(200, 4))
+    counts[:4] = [[0, 0, 0, 1], [5, 5, 5, 5], [0, 0, 0, 0], [399, 0, 1, 0]]
+    as_float = counts.astype(float)
+    n = as_float.sum(axis=-1)
+    want = (gammaln(n + 1) - gammaln(as_float + 1).sum(axis=-1)) / LN2
+    got = log_multinomial_rows(counts)
+    assert np.array_equal(got, want)
 
 
 def test_type_composition_fields():

@@ -9,6 +9,7 @@ from concentrate import (
     DimensionTooLargeError,
     NonPositiveExponentError,
     RateOutOfRangeError,
+    SolverError,
     big_f,
     brute_force_converse,
     brute_force_curves,
@@ -183,6 +184,17 @@ def test_inverse_direct_round_trip():
         r = float(rng.uniform(0.05, 0.9) * top)
         rate = direct_yield(p, r).yield_bits
         assert inverse_direct(p, rate) == pytest.approx(r, abs=1e-8)
+
+
+def test_inverse_direct_near_flat_top_raises_instead_of_going_negative():
+    # the s > 1 root lies past the bracket cap; the solve must fail loudly
+    # rather than bisect to the bracket edge and return F < 0
+    p = new_spectrum([0.500000001, 0.499999999])
+    floor = -float(p.log2[0])
+    entropy = shannon_entropy(p)
+    for frac in (0.25, 0.5, 0.75):
+        with pytest.raises(SolverError):
+            inverse_direct(p, floor + frac * (entropy - floor))
 
 
 def test_inverse_converse_range_and_endpoints():
