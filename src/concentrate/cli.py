@@ -202,7 +202,7 @@ def _cmd_info(args) -> ExperimentRecord:
     row = {
         "dim": p.dim,
         "entropy_bits": shannon_entropy(p),
-        "deterministic_exponent_bits": -float(p.log2[0]),
+        "deterministic_exponent_bits": p.min_entropy,
         "uniform_divergence_bits": divergence_from_uniform(p),
         "deterministic_size": deterministic_yield(p),
     }

@@ -43,7 +43,7 @@ class RateOutOfRangeError(ConcentrationError):
 
 
 class NonPositiveExponentError(ConcentrationError):
-    """Exponent argument must be strictly positive."""
+    """Exponent argument must be finite and strictly positive."""
 
 
 class DimensionTooLargeError(ConcentrationError):

@@ -163,7 +163,7 @@ def _base_meta(cfg: ExperimentConfig, experiment: str) -> dict:
 
 def _infer_regime(p: SchmidtSpectrum, rate: float) -> str:
     entropy = shannon_entropy(p)
-    if -float(p.log2[0]) < rate < entropy:
+    if p.min_entropy < rate < entropy:
         return "direct"
     if entropy < rate < math.log2(p.dim):
         return "converse"
@@ -260,7 +260,7 @@ def run_sweep(cfg: ExperimentConfig) -> ExperimentRecord:
     meta.update(
         {
             "entropy": shannon_entropy(p),
-            "deterministic_exponent": -float(p.log2[0]),
+            "deterministic_exponent": p.min_entropy,
             "uniform_divergence": divergence_from_uniform(p),
             "r_prime": rp.value,
             "r_prime_degenerate": rp.degenerate,
@@ -417,7 +417,7 @@ def _check_solver_roundtrip(rng, tol):
     worst = 0.0
     for _ in range(30):
         p = _random_spectrum(rng, int(rng.integers(2, 6)))
-        top = -float(p.log2[0])
+        top = p.min_entropy
         c = divergence_from_uniform(p)
         r = float(rng.uniform(0.05, 0.95)) * top
         s = solve_s_plus(p, r)
@@ -448,7 +448,7 @@ def _check_direct_monotone(rng, tol):
         p = _random_spectrum(rng, int(rng.integers(2, 5)))
         if p.is_uniform:
             continue
-        top = -float(p.log2[0])
+        top = p.min_entropy
         grid = np.linspace(0.01 * top, 0.99 * top, 100)
         vals = [direct_yield(p, r).yield_bits for r in grid]
         for a, b in zip(vals, vals[1:]):
@@ -488,7 +488,7 @@ def _check_grid_oracle_agreement(rng, tol):
     for _ in range(4):
         p1 = float(rng.uniform(0.55, 0.72))
         p = new_spectrum([p1, 1.0 - p1])
-        top = max(-float(p.log2[0]), divergence_from_uniform(p))
+        top = max(p.min_entropy, divergence_from_uniform(p))
         grid = np.linspace(0.1 * top, 1.1 * top, 8)
         gd, gc = brute_force_curves(p, grid, 10_000)
         for i, r in enumerate(grid):
@@ -517,7 +517,7 @@ def _check_exponent_lower_bound(rng, tol):
     worst = 0.0
     p = new_spectrum([0.7, 0.3])
     entropy = shannon_entropy(p)
-    top = -float(p.log2[0])
+    top = p.min_entropy
     rate = 0.5 * (entropy + top)
     for n in (50, 120):
         sample = exponent_sweep(p, rate, [n], "direct")[0]

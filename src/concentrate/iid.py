@@ -198,7 +198,7 @@ def exponent_sweep(
     """
     entropy = shannon_entropy(p)
     if regime == "direct":
-        lo, hi = -float(p.log2[0]), entropy
+        lo, hi = p.min_entropy, entropy
     elif regime == "converse":
         lo, hi = entropy, math.log2(p.dim)
     else:

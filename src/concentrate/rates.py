@@ -12,8 +12,9 @@ E governs how fast the failure probability of an optimal scheme can decay
 while the yield stays above the entropy floor; E* governs the forced decay
 of the success probability when the yield exceeds the entropy. Both are
 computed through the tilted family h(s): the optimizer is h(s+) (s > 1) for
-E and h(s-) (0 < s < 1) for E*, with F(s) = r pinning the tilt, so the cost
-is independent of the spectrum dimension. E saturates at -log2 p_1 once
+E and h(s-) (0 < s < 1) for E*, with F(s) = r pinning the tilt. The number
+of solver steps does not grow with the spectrum dimension, but each F
+evaluation is one O(d) pass over the spectrum. E saturates at -log2 p_1 once
 r >= -log2 p_1 and E* saturates at log2 d once r >= D(u||p).
 
 Along the converse branch dE*/dr = s/(1-s), which is one at s = 1/2, so the
@@ -39,7 +40,7 @@ from .errors import (
     NonPositiveExponentError,
     RateOutOfRangeError,
 )
-from .numerics import bisect_for_value, expand_bracket
+from .numerics import bisect_for_value
 from .spectra import (
     SATURATED,
     SchmidtSpectrum,
@@ -74,8 +75,8 @@ class RateCurvePoint:
 
 
 def _require_positive(r: float) -> None:
-    if not r > 0.0:
-        raise NonPositiveExponentError(f"exponent must be > 0, got {r!r}")
+    if not 0.0 < r < math.inf:
+        raise NonPositiveExponentError(f"exponent must be finite and > 0, got {r!r}")
 
 
 def direct_yield(p: SchmidtSpectrum, r: float) -> RateCurvePoint:
@@ -83,7 +84,7 @@ def direct_yield(p: SchmidtSpectrum, r: float) -> RateCurvePoint:
     _require_positive(r)
     s = solve_s_plus(p, r)
     if s is SATURATED:
-        return RateCurvePoint(r, -float(p.log2[0]), REGIME_SATURATED_HIGH)
+        return RateCurvePoint(r, p.min_entropy, REGIME_SATURATED_HIGH)
     return RateCurvePoint(r, (r + psi(p, s)) / (1.0 - s), REGIME_INTERIOR, s)
 
 
@@ -146,7 +147,7 @@ def inverse_direct(p: SchmidtSpectrum, rate: float) -> float:
     flat distribution on the maximal coefficients. Near-flat tops raise
     SolverError (root past the bracket cap).
     """
-    floor = -float(p.log2[0])
+    floor = p.min_entropy
     entropy = shannon_entropy(p)
     if not (floor <= rate < entropy):
         raise RateOutOfRangeError(f"rate {rate} outside [{floor}, {entropy})")
@@ -154,11 +155,9 @@ def inverse_direct(p: SchmidtSpectrum, rate: float) -> float:
         ties = int(np.sum(p.probs >= p.probs[0] * (1.0 - 1e-12)))
         return -math.log2(ties * float(p.probs[0]))
 
-    def objective(s):
-        return -psi_derivatives(p, s)[0]
-
-    hi = expand_bracket(lambda s: -objective(s), -rate, 2.0)
-    s = bisect_for_value(objective, rate, 1.0, hi, increasing=False)
+    s = bisect_for_value(
+        lambda s: -psi_derivatives(p, s)[0], rate, 1.0, increasing=False
+    )
     return big_f(p, s)
 
 

@@ -34,7 +34,7 @@ from .errors import (
     NonPositiveExponentError,
     NotNormalizedError,
 )
-from .numerics import LN2, bisect_for_value, expand_bracket, logsumexp2
+from .numerics import LN2, bisect_for_value, logsumexp2
 
 #: input probabilities may miss normalization by this much before we refuse
 SUM_TOL = 1e-9
@@ -82,6 +82,11 @@ class SchmidtSpectrum:
         arr = np.log2(self.probs)
         arr.setflags(write=False)
         return arr
+
+    @property
+    def min_entropy(self) -> float:
+        """-log2 p_1, written 0.0 - x so that d = 1 gives 0.0 and not -0.0."""
+        return 0.0 - float(self.log2[0])
 
     @property
     def is_uniform(self) -> bool:
@@ -135,7 +140,7 @@ def _as_prob_vector(q) -> np.ndarray:
 
 def shannon_entropy(p: SchmidtSpectrum) -> float:
     """H(p) in bits; zero for a product state, log2 d for a flat spectrum."""
-    return float(-(p.probs @ p.log2))
+    return 0.0 - float(p.probs @ p.log2)
 
 
 def relative_entropy(q, p: SchmidtSpectrum) -> float:
@@ -159,14 +164,17 @@ def psi(p: SchmidtSpectrum, s: float) -> float:
     return logsumexp2(s * p.log2)
 
 
-def tilted_weights(p: SchmidtSpectrum, s: float) -> np.ndarray:
-    """The tilted distribution p_i**s / sum p_j**s as a plain array."""
-    return np.exp2(s * p.log2 - psi(p, s))
+def _tilt(p: SchmidtSpectrum, s: float) -> tuple[float, np.ndarray, float]:
+    """(psi(s), h(s), psi'(s)) from one log-sum-exp; the functions below read it."""
+    scaled = s * p.log2
+    value = logsumexp2(scaled)
+    h = np.exp2(scaled - value)
+    return value, h, float(h @ p.log2)
 
 
 def tilted(p: SchmidtSpectrum, s: float) -> SchmidtSpectrum:
     """Tilted family member h(s); h(1) = p and h(0) is uniform on the support."""
-    return new_spectrum(tilted_weights(p, s), renormalize=True)
+    return new_spectrum(_tilt(p, s)[1], renormalize=True)
 
 
 def psi_derivatives(p: SchmidtSpectrum, s: float) -> tuple[float, float]:
@@ -175,10 +183,9 @@ def psi_derivatives(p: SchmidtSpectrum, s: float) -> tuple[float, float]:
     psi'(s) = sum h_i(s) log2 p_i and psi''(s) = ln2 * Var_h(log2 p); the
     variance is clipped at zero to absorb roundoff on flat spectra.
     """
-    h = tilted_weights(p, s)
-    first = float(h @ p.log2)
-    second = LN2 * float(h @ (p.log2**2) - first**2)
-    return first, max(second, 0.0)
+    _, h, prime = _tilt(p, s)
+    second = LN2 * float(h @ (p.log2**2) - prime**2)
+    return prime, max(second, 0.0)
 
 
 def big_f(p: SchmidtSpectrum, s: float) -> float:
@@ -187,13 +194,13 @@ def big_f(p: SchmidtSpectrum, s: float) -> float:
     F(1) = 0; F decreases to 0 on [0,1] from D(u||p) and increases toward
     -log2 p_1 for s > 1.
     """
-    prime, _ = psi_derivatives(p, s)
-    return -psi(p, s) - (1.0 - s) * prime
+    value, _, prime = _tilt(p, s)
+    return -value - (1.0 - s) * prime
 
 
 def divergence_from_uniform(p: SchmidtSpectrum) -> float:
     """D(u||p) for u uniform over p's support; the converse saturation point."""
-    return float(-np.log2(p.dim) - p.log2.mean())
+    return 0.0 - float(np.log2(p.dim) + p.log2.mean())
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,36 +217,34 @@ class TiltedFamilyPoint:
 
 def tilted_point(p: SchmidtSpectrum, s: float) -> TiltedFamilyPoint:
     """Evaluate the tilted distribution and all functionals at one tilt."""
-    prime, second = psi_derivatives(p, s)
-    value = psi(p, s)
+    value, h, prime = _tilt(p, s)
     return TiltedFamilyPoint(
         s=s,
-        h=tilted(p, s),
+        h=new_spectrum(h, renormalize=True),
         psi=value,
         psi_prime=prime,
-        psi_double_prime=second,
+        psi_double_prime=psi_derivatives(p, s)[1],
         f_value=-value - (1.0 - s) * prime,
     )
 
 
 def tilted_entropy(p: SchmidtSpectrum, s: float) -> float:
     """H(h(s)) = psi(s) - s psi'(s), monotone decreasing in s."""
-    prime, _ = psi_derivatives(p, s)
-    return psi(p, s) - s * prime
+    value, _, prime = _tilt(p, s)
+    return value - s * prime
 
 
 def solve_s_plus(p: SchmidtSpectrum, r: float):
     """The unique s > 1 with F(s) = r, or SATURATED when r >= -log2 p_1.
 
     Uniform spectra have F identically zero, so every positive r saturates.
-    The bracket doubles from 2 until F exceeds r (cap 1e6).
+    The bracket doubles from s = 2 until F exceeds r (cap numerics.BRACKET_CAP).
     """
     if r <= 0.0:
         raise NonPositiveExponentError(f"exponent must be positive, got {r!r}")
-    if p.is_uniform or r >= -float(p.log2[0]):
+    if p.is_uniform or r >= p.min_entropy:
         return SATURATED
-    hi = expand_bracket(lambda s: big_f(p, s), r, 2.0)
-    return bisect_for_value(lambda s: big_f(p, s), r, 1.0, hi, increasing=True)
+    return bisect_for_value(lambda s: big_f(p, s), r, 1.0, increasing=True)
 
 
 def solve_s_minus(p: SchmidtSpectrum, r: float):

@@ -1,0 +1,75 @@
+"""What the benchmark in perfbench/ relies on from the package.
+
+The benchmark wraps every public function of every module in
+worker.MODULES from outside, binds bisect_for_value's fn, target and f_tol
+by name, and charges each span to a layer named after its module. These
+tests load worker.py and tracing.py read-only and check that a traced run
+still works and changes no output.
+"""
+
+import importlib.util
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import concentrate
+from concentrate import harness
+from concentrate.spectra import new_spectrum
+
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"_bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+worker = _load("worker")
+tracing = _load("tracing")
+
+
+def test_every_submodule_is_in_worker_modules():
+    names = {m.name for m in pkgutil.iter_modules(concentrate.__path__)}
+    assert names <= set(worker.MODULES)
+
+
+@pytest.fixture
+def tracer():
+    package, modules = worker.import_package()
+    built = tracing.Tracer(package, modules)
+    yield built
+    built.uninstall()
+
+
+def test_tracer_builds_over_the_package(tracer):
+    # a public function whose module is not in tracing.LAYERS fails here
+    assert {"spectra.big_f", "numerics.bisect_for_value", "rates.direct_yield"} <= set(
+        tracer.names
+    )
+
+
+def test_traced_runs_match_untraced(tracer):
+    # looked up at call time, so the traced pass enters through the wrappers
+    jobs = [
+        lambda: harness.run_sweep(harness.ExperimentConfig(
+            spectrum=new_spectrum([0.5, 0.3, 0.15, 0.05]),
+            r_grid=(0.01, 0.2, 0.6, 1.2, 3.0),
+        )),
+        lambda: harness.run_convergence(harness.ExperimentConfig(
+            spectrum=new_spectrum([0.6, 0.3, 0.1]), rate=1.0, n_list=(6, 20, 40),
+        )),
+    ]
+    plain = [job().to_csv_text() for job in jobs]
+    tracer.install()
+    root = tracer.begin_job()
+    traced = [job().to_csv_text() for job in jobs]
+    counts, _ = tracing.job_metrics(tracer, tracer.end_job(root))
+    tracer.uninstall()
+    assert traced == plain
+    assert counts["spectra.f_evals"] > 0
+    assert counts["numerics.bisect_evals"] > 0
+    assert counts["numerics.unconverged"] == 0
+    assert counts["method_of_types.types"] > 0

@@ -1,6 +1,7 @@
 """CLI surface: flag parsing, outputs, and exit codes."""
 
 import json
+import math
 
 import pytest
 
@@ -114,6 +115,50 @@ def test_domain_error_json_payload(capsys):
     assert "error" in err
     payload = json.loads(out)
     assert payload["error"]["type"] == "NonPositiveExponentError"
+
+
+@pytest.mark.parametrize("r", ["inf", "nan"])
+@pytest.mark.parametrize(
+    "kind", ["direct", "converse", "fidelity-direct", "fidelity-converse"]
+)
+def test_non_finite_exponent_is_typed_error(capsys, kind, r):
+    code, out, err = run_cli(
+        capsys,
+        "yield", "--spectrum", "0.6,0.4", "--r", r, "--kind", kind,
+        "--format", "json",
+    )
+    assert code == 1
+    assert "finite" in err
+    assert json.loads(out)["error"]["type"] == "NonPositiveExponentError"
+
+
+D1_COMMANDS = [
+    ["info"],
+    *(["yield", "--r", "0.3", "--kind", kind]
+      for kind in ("direct", "converse", "fidelity-direct", "fidelity-converse")),
+    ["sweep", "--r-grid", "0.01:1.5:7"],
+    ["nonadd", "--r", "0.2"],
+    ["nonadd", "--sigma", "0.6,0.4", "--r", "0.2"],
+]
+
+
+def _negative_zeros(value):
+    if isinstance(value, dict):
+        return sum(_negative_zeros(v) for v in value.values())
+    if isinstance(value, list):
+        return sum(_negative_zeros(v) for v in value)
+    return int(isinstance(value, float) and value == 0.0 and math.copysign(1.0, value) < 0)
+
+
+@pytest.mark.parametrize("argv", D1_COMMANDS, ids=" ".join)
+def test_product_state_prints_no_negative_zero(capsys, argv):
+    code, out, _ = run_cli(capsys, argv[0], "--spectrum", "1", *argv[1:])
+    assert code == 0
+    cells = [c for line in out.splitlines() for c in line.split(",")]
+    assert "-0" not in cells and "-0.0" not in cells
+    code, out, _ = run_cli(capsys, argv[0], "--spectrum", "1", *argv[1:], "--format", "json")
+    assert code == 0
+    assert _negative_zeros(json.loads(out)) == 0
 
 
 def test_usage_error_exits_2(capsys):

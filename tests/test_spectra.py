@@ -20,6 +20,7 @@ from concentrate import (
     NegativeEntryError,
     NonPositiveExponentError,
     NotNormalizedError,
+    SolverError,
     big_f,
     divergence_from_uniform,
     new_spectrum,
@@ -32,8 +33,10 @@ from concentrate import (
     tensor,
     tilted,
     tilted_entropy,
+    tilted_point,
 )
-from concentrate.numerics import bisect_for_value, expand_bracket
+from concentrate import spectra
+from concentrate.numerics import BRACKET_CAP, bisect_for_value
 from conftest import random_spectrum
 
 mp.mp.dps = 50
@@ -223,7 +226,9 @@ def test_bisection_stops_on_collapsed_bracket():
     rng = np.random.default_rng(0)
     p = new_spectrum(rng.dirichlet(np.ones(1024)), renormalize=True)
     r = 0.99 * -float(p.log2[0])
-    hi = expand_bracket(lambda s: big_f(p, s), r, 2.0)
+    hi = 2.0
+    while big_f(p, hi) <= r:
+        hi *= 2.0
     evals = []
 
     def counted(s):
@@ -294,8 +299,6 @@ def test_big_f_equals_divergence_of_tilt():
 
 
 def test_tilted_point_bundles_consistent_values():
-    from concentrate import tilted_point
-
     p = new_spectrum([0.6, 0.25, 0.15])
     point = tilted_point(p, 2.3)
     assert point.s == 2.3
@@ -319,3 +322,71 @@ def test_tilted_entropy_identity():
         assert tilted_entropy(p, s) == pytest.approx(
             shannon_entropy(tilted(p, s)), abs=1e-10
         )
+
+
+def test_open_bracket_matches_explicit_bracket():
+    # without hi the upper end doubles from 2 * lo until fn passes target;
+    # the bisection then runs on exactly the bracket a caller would pass
+    p = new_spectrum([0.6, 0.25, 0.15])
+    for r in (0.01, 0.3, 0.7):
+        hi = 2.0
+        while big_f(p, hi) <= r:
+            hi *= 2.0
+        up = bisect_for_value(lambda s: big_f(p, s), r, 1.0, increasing=True)
+        assert up == bisect_for_value(lambda s: big_f(p, s), r, 1.0, hi, increasing=True)
+    for rate in (0.75, 1.0, 1.3):
+        hi = 2.0
+        while -psi_derivatives(p, hi)[0] >= rate:
+            hi *= 2.0
+        down = bisect_for_value(lambda s: -psi_derivatives(p, s)[0], rate, 1.0, increasing=False)
+        assert down == bisect_for_value(
+            lambda s: -psi_derivatives(p, s)[0], rate, 1.0, hi, increasing=False
+        )
+
+
+@pytest.mark.parametrize("increasing", [True, False])
+def test_open_bracket_raises_past_cap(increasing):
+    sign = 1.0 if increasing else -1.0
+    tried = []
+
+    def fn(x):
+        tried.append(x)
+        return sign * math.log(x)
+
+    target = sign * math.log(2.0 * BRACKET_CAP)
+    with pytest.raises(SolverError, match="exceeded cap"):
+        bisect_for_value(fn, target, 1.0, increasing=increasing)
+    assert max(tried) <= BRACKET_CAP < 2.0 * max(tried)
+    # a root just inside the cap is still found
+    x = bisect_for_value(fn, sign * math.log(0.5 * BRACKET_CAP), 1.0, increasing=increasing)
+    assert x == pytest.approx(0.5 * BRACKET_CAP, rel=1e-9)
+
+
+@pytest.mark.parametrize("d", [1, 2, 16, 1024])
+def test_tilted_family_reads_one_kernel(d):
+    rng = np.random.default_rng(d)
+    p = new_spectrum(rng.dirichlet(np.ones(d)), renormalize=True)
+    for s in (0.0, 0.3, 0.5, 1.0, 1.7, 6.0, 250.0):
+        prime, second = psi_derivatives(p, s)
+        assert big_f(p, s) == -psi(p, s) - (1.0 - s) * prime
+        assert tilted_entropy(p, s) == psi(p, s) - s * prime
+        point = tilted_point(p, s)
+        assert (point.psi, point.psi_prime, point.psi_double_prime) == (psi(p, s), prime, second)
+        assert point.f_value == big_f(p, s)
+        assert np.array_equal(point.h.probs, tilted(p, s).probs)
+
+
+def test_one_log_sum_exp_per_tilted_evaluation(monkeypatch):
+    calls = []
+    original = spectra.logsumexp2
+
+    def counting(values):
+        calls.append(1)
+        return original(values)
+
+    monkeypatch.setattr(spectra, "logsumexp2", counting)
+    p = new_spectrum([0.5, 0.3, 0.15, 0.05])
+    for fn in (big_f, psi_derivatives, tilted_entropy, tilted):
+        calls.clear()
+        fn(p, 2.5)
+        assert len(calls) == 1, fn.__name__
