@@ -18,6 +18,7 @@ from .errors import (
     EmptySpectrumError,
     EpsTooLargeError,
     NegativeEntryError,
+    NonFiniteEntryError,
     NonPositiveExponentError,
     NotNormalizedError,
     RateOutOfRangeError,

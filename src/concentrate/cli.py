@@ -1,11 +1,17 @@
 """Command-line front end.
 
 Every subcommand is a thin mapping onto exactly one library operation; no
-numeric logic lives here. Results are serialized through the harness record
-machinery, so `--format json` and `--format csv` carry the same values.
+numeric logic lives here. One parser, built at import, serves every call:
+each subparser stores its runner as `run`, so `main` parses, runs and emits.
+A subcommand declares only the shared flags its runner reads: --renormalize
+wherever a spectrum is read, --seed where the record writes it to meta
+(sweep, converge, nonadd, check) and --tolerance where a verdict uses it
+(converge, nonadd, check). Results are serialized through the harness
+record machinery, so `--format json` and `--format csv` carry the same values.
 
 Exit codes: 0 success, 1 computation-domain error (JSON error object on
-stdout when --format json), 2 usage error.
+stdout when --format json) or failed checks, 2 usage error (unknown flags,
+malformed values, unreadable files, fidelity modes combined wrongly).
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from .harness import (
     run_nonadditivity,
     run_sweep,
 )
+from .method_of_types import DEFAULT_TYPE_GUARD
 from .rates import (
     converse_yield,
     direct_yield,
@@ -68,13 +75,16 @@ def _read_spectrum_file(path: str) -> list[float]:
     return values
 
 
-def _load_spectrum(args, attr="spectrum") -> SchmidtSpectrum:
-    inline = getattr(args, attr, None)
-    path = getattr(args, f"{attr}_file", None)
+def _load_spectrum(args, attr="spectrum") -> SchmidtSpectrum | None:
+    """The spectrum given inline or by file, or None when neither is."""
+    inline = getattr(args, attr)
+    path = getattr(args, f"{attr}_file")
     if inline is not None:
         values = _parse_spectrum_text(inline)
-    else:
+    elif path is not None:
         values = _read_spectrum_file(path)
+    else:
+        return None
     return new_spectrum(values, renormalize=args.renormalize)
 
 
@@ -116,6 +126,7 @@ def _single_row_record(meta: dict, row: dict) -> ExperimentRecord:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The `concentrate` parser; each subcommand stores its runner as `run`."""
     parser = argparse.ArgumentParser(
         prog="concentrate",
         description="Exact and asymptotic yield computations for "
@@ -123,77 +134,63 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, spectrum=True, sigma=False):
+    def add(name, run, help, spectrum=True, seed=False, tolerance=False, modes=()):
+        sp = sub.add_parser(name, help=help)
+        sp.set_defaults(run=run)
         if spectrum:
             group = sp.add_mutually_exclusive_group(required=True)
             group.add_argument("--spectrum", help="comma list of probabilities")
-            group.add_argument(
-                "--spectrum-file", help="file with one probability per line"
-            )
-        if sigma:
-            group = sp.add_mutually_exclusive_group()
-            group.add_argument("--sigma", help="second spectrum (comma list)")
-            group.add_argument("--sigma-file", help="second spectrum from file")
-        sp.add_argument(
-            "--renormalize",
-            action="store_true",
-            help="rescale inputs that do not sum to one",
-        )
+            group.add_argument("--spectrum-file", help="one probability per line")
+            for flag, text in modes:
+                group.add_argument(flag, type=float, help=text)
+            sp.add_argument("--renormalize", action="store_true",
+                            help="rescale inputs that do not sum to one")
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         sp.add_argument("--out", help="output path (default: stdout)")
-        sp.add_argument("--seed", type=int, default=20240501)
-        sp.add_argument("--tolerance", type=float, default=None)
+        if seed:
+            sp.add_argument("--seed", type=int, default=ExperimentConfig.seed)
+        if tolerance:
+            sp.add_argument("--tolerance", type=float, default=None)
+        return sp
 
-    sp = sub.add_parser("info", help="spectrum summary quantities")
-    add_common(sp)
+    add("info", _cmd_info, "spectrum summary quantities")
 
-    sp = sub.add_parser("finite", help="single-copy concentration plan")
-    add_common(sp)
+    sp = add("finite", _cmd_finite, "single-copy concentration plan")
     sp.add_argument("--size", type=int, required=True, help="target size L")
 
-    sp = sub.add_parser("yield", help="one asymptotic yield evaluation")
-    add_common(sp)
+    sp = add("yield", _cmd_yield, "one asymptotic yield evaluation")
     sp.add_argument("--r", type=float, required=True, help="exponent r > 0")
     sp.add_argument("--kind", choices=sorted(KIND_MAP), default="direct")
 
-    sp = sub.add_parser("sweep", help="all four yield curves on an r grid")
-    add_common(sp)
+    sp = add("sweep", _cmd_sweep, "all four yield curves on an r grid", seed=True)
     sp.add_argument("--r-grid", required=True, help="lo:hi:steps")
 
-    sp = sub.add_parser("converge", help="finite-n exponents vs asymptotics")
-    add_common(sp)
+    sp = add("converge", _cmd_converge, "finite-n exponents vs asymptotics",
+             seed=True, tolerance=True)
     sp.add_argument("--rate", type=float, required=True, help="per-copy rate R")
     sp.add_argument("--n-list", required=True, help="a,b,c or a..b..step")
-    sp.add_argument(
-        "--max-types",
-        type=int,
-        default=10**8,
-        help="refuse enumerations beyond this many types (resource guard)",
-    )
+    sp.add_argument("--max-types", type=int, default=DEFAULT_TYPE_GUARD,
+                    help="refuse enumerations beyond this many types (resource guard)")
 
-    sp = sub.add_parser("nonadd", help="composite-state yield relations")
-    add_common(sp, sigma=True)
+    sp = add("nonadd", _cmd_nonadd, "composite-state yield relations",
+             seed=True, tolerance=True)
+    group = sp.add_mutually_exclusive_group()
+    group.add_argument("--sigma", help="second spectrum (comma list)")
+    group.add_argument("--sigma-file", help="second spectrum from file")
     sp.add_argument("--r", type=float, required=True)
 
-    sp = sub.add_parser("fidelity", help="probability/fidelity conversions")
-    add_common(sp, spectrum=False)
-    group = sp.add_mutually_exclusive_group(required=True)
-    group.add_argument("--spectrum", help="comma list (verify modes)")
-    group.add_argument("--spectrum-file")
-    group.add_argument("--prob", type=float, help="success probability input")
-    group.add_argument("--eps", type=float, help="fidelity defect input")
-    group.add_argument("--fid", type=float, help="fidelity input")
+    sp = add("fidelity", _cmd_fidelity, "probability/fidelity conversions", modes=(
+        ("--prob", "success probability input"),
+        ("--eps", "fidelity defect input"),
+        ("--fid", "fidelity input"),
+    ))
     sp.add_argument("--size", type=int, help="exact output size L")
     sp.add_argument("--target-size", type=int, required=True, help="target size T")
-    sp.add_argument(
-        "--verify",
-        choices=("construction", "bound"),
-        help="run a constructive verification on the given spectrum",
-    )
+    sp.add_argument("--verify", choices=("construction", "bound"),
+                    help="run a constructive verification on the given spectrum")
 
-    sp = sub.add_parser("check", help="seeded property-check suite")
-    add_common(sp, spectrum=False)
-
+    add("check", _cmd_check, "seeded property-check suite",
+        spectrum=False, seed=True, tolerance=True)
     return parser
 
 
@@ -236,9 +233,13 @@ def _cmd_yield(args) -> ExperimentRecord:
 
 
 def _cmd_fidelity(args) -> ExperimentRecord:
+    given = args.spectrum is not None or args.spectrum_file is not None
+    if given != bool(args.verify):
+        raise ValueError("--verify needs --spectrum or --spectrum-file" if args.verify
+                         else "--spectrum and --spectrum-file need --verify")
+    if args.prob is not None and args.size is None:
+        raise ValueError("--prob mode needs --size")
     if args.verify:
-        if args.spectrum is None and args.spectrum_file is None:
-            raise ConcentrationError("--verify needs --spectrum or --spectrum-file")
         p = _load_spectrum(args)
         if args.verify == "construction":
             chk = verify_fidelity_conversion(p, args.target_size)
@@ -264,8 +265,6 @@ def _cmd_fidelity(args) -> ExperimentRecord:
             }
         return _single_row_record({"experiment": "fidelity-verify"}, row)
     if args.prob is not None:
-        if args.size is None:
-            raise ConcentrationError("--prob mode needs --size")
         fid = prob_to_fidelity(args.prob, args.size, args.target_size)
         row = {
             "direction": "prob-to-fidelity",
@@ -295,62 +294,55 @@ def _cmd_fidelity(args) -> ExperimentRecord:
     return _single_row_record({"experiment": "fidelity"}, row)
 
 
+def _cmd_sweep(args) -> ExperimentRecord:
+    spectrum = _load_spectrum(args)
+    r_grid = _parse_r_grid(args.r_grid)
+    return run_sweep(ExperimentConfig(spectrum=spectrum, r_grid=r_grid, seed=args.seed))
+
+
+def _cmd_converge(args) -> ExperimentRecord:
+    cfg = ExperimentConfig(
+        spectrum=_load_spectrum(args),
+        rate=args.rate,
+        n_list=_parse_n_list(args.n_list),
+        seed=args.seed,
+        tolerance=args.tolerance,
+        max_types=args.max_types,
+    )
+    return run_convergence(cfg)
+
+
+def _cmd_nonadd(args) -> ExperimentRecord:
+    cfg = ExperimentConfig(
+        sigma=_load_spectrum(args, attr="sigma"),  # read before the spectrum
+        spectrum=_load_spectrum(args),
+        r=args.r,
+        seed=args.seed,
+        tolerance=args.tolerance,
+    )
+    return run_nonadditivity(cfg)
+
+
+def _cmd_check(args) -> ExperimentRecord:
+    return run_check_suite(ExperimentConfig(seed=args.seed, tolerance=args.tolerance))
+
+
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
-        if args.command == "info":
-            record = _cmd_info(args)
-        elif args.command == "finite":
-            record = _cmd_finite(args)
-        elif args.command == "yield":
-            record = _cmd_yield(args)
-        elif args.command == "sweep":
-            cfg = ExperimentConfig(
-                spectrum=_load_spectrum(args),
-                r_grid=_parse_r_grid(args.r_grid),
-                seed=args.seed,
-                tolerance=args.tolerance,
-            )
-            record = run_sweep(cfg)
-        elif args.command == "converge":
-            cfg = ExperimentConfig(
-                spectrum=_load_spectrum(args),
-                rate=args.rate,
-                n_list=_parse_n_list(args.n_list),
-                seed=args.seed,
-                tolerance=args.tolerance,
-                max_types=args.max_types,
-            )
-            record = run_convergence(cfg)
-        elif args.command == "nonadd":
-            sigma = None
-            if args.sigma is not None or args.sigma_file is not None:
-                sigma = _load_spectrum(args, attr="sigma")
-            cfg = ExperimentConfig(
-                spectrum=_load_spectrum(args),
-                sigma=sigma,
-                r=args.r,
-                seed=args.seed,
-                tolerance=args.tolerance,
-            )
-            record = run_nonadditivity(cfg)
-        elif args.command == "fidelity":
-            record = _cmd_fidelity(args)
-        elif args.command == "check":
-            cfg = ExperimentConfig(seed=args.seed, tolerance=args.tolerance)
-            record = run_check_suite(cfg)
-        else:  # pragma: no cover - argparse enforces choices
-            parser.error(f"unknown command {args.command}")
+        record = args.run(args)
     except ConcentrationError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if getattr(args, "format", "csv") == "json":
+        if args.format == "json":
             payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
             sys.stdout.write(json.dumps(payload) + "\n")
         return 1
     except (ValueError, OSError) as exc:
-        # malformed flag values and unreadable inputs are usage errors
-        parser.error(str(exc))
+        # malformed values, unreadable inputs, fidelity mode mistakes
+        PARSER.error(str(exc))
     _emit(record, args)
     return 0 if record.all_passed else 1
 

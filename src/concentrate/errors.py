@@ -18,6 +18,10 @@ class NegativeEntryError(ConcentrationError):
     """Spectrum construction received a negative probability."""
 
 
+class NonFiniteEntryError(ConcentrationError):
+    """Spectrum construction received a NaN or infinite entry."""
+
+
 class NotNormalizedError(ConcentrationError):
     """Probabilities do not sum to one and renormalization was not requested."""
 

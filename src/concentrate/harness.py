@@ -47,7 +47,6 @@ from .rates import (
     converse_yield,
     direct_yield,
     fidelity_converse_yield,
-    fidelity_direct_yield,
     inverse_converse,
     inverse_direct,
     nonadditivity_report,
@@ -238,15 +237,15 @@ def run_sweep(cfg: ExperimentConfig) -> ExperimentRecord:
     rp = r_prime(p)
 
     def one(r: float) -> dict:
+        # E_F = E, and E*_F = E* up to r': two solves per row
         d = direct_yield(p, r)
         c = converse_yield(p, r)
-        fd = fidelity_direct_yield(p, r)
-        fc = fidelity_converse_yield(p, r)
+        fc = c if r <= rp.value else fidelity_converse_yield(p, r)
         return _row(
             r=r,
             direct=d.yield_bits,
             converse=c.yield_bits,
-            fidelity_direct=fd.yield_bits,
+            fidelity_direct=d.yield_bits,
             fidelity_converse=fc.yield_bits,
             direct_regime=d.regime,
             converse_regime=c.regime,

@@ -31,6 +31,7 @@ from .errors import (
     DimensionMismatchError,
     EmptySpectrumError,
     NegativeEntryError,
+    NonFiniteEntryError,
     NonPositiveExponentError,
     NotNormalizedError,
 )
@@ -103,8 +104,11 @@ def new_spectrum(values, renormalize: bool = False) -> SchmidtSpectrum:
     Zeros are stripped, entries sorted descending, and the result is divided
     by its sum so the normalization invariant holds exactly. Without the
     `renormalize` flag the input sum must already be within SUM_TOL of one.
+    NaN and infinite entries are refused before anything else is checked.
     """
     arr = np.asarray(values, dtype=float).ravel()
+    if not np.isfinite(arr).all():
+        raise NonFiniteEntryError(f"non-finite probability in {arr!r}")
     if arr.size == 0 or not np.any(arr > 0.0):
         raise EmptySpectrumError("spectrum needs at least one positive entry")
     if np.any(arr < 0.0):

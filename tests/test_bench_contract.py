@@ -9,6 +9,7 @@ still works and changes no output.
 
 import importlib.util
 import pkgutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -23,12 +24,14 @@ BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 def _load(name):
     spec = importlib.util.spec_from_file_location(f"_bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
     spec.loader.exec_module(module)
     return module
 
 
 worker = _load("worker")
 tracing = _load("tracing")
+workloads = _load("workloads")
 
 
 def test_every_submodule_is_in_worker_modules():
@@ -73,3 +76,18 @@ def test_traced_runs_match_untraced(tracer):
     assert counts["numerics.bisect_evals"] > 0
     assert counts["numerics.unconverged"] == 0
     assert counts["method_of_types.types"] > 0
+
+
+def test_traced_cli_queries_match_untraced(tracer):
+    package, _ = worker.import_package()
+    jobs = {}
+    for job in workloads.queries_round(0, 2, 0):
+        jobs.setdefault(job.kind, job)
+    plain = [workloads.run_job(package, job) for job in jobs.values()]
+    tracer.install()
+    root = tracer.begin_job()
+    traced = [workloads.run_job(package, job) for job in jobs.values()]
+    counts, _ = tracing.job_metrics(tracer, tracer.end_job(root))
+    tracer.uninstall()
+    assert traced == plain
+    assert counts["cli.calls"] == len(jobs)

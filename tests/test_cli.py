@@ -2,11 +2,15 @@
 
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
-from concentrate import new_spectrum, psi
+from concentrate import cli, new_spectrum, psi
 from concentrate.cli import main, _parse_n_list, _parse_r_grid
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -264,3 +268,138 @@ def test_check_command_and_corrupted_tolerance(tmp_path, capsys):
     # corrupting the tolerance must flip rows to failure and the exit to 1
     code, out, _ = run_cli(capsys, "check", "--seed", "7", "--tolerance", "-1")
     assert code == 1 and "false" in out
+
+
+@pytest.mark.parametrize("renormalize", [False, True])
+@pytest.mark.parametrize("spectrum", ["0.6,nan", "0.6,inf", "0.6,-inf"])
+def test_non_finite_spectrum_entry_is_typed_error(capsys, spectrum, renormalize):
+    extra = ["--renormalize"] if renormalize else []
+    code, out, err = run_cli(
+        capsys, "info", "--spectrum", spectrum, *extra, "--format", "json"
+    )
+    assert code == 1
+    assert "non-finite" in err
+    assert json.loads(out)["error"]["type"] == "NonFiniteEntryError"
+
+
+def _exits_2(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    return exc.value.code == 2
+
+
+FIDELITY_MODE_MISTAKES = {
+    "spectrum without verify": (["--spectrum", "0.5,0.5"], "--verify"),
+    "verify with prob": (["--verify", "bound", "--prob", "0.5", "--size", "2"],
+                         "--spectrum"),
+    "verify with eps": (["--verify", "bound", "--eps", "0.01"], "--spectrum"),
+    "verify with fid": (["--verify", "bound", "--fid", "1.0"], "--spectrum"),
+    "prob without size": (["--prob", "0.5"], "--size"),
+}
+
+
+@pytest.mark.parametrize("mode", FIDELITY_MODE_MISTAKES)
+def test_fidelity_mode_mistake_is_usage_error(capsys, mode):
+    flags, named = FIDELITY_MODE_MISTAKES[mode]
+    assert _exits_2(["fidelity", *flags, "--target-size", "4"])
+    assert named in capsys.readouterr().err
+
+
+#: a valid call of every subcommand, without the optional shared flags
+BASE_ARGV = {
+    "info": ["info", "--spectrum", "0.75,0.25"],
+    "finite": ["finite", "--spectrum", "0.5,0.3,0.2", "--size", "3"],
+    "yield": ["yield", "--spectrum", "0.75,0.25", "--r", "0.1"],
+    "sweep": ["sweep", "--spectrum", "0.75,0.25", "--r-grid", "0.01:0.5:3"],
+    "converge": ["converge", "--spectrum", "0.75,0.25", "--rate", "0.6",
+                 "--n-list", "20,40"],
+    "nonadd": ["nonadd", "--spectrum", "0.75,0.25", "--r", "0.2"],
+    "fidelity": ["fidelity", "--eps", "0.01", "--target-size", "100"],
+    "check": ["check"],
+}
+
+#: every flag each subcommand declares (60 in all)
+FLAGS = {
+    "info": {"--spectrum", "--spectrum-file", "--renormalize", "--format", "--out"},
+    "finite": {"--spectrum", "--spectrum-file", "--renormalize", "--format", "--out",
+               "--size"},
+    "yield": {"--spectrum", "--spectrum-file", "--renormalize", "--format", "--out",
+              "--r", "--kind"},
+    "sweep": {"--spectrum", "--spectrum-file", "--renormalize", "--format", "--out",
+              "--seed", "--r-grid"},
+    "converge": {"--spectrum", "--spectrum-file", "--renormalize", "--format", "--out",
+                 "--seed", "--tolerance", "--rate", "--n-list", "--max-types"},
+    "nonadd": {"--spectrum", "--spectrum-file", "--renormalize", "--format", "--out",
+               "--seed", "--tolerance", "--sigma", "--sigma-file", "--r"},
+    "fidelity": {"--spectrum", "--spectrum-file", "--renormalize", "--format", "--out",
+                 "--prob", "--eps", "--fid", "--size", "--target-size", "--verify"},
+    "check": {"--format", "--out", "--seed", "--tolerance"},
+}
+
+SHARED_VALUES = {"--seed": "11", "--tolerance": "0.5", "--renormalize": None}
+DROPPED = [(cmd, flag) for cmd in ("info", "finite", "yield", "fidelity")
+           for flag in ("--seed", "--tolerance")]
+DROPPED += [("sweep", "--tolerance"), ("check", "--renormalize")]
+KEPT = [(cmd, flag) for cmd, flags in FLAGS.items() for flag in sorted(flags)
+        if flag in SHARED_VALUES]
+
+
+def _with_flag(cmd, flag):
+    value = SHARED_VALUES[flag]
+    return BASE_ARGV[cmd] + ([flag] if value is None else [flag, value])
+
+
+def test_each_subcommand_declares_exactly_its_flags():
+    subparsers = cli.PARSER._subparsers._group_actions[0].choices
+    declared = {
+        name: {s for a in sp._actions for s in a.option_strings} - {"-h", "--help"}
+        for name, sp in subparsers.items()
+    }
+    assert declared == FLAGS
+    assert sum(len(flags) for flags in declared.values()) == 60
+
+
+@pytest.mark.parametrize("cmd,flag", DROPPED, ids=[" ".join(c) for c in DROPPED])
+def test_dropped_shared_flag_is_usage_error(capsys, cmd, flag):
+    assert _exits_2(_with_flag(cmd, flag))
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd,flag", KEPT, ids=[" ".join(c) for c in KEPT])
+def test_kept_shared_flag_is_accepted(cmd, flag):
+    args = cli.PARSER.parse_args(_with_flag(cmd, flag))
+    expected = {"--seed": 11, "--tolerance": 0.5, "--renormalize": True}[flag]
+    assert getattr(args, flag[2:]) == expected
+
+
+def test_main_does_not_build_a_parser(monkeypatch, capsys):
+    def refuse():
+        raise AssertionError("main rebuilt the parser")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    code, out, _ = run_cli(capsys, "info", "--spectrum", "0.75,0.25")
+    assert code == 0 and "0.81127812" in out
+
+
+def _readme_commands():
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("concentrate ")]
+
+
+def test_readme_examples_rerun_byte_identical(tmp_path, capsys):
+    commands = _readme_commands()
+    assert len(commands) == 11
+    for argv in commands:
+        if "--out" in argv:
+            k = argv.index("--out") + 1
+            argv[k] = str(tmp_path / argv[k])
+        outputs = []
+        for _ in range(2):
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0, argv
+            if "--out" in argv:
+                out += Path(argv[argv.index("--out") + 1]).read_text(encoding="utf-8")
+            outputs.append(out)
+        assert outputs[0] == outputs[1] != "", argv

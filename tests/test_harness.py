@@ -15,9 +15,12 @@ from concentrate import (
     run_check_suite,
     run_convergence,
     run_nonadditivity,
+    fidelity_converse_yield,
+    fidelity_direct_yield,
     run_sweep,
     shannon_entropy,
 )
+from concentrate import rates
 from concentrate.harness import DEFAULT_CONVERGENCE_TOL
 
 P34 = new_spectrum([0.75, 0.25])
@@ -80,6 +83,30 @@ def test_sweep_rows_shape():
     ec = [row["converse"] for row in record.rows]
     assert all(f >= e - 1e-12 for f, e in zip(fc, ec))
     assert record.meta["r_prime"] == pytest.approx(0.0476027058, abs=1e-6)
+
+
+def test_sweep_solves_s_plus_once_per_point(monkeypatch):
+    # the fidelity columns reuse the row's direct and converse points
+    p = new_spectrum([0.5, 0.3, 0.15, 0.05])
+    grid = tuple(np.linspace(0.01, 3.0, 25))
+    calls = []
+    solve = rates.solve_s_plus
+
+    def counting(spectrum, r):
+        calls.append(r)
+        return solve(spectrum, r)
+
+    monkeypatch.setattr(rates, "solve_s_plus", counting)
+    record = run_sweep(ExperimentConfig(spectrum=p, r_grid=grid))
+    assert len(calls) <= len(grid)
+    monkeypatch.undo()
+    for row in record.rows:
+        assert row["fidelity_direct"] == fidelity_direct_yield(p, row["r"]).yield_bits
+        fc = fidelity_converse_yield(p, row["r"])
+        assert (row["fidelity_converse"], row["fidelity_converse_regime"]) == (
+            fc.yield_bits,
+            fc.regime,
+        )
 
 
 def test_sweep_flat_spectrum_constant_curves():

@@ -18,6 +18,7 @@ from concentrate import (
     DimensionMismatchError,
     EmptySpectrumError,
     NegativeEntryError,
+    NonFiniteEntryError,
     NonPositiveExponentError,
     NotNormalizedError,
     SolverError,
@@ -85,6 +86,17 @@ def test_construction_rejects_bad_input():
         new_spectrum([0.5, 0.4])
     p = new_spectrum([0.5, 0.4], renormalize=True)
     assert abs(p.probs.sum() - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("renormalize", [False, True])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_construction_rejects_non_finite_entries(bad, renormalize):
+    # NaN used to slip past the sum test and be dropped as a zero; inf
+    # became NaN under renormalization and left an empty array
+    with pytest.raises(NonFiniteEntryError):
+        new_spectrum([0.6, bad], renormalize=renormalize)
+    with pytest.raises(NonFiniteEntryError):
+        new_spectrum([bad], renormalize=renormalize)
 
 
 @settings(max_examples=60, deadline=None)
