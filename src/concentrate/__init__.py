@@ -41,6 +41,7 @@ from .spectra import (
     shannon_entropy,
     solve_s_minus,
     solve_s_plus,
+    solve_tilts,
     tensor,
     tilted,
     tilted_entropy,
@@ -75,7 +76,9 @@ from .rates import (
     brute_force_converse,
     brute_force_curves,
     brute_force_direct,
+    converse_curve,
     converse_yield,
+    direct_curve,
     direct_yield,
     fidelity_converse_yield,
     fidelity_direct_yield,

@@ -237,8 +237,9 @@ def _cmd_fidelity(args) -> ExperimentRecord:
     if given != bool(args.verify):
         raise ValueError("--verify needs --spectrum or --spectrum-file" if args.verify
                          else "--spectrum and --spectrum-file need --verify")
-    if args.prob is not None and args.size is None:
-        raise ValueError("--prob mode needs --size")
+    if (args.prob is None) != (args.size is None):
+        raise ValueError("--prob mode needs --size" if args.size is None
+                         else "--size is read only in --prob mode")
     if args.verify:
         p = _load_spectrum(args)
         if args.verify == "construction":

@@ -44,7 +44,9 @@ from .method_of_types import (
 from .numerics import logsumexp2
 from .rates import (
     brute_force_curves,
+    converse_curve,
     converse_yield,
+    direct_curve,
     direct_yield,
     fidelity_converse_yield,
     inverse_converse,
@@ -61,8 +63,7 @@ from .spectra import (
     psi,
     relative_entropy,
     shannon_entropy,
-    solve_s_minus,
-    solve_s_plus,
+    solve_tilts,
     tilted,
     tilted_entropy,
 )
@@ -235,13 +236,11 @@ def run_sweep(cfg: ExperimentConfig) -> ExperimentRecord:
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("r grid must be strictly increasing")
     rp = r_prime(p)
-
-    def one(r: float) -> dict:
-        # E_F = E, and E*_F = E* up to r': two solves per row
-        d = direct_yield(p, r)
-        c = converse_yield(p, r)
+    rows = []
+    # one batched solve per branch; E_F = E, and E*_F = E* up to r'
+    for r, d, c in zip(grid, direct_curve(p, grid), converse_curve(p, grid)):
         fc = c if r <= rp.value else fidelity_converse_yield(p, r)
-        return _row(
+        rows.append(_row(
             r=r,
             direct=d.yield_bits,
             converse=c.yield_bits,
@@ -252,9 +251,7 @@ def run_sweep(cfg: ExperimentConfig) -> ExperimentRecord:
             fidelity_converse_regime=fc.regime,
             s_plus=d.s_star,
             s_minus=c.s_star,
-        )
-
-    rows = [one(r) for r in grid]
+        ))
     meta = _base_meta(cfg, "sweep")
     meta.update(
         {
@@ -265,19 +262,7 @@ def run_sweep(cfg: ExperimentConfig) -> ExperimentRecord:
             "r_prime_degenerate": rp.degenerate,
         }
     )
-    columns = [
-        "r",
-        "direct",
-        "converse",
-        "fidelity_direct",
-        "fidelity_converse",
-        "direct_regime",
-        "converse_regime",
-        "fidelity_converse_regime",
-        "s_plus",
-        "s_minus",
-    ]
-    return ExperimentRecord(meta, columns, rows)
+    return ExperimentRecord(meta, list(rows[0]), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -416,16 +401,12 @@ def _check_solver_roundtrip(rng, tol):
     worst = 0.0
     for _ in range(30):
         p = _random_spectrum(rng, int(rng.integers(2, 6)))
-        top = p.min_entropy
-        c = divergence_from_uniform(p)
-        r = float(rng.uniform(0.05, 0.95)) * top
-        s = solve_s_plus(p, r)
-        if s is not SATURATED:
-            worst = max(worst, abs(big_f(p, s) - r))
-        r = float(rng.uniform(0.05, 0.95)) * c
-        s = solve_s_minus(p, r)
-        if s is not SATURATED:
-            worst = max(worst, abs(big_f(p, s) - r))
+        for equation, edge in (("s_plus", p.min_entropy),
+                               ("s_minus", divergence_from_uniform(p))):
+            r = float(rng.uniform(0.05, 0.95)) * edge
+            s = solve_tilts(p, [r], equation)[0]
+            if s is not SATURATED:
+                worst = max(worst, abs(big_f(p, s) - r))
     return worst, worst <= tol
 
 
@@ -441,32 +422,26 @@ def _check_tilted_entropy_identity(rng, tol):
     return worst, worst <= tol
 
 
-def _check_direct_monotone(rng, tol):
-    worst = 0.0
-    for _ in range(10):
-        p = _random_spectrum(rng, int(rng.integers(2, 5)))
-        if p.is_uniform:
-            continue
-        top = p.min_entropy
-        grid = np.linspace(0.01 * top, 0.99 * top, 100)
-        vals = [direct_yield(p, r).yield_bits for r in grid]
-        for a, b in zip(vals, vals[1:]):
-            worst = max(worst, b - a)
-    return worst, worst <= tol
+def _monotone(curve, edge, sign):
+    """Check that curve moves with sign over 100 points below edge(p)."""
+
+    def check(rng, tol):
+        worst = 0.0
+        for _ in range(10):
+            p = _random_spectrum(rng, int(rng.integers(2, 5)))
+            if p.is_uniform:
+                continue
+            top = edge(p)
+            grid = np.linspace(0.01 * top, 0.99 * top, 100)
+            vals = [point.yield_bits for point in curve(p, grid)]
+            worst = max([worst] + [sign * (b - a) for a, b in zip(vals, vals[1:])])
+        return worst, worst <= tol
+
+    return check
 
 
-def _check_converse_monotone(rng, tol):
-    worst = 0.0
-    for _ in range(10):
-        p = _random_spectrum(rng, int(rng.integers(2, 5)))
-        if p.is_uniform:
-            continue
-        c = divergence_from_uniform(p)
-        grid = np.linspace(0.01 * c, 0.99 * c, 100)
-        vals = [converse_yield(p, r).yield_bits for r in grid]
-        for a, b in zip(vals, vals[1:]):
-            worst = max(worst, a - b)
-    return worst, worst <= tol
+_check_direct_monotone = _monotone(direct_curve, lambda p: p.min_entropy, 1.0)
+_check_converse_monotone = _monotone(converse_curve, divergence_from_uniform, -1.0)
 
 
 def _check_endpoint_limits(rng, tol):
@@ -490,9 +465,9 @@ def _check_grid_oracle_agreement(rng, tol):
         top = max(p.min_entropy, divergence_from_uniform(p))
         grid = np.linspace(0.1 * top, 1.1 * top, 8)
         gd, gc = brute_force_curves(p, grid, 10_000)
-        for i, r in enumerate(grid):
-            worst = max(worst, abs(gd[i] - direct_yield(p, r).yield_bits))
-            worst = max(worst, abs(gc[i] - converse_yield(p, r).yield_bits))
+        for i, (d, c) in enumerate(zip(direct_curve(p, grid), converse_curve(p, grid))):
+            worst = max(worst, abs(gd[i] - d.yield_bits))
+            worst = max(worst, abs(gc[i] - c.yield_bits))
     return worst, worst <= tol
 
 

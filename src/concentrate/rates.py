@@ -12,10 +12,11 @@ E governs how fast the failure probability of an optimal scheme can decay
 while the yield stays above the entropy floor; E* governs the forced decay
 of the success probability when the yield exceeds the entropy. Both are
 computed through the tilted family h(s): the optimizer is h(s+) (s > 1) for
-E and h(s-) (0 < s < 1) for E*, with F(s) = r pinning the tilt. The number
-of solver steps does not grow with the spectrum dimension, but each F
-evaluation is one O(d) pass over the spectrum. E saturates at -log2 p_1 once
-r >= -log2 p_1 and E* saturates at log2 d once r >= D(u||p).
+E and h(s-) (0 < s < 1) for E*, with F(s) = r pinning the tilt. A whole
+grid of exponents takes one batched solve (direct_curve, converse_curve) of
+a few O(d) steps, and each point equals its single-point value bit for bit.
+E saturates at -log2 p_1 once r >= -log2 p_1 and E* saturates at log2 d
+once r >= D(u||p).
 
 Along the converse branch dE*/dr = s/(1-s), which is one at s = 1/2, so the
 slope-one point is r' = F(1/2) in closed form. Past it the fidelity-converse
@@ -37,21 +38,17 @@ import numpy as np
 
 from .errors import (
     DimensionTooLargeError,
-    NonPositiveExponentError,
     RateOutOfRangeError,
 )
-from .numerics import bisect_for_value
 from .spectra import (
     SATURATED,
     SchmidtSpectrum,
+    _require_positive,
     big_f,
     psi,
-    psi_derivatives,
     shannon_entropy,
-    solve_s_minus,
-    solve_s_plus,
+    solve_tilts,
     tensor,
-    tilted_entropy,
 )
 
 REGIME_INTERIOR = "interior"
@@ -74,27 +71,32 @@ class RateCurvePoint:
     s_star: float | None = None
 
 
-def _require_positive(r: float) -> None:
-    if not 0.0 < r < math.inf:
-        raise NonPositiveExponentError(f"exponent must be finite and > 0, got {r!r}")
-
-
 def direct_yield(p: SchmidtSpectrum, r: float) -> RateCurvePoint:
     """E(r): decreasing from H(p) at r -> 0 to the -log2 p_1 plateau."""
-    _require_positive(r)
-    s = solve_s_plus(p, r)
-    if s is SATURATED:
-        return RateCurvePoint(r, p.min_entropy, REGIME_SATURATED_HIGH)
-    return RateCurvePoint(r, (r + psi(p, s)) / (1.0 - s), REGIME_INTERIOR, s)
+    return direct_curve(p, [r])[0]
 
 
 def converse_yield(p: SchmidtSpectrum, r: float) -> RateCurvePoint:
     """E*(r): increasing from H(p) at r -> 0 to the log2 d plateau at D(u||p)."""
-    _require_positive(r)
-    s = solve_s_minus(p, r)
-    if s is SATURATED:
-        return RateCurvePoint(r, math.log2(p.dim), REGIME_SATURATED_LOW)
-    return RateCurvePoint(r, (s * r + psi(p, s)) / (1.0 - s), REGIME_INTERIOR, s)
+    return converse_curve(p, [r])[0]
+
+
+def direct_curve(p: SchmidtSpectrum, r_values) -> list[RateCurvePoint]:
+    """direct_yield at every exponent of r_values, the tilts from one solve."""
+    return [
+        RateCurvePoint(r, p.min_entropy, REGIME_SATURATED_HIGH) if s is SATURATED
+        else RateCurvePoint(r, (r + psi(p, s)) / (1.0 - s), REGIME_INTERIOR, s)
+        for r, s in zip(r_values, solve_tilts(p, r_values, "s_plus"))
+    ]
+
+
+def converse_curve(p: SchmidtSpectrum, r_values) -> list[RateCurvePoint]:
+    """converse_yield at every exponent of r_values, the tilts from one solve."""
+    return [
+        RateCurvePoint(r, math.log2(p.dim), REGIME_SATURATED_LOW) if s is SATURATED
+        else RateCurvePoint(r, (s * r + psi(p, s)) / (1.0 - s), REGIME_INTERIOR, s)
+        for r, s in zip(r_values, solve_tilts(p, r_values, "s_minus"))
+    ]
 
 
 def fidelity_direct_yield(p: SchmidtSpectrum, r: float) -> RateCurvePoint:
@@ -155,10 +157,7 @@ def inverse_direct(p: SchmidtSpectrum, rate: float) -> float:
         ties = int(np.sum(p.probs >= p.probs[0] * (1.0 - 1e-12)))
         return -math.log2(ties * float(p.probs[0]))
 
-    s = bisect_for_value(
-        lambda s: -psi_derivatives(p, s)[0], rate, 1.0, increasing=False
-    )
-    return big_f(p, s)
+    return big_f(p, solve_tilts(p, [rate], "direct_rate")[0])
 
 
 def inverse_converse(p: SchmidtSpectrum, rate: float) -> float:
@@ -171,10 +170,7 @@ def inverse_converse(p: SchmidtSpectrum, rate: float) -> float:
     top = math.log2(p.dim)
     if not (entropy < rate < top):
         raise RateOutOfRangeError(f"rate {rate} outside ({entropy}, {top})")
-    s = bisect_for_value(
-        lambda s: tilted_entropy(p, s), rate, 0.0, 1.0, increasing=False
-    )
-    return big_f(p, s)
+    return big_f(p, solve_tilts(p, [rate], "converse_rate")[0])
 
 
 # ---------------------------------------------------------------------------
@@ -331,11 +327,9 @@ def nonadditivity_report(
 ) -> NonAdditivityReport:
     """Evaluate the product-state yield relations at exponent r."""
     _require_positive(r)
-    e_rho = direct_yield(rho, r).yield_bits
-    e_sigma = direct_yield(sigma, r).yield_bits
+    e_half_rho, e_rho = (pt.yield_bits for pt in direct_curve(rho, [0.5 * r, r]))
+    e_half_sigma, e_sigma = (pt.yield_bits for pt in direct_curve(sigma, [0.5 * r, r]))
     e_joint = direct_yield(tensor(rho, sigma), r).yield_bits
-    e_half_rho = direct_yield(rho, 0.5 * r).yield_bits
-    e_half_sigma = direct_yield(sigma, 0.5 * r).yield_bits
     e_rho_rho = direct_yield(tensor(rho, rho), r).yield_bits
     e_sigma_sigma = direct_yield(tensor(sigma, sigma), r).yield_bits
     return NonAdditivityReport(

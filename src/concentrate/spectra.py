@@ -12,9 +12,9 @@ in decreasing order. On top of that vector this module provides
 
 and the two inverse maps of F: the solution s > 1 of F(s) = r (exists for
 0 < r < -log2 p_1) and the solution 0 < s < 1 (exists for 0 < r < D(u||p)
-with u uniform). Outside those ranges the solvers return the SATURATED
-sentinel rather than failing, because the downstream yield curves are still
-well defined constants there.
+with u uniform), found for a whole array of r at once by solve_tilts. Outside
+those ranges the solvers return the SATURATED sentinel rather than failing,
+because the downstream yield curves are still well defined constants there.
 
 Everything is in bits (base-2 logs) and computed in log space, so the
 p_i**s products stay finite for arbitrarily large tilts.
@@ -22,6 +22,7 @@ p_i**s products stay finite for arbitrarily large tilts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -34,8 +35,9 @@ from .errors import (
     NonFiniteEntryError,
     NonPositiveExponentError,
     NotNormalizedError,
+    SolverError,
 )
-from .numerics import LN2, bisect_for_value, logsumexp2
+from .numerics import LN2, logsumexp2
 
 #: input probabilities may miss normalization by this much before we refuse
 SUM_TOL = 1e-9
@@ -238,23 +240,111 @@ def tilted_entropy(p: SchmidtSpectrum, s: float) -> float:
     return value - s * prime
 
 
+#: a tilt is solved at |residual| <= F_TOL; MAX_ITER steps or BRACKET_CAP fail
+F_TOL, MAX_ITER, BRACKET_CAP = 1e-12, 200, 1e6
+_OPEN = math.nextafter(BRACKET_CAP, math.inf)  # the open end of the s > 1 brackets
+
+
+def _require_positive(r: float) -> None:
+    if not 0.0 < r < math.inf:
+        raise NonPositiveExponentError(f"exponent must be finite and > 0, got {r!r}")
+
+
+def solve_tilts(p: SchmidtSpectrum, targets, equation: str) -> list:
+    """The tilt solving one tilted-family equation, for every target at once.
+
+    s_plus and s_minus solve F(s) = r on s > 1 and 0 < s < 1 (r finite and
+    positive; SATURATED at or past the branch's saturation point), and
+    direct_rate and converse_rate solve -psi'(s) = rate on s > 1 and
+    H(h(s)) = rate on 0 < s < 1. Each step reads the moments of every
+    unsolved tilt from one (S, 3, d) array, in the shifted form F = -log2 p_1
+    - log2 Z + (s - 1) E_h[D] with D = log2(p / p_1) and Z in [1, d]. Each
+    target keeps its bracket as in rtsafe: a Newton step leaving it, or over
+    half the step before last, gives way to the midpoint. An s > 1 bracket is
+    open until the target is passed; a target not passed at BRACKET_CAP
+    raises SolverError. A target is done at |residual| <= F_TOL or when its
+    bracket is two adjacent floats.
+    """
+    above_one, increasing = equation in ("s_plus", "direct_rate"), equation == "s_plus"
+    lo, hi = (1.0, _OPEN) if above_one else (0.0, 1.0)
+    want = [float(v) for v in targets]
+    n = len(want)
+    tilts, lanes = [SATURATED] * n, list(range(n))
+    top, shift = p.min_entropy, p.log2 - p.log2[0]
+    x = [2.0 if above_one else 0.5] * n
+    if equation in ("s_plus", "s_minus"):
+        for r in want:
+            _require_positive(r)
+        end = top if above_one else divergence_from_uniform(p)
+        lanes = [] if p.is_uniform else [i for i in lanes if want[i] < end]
+        if not lanes:
+            return tilts
+        # start from F ~ psi''(1) (s-1)**2 / 2 and, on s_minus, F ~ D(u||p) - psi''(0) s
+        curve = LN2 * float(p.probs @ shift**2 - (p.probs @ shift) ** 2)
+        tangent = LN2 * float(shift @ shift / p.dim - (shift.sum() / p.dim) ** 2)
+        for i in lanes:
+            reach = math.sqrt(2.0 * want[i] / curve) if curve > 0.0 else math.inf
+            guess = max(1.0 - reach, (end - want[i]) / tangent)
+            x[i] = min(1.0 + reach, BRACKET_CAP) if above_one else (
+                guess if 0.0 < guess < 1.0 else 0.5)
+    low, high, step, before = [lo] * n, [hi] * n, [hi - lo] * n, [hi - lo] * n
+    powers = shift ** np.arange(3.0)[:, None]
+    for _ in range(MAX_ITER):
+        if not lanes:
+            return tilts
+        s = np.array([x[i] for i in lanes])
+        # Z, Z E_h[D], Z E_h[D**2], row by row so that no tilt sees another's bits
+        rows = (np.exp2(s[:, None] * shift)[:, None, :] * powers).sum(axis=2).tolist()
+        running = []
+        for i, (z, zd, zdd) in zip(lanes, rows):
+            xi, mean = x[i], zd / z
+            second = LN2 * (zdd / z - mean * mean)  # psi''
+            if equation == "direct_rate":
+                value, slope = top - mean, -second
+            elif equation == "converse_rate":
+                value, slope = math.log2(z) - xi * mean, -xi * second
+            else:
+                value = top - math.log2(z) + (xi - 1.0) * mean
+                slope = (xi - 1.0) * second
+            gi = value - want[i]
+            # for s > 1 the value nears top like 2**(s D_2): Newton on log|top - value|
+            try:
+                ni = (math.log((top - value) / (top - want[i])) * (top - value)
+                      if above_one else -gi) / slope
+            except (ValueError, ZeroDivisionError):
+                ni = math.nan
+            if gi >= 0.0 if increasing else gi <= 0.0:
+                high[i] = xi
+            elif xi >= BRACKET_CAP:
+                raise SolverError(f"bracket expansion exceeded cap {BRACKET_CAP:g} "
+                                  f"while chasing target {want[i]:g}")
+            else:
+                low[i] = xi
+            a, b, proposal = low[i], high[i], xi + ni
+            mid = 0.5 * (a + b)
+            if abs(gi) <= F_TOL or not a < mid < b:
+                tilts[i] = xi
+                continue
+            if a < proposal < b and (b == _OPEN or abs(ni) <= 0.5 * before[i]):
+                x[i] = proposal
+            elif b == _OPEN:
+                x[i] = min(BRACKET_CAP, math.inf if proposal >= _OPEN else 2.0 * xi)
+            else:
+                x[i] = mid
+            before[i], step[i] = step[i], abs(x[i] - xi)
+            running.append(i)
+        lanes = running
+    raise SolverError(f"{len(lanes)} tilts unsolved after {MAX_ITER} steps")
+
+
 def solve_s_plus(p: SchmidtSpectrum, r: float):
     """The unique s > 1 with F(s) = r, or SATURATED when r >= -log2 p_1.
 
     Uniform spectra have F identically zero, so every positive r saturates.
-    The bracket doubles from s = 2 until F exceeds r (cap numerics.BRACKET_CAP).
     """
-    if r <= 0.0:
-        raise NonPositiveExponentError(f"exponent must be positive, got {r!r}")
-    if p.is_uniform or r >= p.min_entropy:
-        return SATURATED
-    return bisect_for_value(lambda s: big_f(p, s), r, 1.0, increasing=True)
+    return solve_tilts(p, [r], "s_plus")[0]
 
 
 def solve_s_minus(p: SchmidtSpectrum, r: float):
     """The unique 0 < s < 1 with F(s) = r, or SATURATED when r >= D(u||p)."""
-    if r <= 0.0:
-        raise NonPositiveExponentError(f"exponent must be positive, got {r!r}")
-    if p.is_uniform or r >= divergence_from_uniform(p):
-        return SATURATED
-    return bisect_for_value(lambda s: big_f(p, s), r, 0.0, 1.0, increasing=False)
+    return solve_tilts(p, [r], "s_minus")[0]

@@ -1,13 +1,15 @@
 """What the benchmark in perfbench/ relies on from the package.
 
 The benchmark wraps every public function of every module in
-worker.MODULES from outside, binds bisect_for_value's fn, target and f_tol
-by name, and charges each span to a layer named after its module. These
-tests load worker.py and tracing.py read-only and check that a traced run
-still works and changes no output.
+worker.MODULES from outside and charges each span to a layer named after
+its module, and perfbench/checks.py judges every output. These tests load
+worker.py, tracing.py, workloads.py and checks.py read-only and check that
+a traced run still works and changes no output, and that the checks the
+benchmark applies pass on a sample of its own jobs.
 """
 
 import importlib.util
+import json
 import pkgutil
 import sys
 from pathlib import Path
@@ -32,6 +34,7 @@ def _load(name):
 worker = _load("worker")
 tracing = _load("tracing")
 workloads = _load("workloads")
+checks = _load("checks")
 
 
 def test_every_submodule_is_in_worker_modules():
@@ -49,7 +52,7 @@ def tracer():
 
 def test_tracer_builds_over_the_package(tracer):
     # a public function whose module is not in tracing.LAYERS fails here
-    assert {"spectra.big_f", "numerics.bisect_for_value", "rates.direct_yield"} <= set(
+    assert {"spectra.big_f", "spectra.solve_tilts", "rates.direct_yield"} <= set(
         tracer.names
     )
 
@@ -69,11 +72,13 @@ def test_traced_runs_match_untraced(tracer):
     tracer.install()
     root = tracer.begin_job()
     traced = [job().to_csv_text() for job in jobs]
-    counts, _ = tracing.job_metrics(tracer, tracer.end_job(root))
+    trace = tracer.end_job(root)
+    counts, _ = tracing.job_metrics(tracer, trace)
     tracer.uninstall()
     assert traced == plain
     assert counts["spectra.f_evals"] > 0
-    assert counts["numerics.bisect_evals"] > 0
+    # one engine run per sweep branch and one for the predicted exponent
+    assert trace.calls("spectra.solve_tilts") == 3
     assert counts["numerics.unconverged"] == 0
     assert counts["method_of_types.types"] > 0
 
@@ -91,3 +96,34 @@ def test_traced_cli_queries_match_untraced(tracer):
     tracer.uninstall()
     assert traced == plain
     assert counts["cli.calls"] == len(jobs)
+
+
+@pytest.mark.parametrize("round_index", [0, 1])
+def test_sweep_jobs_pass_the_benchmark_checks(round_index):
+    package, _ = worker.import_package()
+    for job in workloads.sweep_round(1, workloads.TIMED_STREAM, round_index):
+        ok, text = workloads.run_job(package, job)
+        assert ok, text
+        assert checks.check_sweep(job.args, text, mp_rows=2) == []
+
+
+def test_query_jobs_pass_the_benchmark_checks():
+    # one job of each yield kind; the tied-maximum queries must fail with
+    # SolverError, which the benchmark counts as the known fault
+    package, _ = worker.import_package()
+    jobs = workloads.queries_round(0, 2, 0)
+    first = {}
+    for job in jobs:
+        if job.kind.startswith("yield-") and job.kind != "yield-tied":
+            first.setdefault(job.kind, job)
+    assert len(first) == 4
+    for kind, job in first.items():
+        ok, text = workloads.run_job(package, job)
+        assert checks.check_query(kind, job.args, ok, text, True) == ([], False)
+    tied = [job for job in jobs if job.kind == "yield-tied"]
+    assert len(tied) == len(workloads.TIED_QUERIES)
+    for job in tied:
+        ok, text = workloads.run_job(package, job)
+        assert not ok
+        assert json.loads(text)["error"]["type"] == "SolverError"
+        assert checks.check_query("yield-tied", job.args, ok, text, False) == ([], True)

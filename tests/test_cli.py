@@ -295,6 +295,10 @@ FIDELITY_MODE_MISTAKES = {
     "verify with eps": (["--verify", "bound", "--eps", "0.01"], "--spectrum"),
     "verify with fid": (["--verify", "bound", "--fid", "1.0"], "--spectrum"),
     "prob without size": (["--prob", "0.5"], "--size"),
+    "size with eps": (["--eps", "0.01", "--size", "5"], "--size"),
+    "size with fid": (["--fid", "1.0", "--size", "7"], "--size"),
+    "size with verify": (["--verify", "bound", "--spectrum", "0.5,0.3,0.2", "--size", "9"],
+                         "--size"),
 }
 
 

@@ -86,19 +86,20 @@ def test_sweep_rows_shape():
 
 
 def test_sweep_solves_s_plus_once_per_point(monkeypatch):
-    # the fidelity columns reuse the row's direct and converse points
+    # one batched solve per branch covers every point once; the fidelity
+    # columns reuse the row's direct and converse points
     p = new_spectrum([0.5, 0.3, 0.15, 0.05])
     grid = tuple(np.linspace(0.01, 3.0, 25))
     calls = []
-    solve = rates.solve_s_plus
+    solve = rates.solve_tilts
 
-    def counting(spectrum, r):
-        calls.append(r)
-        return solve(spectrum, r)
+    def counting(spectrum, targets, equation):
+        calls.append((equation, list(targets)))
+        return solve(spectrum, targets, equation)
 
-    monkeypatch.setattr(rates, "solve_s_plus", counting)
+    monkeypatch.setattr(rates, "solve_tilts", counting)
     record = run_sweep(ExperimentConfig(spectrum=p, r_grid=grid))
-    assert len(calls) <= len(grid)
+    assert sorted(calls) == [("s_minus", list(grid)), ("s_plus", list(grid))]
     monkeypatch.undo()
     for row in record.rows:
         assert row["fidelity_direct"] == fidelity_direct_yield(p, row["r"]).yield_bits

@@ -31,13 +31,14 @@ from concentrate import (
     shannon_entropy,
     solve_s_minus,
     solve_s_plus,
+    solve_tilts,
     tensor,
     tilted,
     tilted_entropy,
     tilted_point,
 )
 from concentrate import spectra
-from concentrate.numerics import BRACKET_CAP, bisect_for_value
+from concentrate.spectra import BRACKET_CAP
 from conftest import random_spectrum
 
 mp.mp.dps = 50
@@ -232,34 +233,31 @@ def test_solve_s_minus_examples():
     assert big_f(p, s) == pytest.approx(0.05, abs=1e-12)
 
 
-def test_bisection_stops_on_collapsed_bracket():
-    # near -log2 p_1 at d = 1024 the roundoff of F exceeds f_tol = 1e-12, so
-    # only the bracket shrinking to two adjacent floats ends the search
+def _shifted(p, s):
+    """(F, -psi') at the tilts s on the shifted form, D = log2(p / p_1)."""
+    s = np.asarray(s, dtype=float)
+    shift = p.log2 - p.log2[0]
+    w = np.exp2(s[:, None] * shift)
+    z = w.sum(axis=1)
+    mean = (w * shift).sum(axis=1) / z
+    return p.min_entropy - np.log2(z) + (s - 1.0) * mean, p.min_entropy - mean
+
+
+def test_bisection_stops_on_collapsed_bracket(monkeypatch):
+    # with a negative F_TOL no residual is small enough, so near -log2 p_1
+    # at d = 1024 only the bracket shrinking to two adjacent floats ends the
+    # search, in fewer than 100 steps
     rng = np.random.default_rng(0)
     p = new_spectrum(rng.dirichlet(np.ones(1024)), renormalize=True)
-    r = 0.99 * -float(p.log2[0])
-    hi = 2.0
-    while big_f(p, hi) <= r:
-        hi *= 2.0
-    evals = []
-
-    def counted(s):
-        evals.append(s)
-        return big_f(p, s)
-
-    s = bisect_for_value(counted, r, 1.0, hi, increasing=True)
-    # reference: the plain loop of 200 halvings
-    a, b = 1.0, hi
-    for halvings in range(1, 201):
-        ref = 0.5 * (a + b)
-        val = big_f(p, ref)
-        if abs(val - r) <= 1e-12:
-            break
-        a, b = (ref, b) if val < r else (a, ref)
-    assert halvings == 200
-    assert len(evals) < 100
-    assert s == ref
-    assert solve_s_plus(p, r) == s
+    r = 0.99 * p.min_entropy
+    monkeypatch.setattr(spectra, "F_TOL", -1.0)
+    monkeypatch.setattr(spectra, "MAX_ITER", 100)
+    s = solve_s_plus(p, r)
+    monkeypatch.undo()
+    # s is one end of a bracket of adjacent floats that holds the root
+    values = _shifted(p, [np.nextafter(s, 0.0), s, np.nextafter(s, np.inf)])[0]
+    assert values[0] < r <= values[1] or values[1] < r <= values[2]
+    assert s == pytest.approx(solve_s_plus(p, r), rel=1e-13)
 
 
 def test_solver_roundtrip_random():
@@ -336,42 +334,165 @@ def test_tilted_entropy_identity():
         )
 
 
+def _bisect(fn, target, lo, hi):
+    """Plain bisection of an increasing fn on [lo, hi] to adjacent floats."""
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if fn(mid) < target else (lo, mid)
+    return lo
+
+
 def test_open_bracket_matches_explicit_bracket():
-    # without hi the upper end doubles from 2 * lo until fn passes target;
-    # the bisection then runs on exactly the bracket a caller would pass
+    # without an upper end the search steps up from s > 1 until the
+    # objective passes its target; it must land on the root a plain
+    # bisection finds in the bracket a caller would pass
     p = new_spectrum([0.6, 0.25, 0.15])
-    for r in (0.01, 0.3, 0.7):
-        hi = 2.0
-        while big_f(p, hi) <= r:
-            hi *= 2.0
-        up = bisect_for_value(lambda s: big_f(p, s), r, 1.0, increasing=True)
-        assert up == bisect_for_value(lambda s: big_f(p, s), r, 1.0, hi, increasing=True)
-    for rate in (0.75, 1.0, 1.3):
-        hi = 2.0
-        while -psi_derivatives(p, hi)[0] >= rate:
-            hi *= 2.0
-        down = bisect_for_value(lambda s: -psi_derivatives(p, s)[0], rate, 1.0, increasing=False)
-        assert down == bisect_for_value(
-            lambda s: -psi_derivatives(p, s)[0], rate, 1.0, hi, increasing=False
-        )
+    for equation, targets, column, sign in (
+        ("s_plus", (0.01, 0.3, 0.7), 0, 1.0),
+        ("direct_rate", (0.75, 1.0, 1.3), 1, -1.0),
+    ):
+        def fn(s):
+            return sign * _shifted(p, [s])[column][0]
+
+        for t in targets:
+            hi = 2.0
+            while fn(hi) <= sign * t:
+                hi *= 2.0
+            s = solve_tilts(p, [t], equation)[0]
+            assert 1.0 < s < hi
+            assert s == pytest.approx(_bisect(fn, sign * t, 1.0, hi), rel=1e-11)
+            assert abs(fn(s) - sign * t) <= 1e-12
 
 
 @pytest.mark.parametrize("increasing", [True, False])
 def test_open_bracket_raises_past_cap(increasing):
-    sign = 1.0 if increasing else -1.0
-    tried = []
+    # a two-entry spectrum 6e-7 from flat has its roots near the cap: s_plus
+    # (F increasing) and direct_rate (-psi' decreasing) find a root just
+    # inside BRACKET_CAP and raise for one just past it
+    p = new_spectrum([0.5000003, 0.4999997])
+    equation, column = ("s_plus", 0) if increasing else ("direct_rate", 1)
 
-    def fn(x):
-        tried.append(x)
-        return sign * math.log(x)
+    def target(s):
+        return float(_shifted(p, [s])[column][0])
 
-    target = sign * math.log(2.0 * BRACKET_CAP)
+    # -psi' spans only 9e-7 bits here, so its 1e-12 residual pins s to ~1e-6
+    rel = 1e-9 if increasing else 1e-5
     with pytest.raises(SolverError, match="exceeded cap"):
-        bisect_for_value(fn, target, 1.0, increasing=increasing)
-    assert max(tried) <= BRACKET_CAP < 2.0 * max(tried)
-    # a root just inside the cap is still found
-    x = bisect_for_value(fn, sign * math.log(0.5 * BRACKET_CAP), 1.0, increasing=increasing)
-    assert x == pytest.approx(0.5 * BRACKET_CAP, rel=1e-9)
+        solve_tilts(p, [target(1.01 * BRACKET_CAP)], equation)
+    for root in (0.5 * BRACKET_CAP, 0.99 * BRACKET_CAP):
+        s = solve_tilts(p, [target(root)], equation)[0]
+        assert s == pytest.approx(root, rel=rel)
+        assert abs(target(s) - target(root)) <= 1e-12
+    # one stuck lane fails the whole call
+    with pytest.raises(SolverError, match="exceeded cap"):
+        solve_tilts(p, [target(10.0), target(2.0 * BRACKET_CAP)], equation)
+
+
+def test_engine_raises_when_iterations_run_out(monkeypatch):
+    # a lane still unsolved after MAX_ITER steps is an error, not a value
+    monkeypatch.setattr(spectra, "MAX_ITER", 3)
+    with pytest.raises(SolverError, match="after 3 steps"):
+        solve_s_plus(new_spectrum([0.6, 0.25, 0.15]), 0.3)
+
+
+ENGINE_DIMS = (2, 3, 16, 1024, 2048)
+ENGINE_EQUATIONS = ("s_plus", "s_minus", "direct_rate", "converse_rate")
+
+
+def _engine_spectrum(d, seed):
+    # entries within a factor of 20, the top one at least 2% above the next
+    raw = np.sort(np.random.default_rng(seed).uniform(0.05, 1.0, size=d))[::-1]
+    raw[0] = max(raw[0], 1.02 * raw[1])
+    return new_spectrum(raw, renormalize=True)
+
+
+def _engine_targets(p, equation, fractions):
+    """Targets at the given fractions of the equation's range."""
+    lo, hi = {
+        "s_plus": (0.0, p.min_entropy),
+        "s_minus": (0.0, divergence_from_uniform(p)),
+        "direct_rate": (shannon_entropy(p), p.min_entropy),
+        "converse_rate": (shannon_entropy(p), math.log2(p.dim)),
+    }[equation]
+    return [lo + f * (hi - lo) for f in fractions]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    d=st.sampled_from(ENGINE_DIMS),
+    seed=st.integers(0, 2**32 - 1),
+    fractions=st.lists(st.floats(1e-7, 0.999), min_size=1, max_size=12),
+)
+def test_engine_lanes_equal_one_lane_calls(d, seed, fractions):
+    p = _engine_spectrum(d, seed)
+    for equation in ENGINE_EQUATIONS:
+        targets = _engine_targets(p, equation, fractions)
+        batch = solve_tilts(p, targets, equation)
+        alone = [solve_tilts(p, [t], equation)[0] for t in targets]
+        assert batch == alone
+        assert all(isinstance(s, float) for s in batch)
+    r = _engine_targets(p, "s_plus", fractions)
+    assert [solve_s_plus(p, x) for x in r] == solve_tilts(p, r, "s_plus")
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    d=st.sampled_from(ENGINE_DIMS),
+    seed=st.integers(0, 2**32 - 1),
+    fractions=st.lists(st.floats(1e-7, 0.999), min_size=1, max_size=12),
+)
+def test_engine_residual_on_shifted_form(d, seed, fractions):
+    p = _engine_spectrum(d, seed)
+    for equation in ("s_plus", "s_minus"):
+        targets = _engine_targets(p, equation, fractions)
+        s = np.array(solve_tilts(p, targets, equation))
+        assert np.all((s > 1.0) if equation == "s_plus" else ((0.0 < s) & (s < 1.0)))
+        assert np.max(np.abs(_shifted(p, s)[0] - np.array(targets))) <= 1e-12
+
+
+def test_engine_tilt_matches_mpmath_root_at_large_d():
+    rng = np.random.default_rng(0)
+    p = new_spectrum(rng.dirichlet(np.ones(1024)), renormalize=True)
+    r = 0.99 * p.min_entropy
+    s = solve_s_plus(p, r)
+    with mp.workdps(40):
+        probs = [mp.mpf(float(x)) for x in p.probs]
+        logs = [mp.log(x, 2) for x in probs]
+
+        def f(t):
+            w = [mp.power(x, t) for x in probs]
+            z = mp.fsum(w)
+            prime = mp.fsum(a * b for a, b in zip(w, logs)) / z
+            return -mp.log(z, 2) - (1 - t) * prime - mp.mpf(r)
+
+        root = mp.findroot(f, mp.mpf(s))
+        assert abs(s - root) / root <= 1e-11
+
+
+TIED_SPECTRA = (
+    ([0.4, 0.4, 0.2], 0.5),
+    ([0.3, 0.3, 0.3, 0.1], 1.0),
+    ([0.4, 0.3999999999999, 0.2000000000001], 0.5),
+)
+
+
+@pytest.mark.parametrize("values, r", TIED_SPECTRA)
+def test_engine_raises_on_tied_maxima(values, r):
+    # with m tied maxima F stays below -log2(m p_1) < r: no root below the cap
+    p = new_spectrum(values)
+    assert r < p.min_entropy
+    with pytest.raises(SolverError):
+        solve_s_plus(p, r)
+    with pytest.raises(SolverError):
+        solve_tilts(p, [0.01, r], "s_plus")
+
+
+def test_engine_raises_on_near_flat_top():
+    # p_1 - p_2 = 2e-9: the roots lie far past the cap, so no value comes back
+    p = new_spectrum([0.500000001, 0.499999999])
+    for frac in (0.5, 0.9, 0.999):
+        with pytest.raises(SolverError):
+            solve_s_plus(p, frac * p.min_entropy)
 
 
 @pytest.mark.parametrize("d", [1, 2, 16, 1024])
