@@ -25,6 +25,7 @@ from .errors import (
     SizeOrderError,
     SizeOutOfRangeError,
     SolverError,
+    TiltOutOfRangeError,
     TooManyTypesError,
     TTooSmallError,
 )

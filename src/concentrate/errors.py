@@ -50,6 +50,10 @@ class NonPositiveExponentError(ConcentrationError):
     """Exponent argument must be finite and strictly positive."""
 
 
+class TiltOutOfRangeError(ConcentrationError):
+    """Tilted-family parameter s must be finite and non-negative."""
+
+
 class DimensionTooLargeError(ConcentrationError):
     """Simplex-grid oracle only supports dimensions 2 and 3."""
 

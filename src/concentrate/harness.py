@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -48,7 +48,6 @@ from .rates import (
     converse_yield,
     direct_curve,
     direct_yield,
-    fidelity_converse_yield,
     inverse_converse,
     inverse_direct,
     nonadditivity_report,
@@ -186,10 +185,7 @@ def run_convergence(cfg: ExperimentConfig) -> ExperimentRecord:
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be strictly increasing")
     regime = _infer_regime(p, cfg.rate)
-    if regime == "direct":
-        predicted = inverse_direct(p, cfg.rate)
-    else:
-        predicted = inverse_converse(p, cfg.rate)
+    predicted = (inverse_direct if regime == "direct" else inverse_converse)(p, cfg.rate)
     tol = cfg.tolerance if cfg.tolerance is not None else DEFAULT_CONVERGENCE_TOL
 
     def one(n: int) -> dict:
@@ -211,14 +207,7 @@ def run_convergence(cfg: ExperimentConfig) -> ExperimentRecord:
 
     rows = [one(n) for n in n_list]
     meta = _base_meta(cfg, "convergence")
-    meta.update(
-        {
-            "regime": regime,
-            "rate": cfg.rate,
-            "predicted_exponent": predicted,
-            "tolerance": tol,
-        }
-    )
+    meta.update(regime=regime, rate=cfg.rate, predicted_exponent=predicted, tolerance=tol)
     return ExperimentRecord(meta, list(rows[0]), rows)
 
 
@@ -239,7 +228,7 @@ def run_sweep(cfg: ExperimentConfig) -> ExperimentRecord:
     rows = []
     # one batched solve per branch; E_F = E, and E*_F = E* up to r'
     for r, d, c in zip(grid, direct_curve(p, grid), converse_curve(p, grid)):
-        fc = c if r <= rp.value else fidelity_converse_yield(p, r)
+        fc = c if r <= rp.value else rp.line(r)
         rows.append(_row(
             r=r,
             direct=d.yield_bits,
@@ -253,15 +242,9 @@ def run_sweep(cfg: ExperimentConfig) -> ExperimentRecord:
             s_minus=c.s_star,
         ))
     meta = _base_meta(cfg, "sweep")
-    meta.update(
-        {
-            "entropy": shannon_entropy(p),
-            "deterministic_exponent": p.min_entropy,
-            "uniform_divergence": divergence_from_uniform(p),
-            "r_prime": rp.value,
-            "r_prime_degenerate": rp.degenerate,
-        }
-    )
+    meta.update(entropy=shannon_entropy(p), deterministic_exponent=p.min_entropy,
+                uniform_divergence=divergence_from_uniform(p), r_prime=rp.value,
+                r_prime_degenerate=rp.degenerate)
     return ExperimentRecord(meta, list(rows[0]), rows)
 
 
@@ -276,27 +259,9 @@ def run_nonadditivity(cfg: ExperimentConfig) -> ExperimentRecord:
         raise ValueError("nonadditivity needs a spectrum and an exponent r")
     sigma = cfg.sigma if cfg.sigma is not None else cfg.spectrum
     tol = cfg.tolerance if cfg.tolerance is not None else 1e-9
-    rep = nonadditivity_report(cfg.spectrum, sigma, cfg.r, tolerance=tol)
-    row = _row(
-        r=rep.r,
-        e_rho=rep.e_rho,
-        e_sigma=rep.e_sigma,
-        e_joint=rep.e_joint,
-        e_half_rho=rep.e_half_rho,
-        e_half_sigma=rep.e_half_sigma,
-        e_rho_rho=rep.e_rho_rho,
-        e_sigma_sigma=rep.e_sigma_sigma,
-        subadditive_ok=rep.subadditive_ok,
-        half_identity_ok=rep.half_identity_ok,
-        average_ok=rep.average_ok,
-        superadditive_ok=rep.superadditive_ok,
-        passed=(
-            rep.subadditive_ok
-            and rep.half_identity_ok
-            and rep.average_ok
-            and rep.superadditive_ok
-        ),
-    )
+    fields = asdict(nonadditivity_report(cfg.spectrum, sigma, cfg.r, tolerance=tol))
+    del fields["tolerance"]
+    row = _row(**fields, passed=all(v for k, v in fields.items() if k.endswith("_ok")))
     meta = _base_meta(cfg, "nonadditivity")
     meta["tolerance"] = tol
     return ExperimentRecord(meta, list(row.keys()), [row])
@@ -583,6 +548,4 @@ def run_check_suite(cfg: ExperimentConfig) -> ExperimentRecord:
         )
     meta = _base_meta(cfg, "check-suite")
     meta["checks"] = len(rows)
-    return ExperimentRecord(
-        meta, ["check", "worst_residual", "tolerance", "passed"], rows
-    )
+    return ExperimentRecord(meta, list(rows[0]), rows)

@@ -14,7 +14,8 @@ of the success probability when the yield exceeds the entropy. Both are
 computed through the tilted family h(s): the optimizer is h(s+) (s > 1) for
 E and h(s-) (0 < s < 1) for E*, with F(s) = r pinning the tilt. A whole
 grid of exponents takes one batched solve (direct_curve, converse_curve) of
-a few O(d) steps, and each point equals its single-point value bit for bit.
+a few O(d) steps and one more pass for psi at every tilt, and each point
+equals its single-point value bit for bit.
 E saturates at -log2 p_1 once r >= -log2 p_1 and E* saturates at log2 d
 once r >= D(u||p).
 
@@ -43,9 +44,9 @@ from .errors import (
 from .spectra import (
     SATURATED,
     SchmidtSpectrum,
+    _family,
     _require_positive,
     big_f,
-    psi,
     shannon_entropy,
     solve_tilts,
     tensor,
@@ -81,12 +82,20 @@ def converse_yield(p: SchmidtSpectrum, r: float) -> RateCurvePoint:
     return converse_curve(p, [r])[0]
 
 
+def _tilts_with_psi(p: SchmidtSpectrum, r_values, equation: str):
+    """(r, s, psi(s)) per exponent: tilts from one solve, psi from one kernel pass."""
+    tilts = solve_tilts(p, r_values, equation)
+    # a saturated exponent reads psi at s = 1, which its caller ignores
+    values = _family(p, [1.0 if s is SATURATED else s for s in tilts])[0]
+    return zip(r_values, tilts, (v[0] for v in values))
+
+
 def direct_curve(p: SchmidtSpectrum, r_values) -> list[RateCurvePoint]:
     """direct_yield at every exponent of r_values, the tilts from one solve."""
     return [
         RateCurvePoint(r, p.min_entropy, REGIME_SATURATED_HIGH) if s is SATURATED
-        else RateCurvePoint(r, (r + psi(p, s)) / (1.0 - s), REGIME_INTERIOR, s)
-        for r, s in zip(r_values, solve_tilts(p, r_values, "s_plus"))
+        else RateCurvePoint(r, (r + psi) / (1.0 - s), REGIME_INTERIOR, s)
+        for r, s, psi in _tilts_with_psi(p, r_values, "s_plus")
     ]
 
 
@@ -94,8 +103,8 @@ def converse_curve(p: SchmidtSpectrum, r_values) -> list[RateCurvePoint]:
     """converse_yield at every exponent of r_values, the tilts from one solve."""
     return [
         RateCurvePoint(r, math.log2(p.dim), REGIME_SATURATED_LOW) if s is SATURATED
-        else RateCurvePoint(r, (s * r + psi(p, s)) / (1.0 - s), REGIME_INTERIOR, s)
-        for r, s in zip(r_values, solve_tilts(p, r_values, "s_minus"))
+        else RateCurvePoint(r, (s * r + psi) / (1.0 - s), REGIME_INTERIOR, s)
+        for r, s, psi in _tilts_with_psi(p, r_values, "s_minus")
     ]
 
 
@@ -106,38 +115,41 @@ def fidelity_direct_yield(p: SchmidtSpectrum, r: float) -> RateCurvePoint:
 
 @dataclass(frozen=True)
 class RPrimeResult:
-    """Location of the slope-one point of the converse curve.
+    """The slope-one point r' of the converse curve and the line past it.
 
-    On a uniform spectrum the curve is flat and no slope-one point exists;
-    value is 0 by convention and degenerate is set.
+    renyi_half is H_{1/2}(p) = 2 psi(1/2), the Renyi-1/2 entropy. On a
+    uniform spectrum the curve is flat and no slope-one point exists; value
+    is 0 by convention and degenerate is set.
     """
 
     value: float
+    renyi_half: float
     degenerate: bool = False
+
+    def line(self, r: float) -> RateCurvePoint:
+        """The fidelity-converse yield past r', the line r + H_{1/2}(p)."""
+        return RateCurvePoint(r, r + self.renyi_half, REGIME_LINEAR)
 
 
 def r_prime(p: SchmidtSpectrum) -> RPrimeResult:
     """The slope-one point of the converse curve, r' = F(1/2).
 
     dE*/dr = s/(1-s) along the tilted family, so the slope passes through
-    one exactly at the tilt s = 1/2.
+    one exactly at the tilt s = 1/2. F(1/2) and psi(1/2) are one kernel pass.
     """
-    if p.is_uniform:
-        return RPrimeResult(0.0, degenerate=True)
-    return RPrimeResult(big_f(p, 0.5))
+    half, _, _, f_half, _ = _family(p, [0.5])[0][0]
+    return RPrimeResult(0.0 if p.is_uniform else f_half, 2.0 * half, p.is_uniform)
 
 
 def fidelity_converse_yield(p: SchmidtSpectrum, r: float) -> RateCurvePoint:
     """E*_F(r): follows E*(r) up to r', then the line r + H_{1/2}(p).
 
-    H_{1/2}(p) = 2 psi(1/2) is the Renyi-1/2 entropy. Uniform spectra are on
-    the line r + log2 d from the start, which for a product state (d = 1) is
-    the bare line E*_F(r) = r.
+    Uniform spectra are on the line r + log2 d from the start, which for a
+    product state (d = 1) is the bare line E*_F(r) = r.
     """
     _require_positive(r)
-    if r <= r_prime(p).value:
-        return converse_yield(p, r)
-    return RateCurvePoint(r, r + 2.0 * psi(p, 0.5), REGIME_LINEAR)
+    rp = r_prime(p)
+    return converse_yield(p, r) if r <= rp.value else rp.line(r)
 
 
 def inverse_direct(p: SchmidtSpectrum, rate: float) -> float:

@@ -16,8 +16,11 @@ with u uniform), found for a whole array of r at once by solve_tilts. Outside
 those ranges the solvers return the SATURATED sentinel rather than failing,
 because the downstream yield curves are still well defined constants there.
 
-Everything is in bits (base-2 logs) and computed in log space, so the
-p_i**s products stay finite for arbitrarily large tilts.
+Everything is in bits. The tilted family is taken on s >= 0 (other tilts
+raise TiltOutOfRangeError) in its shifted form over D = log2(p / p_1) <= 0:
+the weights 2**(s D) lie in (0, 1] and Z = sum 2**(s D) in [1, d] at any
+tilt, and nothing cancels against s log2 p_1, so F and psi'' keep ten
+digits even 6e-7 from flat at s = 5e5, where Var_h(log2 p) keeps none.
 """
 
 from __future__ import annotations
@@ -36,8 +39,9 @@ from .errors import (
     NonPositiveExponentError,
     NotNormalizedError,
     SolverError,
+    TiltOutOfRangeError,
 )
-from .numerics import LN2, logsumexp2
+from .numerics import LN2
 
 #: input probabilities may miss normalization by this much before we refuse
 SUM_TOL = 1e-9
@@ -86,7 +90,15 @@ class SchmidtSpectrum:
         arr.setflags(write=False)
         return arr
 
-    @property
+    @cached_property
+    def powers(self) -> np.ndarray:
+        """[1, D, D**2] over D = log2(p / p_1), the tilted family's shifted form."""
+        shift = self.log2 - self.log2[0]
+        arr = np.array([np.ones_like(shift), shift, shift * shift])
+        arr.setflags(write=False)
+        return arr
+
+    @cached_property
     def min_entropy(self) -> float:
         """-log2 p_1, written 0.0 - x so that d = 1 gives 0.0 and not -0.0."""
         return 0.0 - float(self.log2[0])
@@ -165,33 +177,53 @@ def relative_entropy(q, p: SchmidtSpectrum) -> float:
     return float(qm @ (np.log2(qm) - p.log2[mask]))
 
 
+def _family(p: SchmidtSpectrum, tilts) -> tuple[list[tuple], np.ndarray]:
+    """(psi, psi', psi'', F, H(h)) at every tilt s >= 0, and the (S, 1, d) weights 2**(s D).
+
+    The one kernel of the tilted family: one (S, 3, d) pass gives Z, Z E_h[D]
+    and Z E_h[D**2] over D = log2(p / p_1), each row summed on its own so that
+    no tilt's bits depend on the others passed with it. With m = E_h[D] and
+    top = -log2 p_1: psi = log2 Z - s top, psi' = m - top, psi'' = ln2 Var_h(D)
+    (clipped at zero against roundoff), F = top - log2 Z + (s - 1) m and
+    H(h) = log2 Z - s m.
+    """
+    powers = p.powers
+    weights = np.exp2(np.multiply.outer(tilts, powers[1:2]))
+    rows = np.add.reduce(weights * powers, 2).tolist()
+    top, values = p.min_entropy, []
+    for s, (z, zd, zdd) in zip(tilts, rows):
+        log_z, mean = math.log2(z), zd / z
+        second = max(LN2 * (zdd / z - mean * mean), 0.0)
+        values.append((log_z - s * top, mean - top, second,
+                       top - log_z + (s - 1.0) * mean, log_z - s * mean))
+    return values, weights
+
+
+def _at(p: SchmidtSpectrum, s: float) -> tuple[tuple, np.ndarray]:
+    """_family at one tilt, refusing a negative or non-finite one."""
+    if not 0.0 <= s < math.inf:
+        raise TiltOutOfRangeError(f"tilt must be finite and >= 0, got {s!r}")
+    values, weights = _family(p, [float(s)])
+    return values[0], weights[0, 0]
+
+
 def psi(p: SchmidtSpectrum, s: float) -> float:
-    """psi(s) = log2 sum_i p_i**s, as a log-sum-exp over s * log2 p_i."""
-    return logsumexp2(s * p.log2)
-
-
-def _tilt(p: SchmidtSpectrum, s: float) -> tuple[float, np.ndarray, float]:
-    """(psi(s), h(s), psi'(s)) from one log-sum-exp; the functions below read it."""
-    scaled = s * p.log2
-    value = logsumexp2(scaled)
-    h = np.exp2(scaled - value)
-    return value, h, float(h @ p.log2)
+    """psi(s) = log2 sum_i p_i**s = log2 Z(s) + s log2 p_1, for s >= 0."""
+    return _at(p, s)[0][0]
 
 
 def tilted(p: SchmidtSpectrum, s: float) -> SchmidtSpectrum:
     """Tilted family member h(s); h(1) = p and h(0) is uniform on the support."""
-    return new_spectrum(_tilt(p, s)[1], renormalize=True)
+    return new_spectrum(_at(p, s)[1], renormalize=True)
 
 
 def psi_derivatives(p: SchmidtSpectrum, s: float) -> tuple[float, float]:
     """(psi'(s), psi''(s)) with psi' in bits.
 
-    psi'(s) = sum h_i(s) log2 p_i and psi''(s) = ln2 * Var_h(log2 p); the
-    variance is clipped at zero to absorb roundoff on flat spectra.
+    psi'(s) = sum h_i(s) log2 p_i and psi''(s) = ln2 * Var_h(log2 p), the
+    variance taken over D = log2(p / p_1) so that it does not cancel.
     """
-    _, h, prime = _tilt(p, s)
-    second = LN2 * float(h @ (p.log2**2) - prime**2)
-    return prime, max(second, 0.0)
+    return _at(p, s)[0][1:3]
 
 
 def big_f(p: SchmidtSpectrum, s: float) -> float:
@@ -200,8 +232,7 @@ def big_f(p: SchmidtSpectrum, s: float) -> float:
     F(1) = 0; F decreases to 0 on [0,1] from D(u||p) and increases toward
     -log2 p_1 for s > 1.
     """
-    value, _, prime = _tilt(p, s)
-    return -value - (1.0 - s) * prime
+    return _at(p, s)[0][3]
 
 
 def divergence_from_uniform(p: SchmidtSpectrum) -> float:
@@ -223,21 +254,13 @@ class TiltedFamilyPoint:
 
 def tilted_point(p: SchmidtSpectrum, s: float) -> TiltedFamilyPoint:
     """Evaluate the tilted distribution and all functionals at one tilt."""
-    value, h, prime = _tilt(p, s)
-    return TiltedFamilyPoint(
-        s=s,
-        h=new_spectrum(h, renormalize=True),
-        psi=value,
-        psi_prime=prime,
-        psi_double_prime=psi_derivatives(p, s)[1],
-        f_value=-value - (1.0 - s) * prime,
-    )
+    values, weights = _at(p, s)
+    return TiltedFamilyPoint(s, new_spectrum(weights, renormalize=True), *values[:4])
 
 
 def tilted_entropy(p: SchmidtSpectrum, s: float) -> float:
     """H(h(s)) = psi(s) - s psi'(s), monotone decreasing in s."""
-    value, _, prime = _tilt(p, s)
-    return value - s * prime
+    return _at(p, s)[0][4]
 
 
 #: a tilt is solved at |residual| <= F_TOL; MAX_ITER steps or BRACKET_CAP fail
@@ -256,21 +279,21 @@ def solve_tilts(p: SchmidtSpectrum, targets, equation: str) -> list:
     s_plus and s_minus solve F(s) = r on s > 1 and 0 < s < 1 (r finite and
     positive; SATURATED at or past the branch's saturation point), and
     direct_rate and converse_rate solve -psi'(s) = rate on s > 1 and
-    H(h(s)) = rate on 0 < s < 1. Each step reads the moments of every
-    unsolved tilt from one (S, 3, d) array, in the shifted form F = -log2 p_1
-    - log2 Z + (s - 1) E_h[D] with D = log2(p / p_1) and Z in [1, d]. Each
-    target keeps its bracket as in rtsafe: a Newton step leaving it, or over
-    half the step before last, gives way to the midpoint. An s > 1 bracket is
-    open until the target is passed; a target not passed at BRACKET_CAP
-    raises SolverError. A target is done at |residual| <= F_TOL or when its
-    bracket is two adjacent floats.
+    H(h(s)) = rate on 0 < s < 1. Each step reads every unsolved tilt from one
+    call of the tilted-family kernel (_family, the shifted form). Each target
+    keeps its bracket as in rtsafe: a Newton step leaving it, or over half the
+    step before last, gives way to the midpoint. An s > 1 bracket is open
+    until the target is passed; a target not passed at BRACKET_CAP raises
+    SolverError. A target is done when its residual on the scale of F is at
+    most F_TOL (|F - r|, and (s - 1) |-psi' - rate| on direct_rate, since
+    dF = (s - 1) d(-psi') there), or when its bracket is two adjacent floats.
     """
     above_one, increasing = equation in ("s_plus", "direct_rate"), equation == "s_plus"
     lo, hi = (1.0, _OPEN) if above_one else (0.0, 1.0)
     want = [float(v) for v in targets]
     n = len(want)
     tilts, lanes = [SATURATED] * n, list(range(n))
-    top, shift = p.min_entropy, p.log2 - p.log2[0]
+    top = p.min_entropy
     x = [2.0 if above_one else 0.5] * n
     if equation in ("s_plus", "s_minus"):
         for r in want:
@@ -280,32 +303,25 @@ def solve_tilts(p: SchmidtSpectrum, targets, equation: str) -> list:
         if not lanes:
             return tilts
         # start from F ~ psi''(1) (s-1)**2 / 2 and, on s_minus, F ~ D(u||p) - psi''(0) s
-        curve = LN2 * float(p.probs @ shift**2 - (p.probs @ shift) ** 2)
-        tangent = LN2 * float(shift @ shift / p.dim - (shift.sum() / p.dim) ** 2)
+        curve, tangent = (v[2] for v in _family(p, [1.0, 0.0])[0])
         for i in lanes:
             reach = math.sqrt(2.0 * want[i] / curve) if curve > 0.0 else math.inf
             guess = max(1.0 - reach, (end - want[i]) / tangent)
             x[i] = min(1.0 + reach, BRACKET_CAP) if above_one else (
                 guess if 0.0 < guess < 1.0 else 0.5)
     low, high, step, before = [lo] * n, [hi] * n, [hi - lo] * n, [hi - lo] * n
-    powers = shift ** np.arange(3.0)[:, None]
     for _ in range(MAX_ITER):
         if not lanes:
             return tilts
-        s = np.array([x[i] for i in lanes])
-        # Z, Z E_h[D], Z E_h[D**2], row by row so that no tilt sees another's bits
-        rows = (np.exp2(s[:, None] * shift)[:, None, :] * powers).sum(axis=2).tolist()
-        running = []
-        for i, (z, zd, zdd) in zip(lanes, rows):
-            xi, mean = x[i], zd / z
-            second = LN2 * (zdd / z - mean * mean)  # psi''
+        running, values = [], _family(p, [x[i] for i in lanes])[0]
+        for i, (_, prime, second, f, entropy) in zip(lanes, values):
+            xi = x[i]
             if equation == "direct_rate":
-                value, slope = top - mean, -second
+                value, slope, scale = -prime, -second, xi - 1.0
             elif equation == "converse_rate":
-                value, slope = math.log2(z) - xi * mean, -xi * second
+                value, slope, scale = entropy, -xi * second, 1.0
             else:
-                value = top - math.log2(z) + (xi - 1.0) * mean
-                slope = (xi - 1.0) * second
+                value, slope, scale = f, (xi - 1.0) * second, 1.0
             gi = value - want[i]
             # for s > 1 the value nears top like 2**(s D_2): Newton on log|top - value|
             try:
@@ -322,7 +338,7 @@ def solve_tilts(p: SchmidtSpectrum, targets, equation: str) -> list:
                 low[i] = xi
             a, b, proposal = low[i], high[i], xi + ni
             mid = 0.5 * (a + b)
-            if abs(gi) <= F_TOL or not a < mid < b:
+            if scale * abs(gi) <= F_TOL or not a < mid < b:
                 tilts[i] = xi
                 continue
             if a < proposal < b and (b == _OPEN or abs(ni) <= 0.5 * before[i]):

@@ -110,6 +110,24 @@ def test_sweep_solves_s_plus_once_per_point(monkeypatch):
         )
 
 
+def test_sweep_evaluates_half_tilt_once(monkeypatch):
+    # r' = F(1/2) and the line r + H_{1/2} past it come from one kernel pass
+    # at s = 1/2 per sweep, however many rows lie past r'
+    p = new_spectrum([0.5, 0.3, 0.15, 0.05])
+    grid = tuple(np.linspace(0.01, 3.0, 25))
+    halves = []
+    family = rates._family
+
+    def counting(spectrum, tilts):
+        halves.extend(s for s in tilts if s == 0.5)
+        return family(spectrum, tilts)
+
+    monkeypatch.setattr(rates, "_family", counting)
+    record = run_sweep(ExperimentConfig(spectrum=p, r_grid=grid))
+    assert halves == [0.5]
+    assert sum(row["fidelity_converse_regime"] == "linear" for row in record.rows) > 10
+
+
 def test_sweep_flat_spectrum_constant_curves():
     flat = new_spectrum([0.5, 0.5])
     record = run_sweep(ExperimentConfig(spectrum=flat, r_grid=(0.1, 0.2, 0.4)))

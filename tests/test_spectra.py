@@ -22,6 +22,7 @@ from concentrate import (
     NonPositiveExponentError,
     NotNormalizedError,
     SolverError,
+    TiltOutOfRangeError,
     big_f,
     divergence_from_uniform,
     new_spectrum,
@@ -37,7 +38,7 @@ from concentrate import (
     tilted_entropy,
     tilted_point,
 )
-from concentrate import spectra
+from concentrate import rates, spectra
 from concentrate.spectra import BRACKET_CAP
 from conftest import random_spectrum
 
@@ -495,31 +496,141 @@ def test_engine_raises_on_near_flat_top():
             solve_s_plus(p, frac * p.min_entropy)
 
 
+def _counting_kernel(monkeypatch):
+    """Record the tilts of every tilted-family kernel pass, in spectra and rates."""
+    calls = []
+    original = spectra._family
+
+    def counting(p, tilts):
+        calls.append([float(s) for s in tilts])
+        return original(p, tilts)
+
+    monkeypatch.setattr(spectra, "_family", counting)
+    monkeypatch.setattr(rates, "_family", counting)
+    return calls
+
+
+ONE_POINT = (psi, big_f, psi_derivatives, tilted_entropy, tilted, tilted_point)
+
+
 @pytest.mark.parametrize("d", [1, 2, 16, 1024])
-def test_tilted_family_reads_one_kernel(d):
+def test_tilted_family_reads_one_kernel(d, monkeypatch):
+    # every one-point function is one kernel pass at its tilt, and they all
+    # read the same row: the bundle equals the single functions bit for bit
     rng = np.random.default_rng(d)
     p = new_spectrum(rng.dirichlet(np.ones(d)), renormalize=True)
+    calls = _counting_kernel(monkeypatch)
     for s in (0.0, 0.3, 0.5, 1.0, 1.7, 6.0, 250.0):
+        for fn in ONE_POINT:
+            calls.clear()
+            fn(p, s)
+            assert calls == [[s]], fn.__name__
         prime, second = psi_derivatives(p, s)
-        assert big_f(p, s) == -psi(p, s) - (1.0 - s) * prime
-        assert tilted_entropy(p, s) == psi(p, s) - s * prime
         point = tilted_point(p, s)
-        assert (point.psi, point.psi_prime, point.psi_double_prime) == (psi(p, s), prime, second)
+        bundle = (point.psi, point.psi_prime, point.psi_double_prime)
+        assert bundle == (psi(p, s), prime, second)
         assert point.f_value == big_f(p, s)
         assert np.array_equal(point.h.probs, tilted(p, s).probs)
+        tol = 1e-14 * (1.0 + s)
+        assert big_f(p, s) == pytest.approx(-psi(p, s) - (1.0 - s) * prime, abs=tol)
+        assert tilted_entropy(p, s) == pytest.approx(psi(p, s) - s * prime, abs=tol)
+        assert tilted_entropy(p, s) == pytest.approx(shannon_entropy(point.h), abs=1e-12)
 
 
-def test_one_log_sum_exp_per_tilted_evaluation(monkeypatch):
-    calls = []
-    original = spectra.logsumexp2
-
-    def counting(values):
-        calls.append(1)
-        return original(values)
-
-    monkeypatch.setattr(spectra, "logsumexp2", counting)
+def test_one_kernel_pass_per_engine_step_and_curve(monkeypatch):
     p = new_spectrum([0.5, 0.3, 0.15, 0.05])
-    for fn in (big_f, psi_derivatives, tilted_entropy, tilted):
+    calls = _counting_kernel(monkeypatch)
+    # a one-lane F solve: the two starting curvatures, then one pass per
+    # step, the last at the tilt it returns
+    s = solve_s_plus(p, 0.4)
+    assert calls[0] == [1.0, 0.0]
+    assert all(len(c) == 1 for c in calls[1:]) and calls[-1] == [s]
+    assert 2 <= len(calls) <= 1 + spectra.MAX_ITER
+    # a batch: each step passes exactly the tilts still unsolved
+    calls.clear()
+    r = [0.01, 0.2, 0.6, 1.2, 5.0]  # the last two at or past -log2 p_1 = 1
+    tilts = solve_tilts(p, r, "s_plus")
+    sizes = [len(c) for c in calls[1:]]
+    assert sizes[0] == 3 and sizes == sorted(sizes, reverse=True)
+    assert set(tilts[:3]) <= {t for c in calls for t in c}
+    assert tilts[3:] == [SATURATED, SATURATED]
+    # the rate equations have no starting curvature
+    calls.clear()
+    s = solve_tilts(p, [1.0], "direct_rate")[0]
+    assert all(len(c) == 1 for c in calls) and calls[-1] == [s]
+    # a curve is its solve plus one pass for psi at every tilt
+    for curve, equation in (
+        (rates.direct_curve, "s_plus"),
+        (rates.converse_curve, "s_minus"),
+    ):
         calls.clear()
-        fn(p, 2.5)
-        assert len(calls) == 1, fn.__name__
+        solved = solve_tilts(p, r, equation)
+        solve_passes = len(calls)
+        calls.clear()
+        points = curve(p, r)
+        assert len(calls) == solve_passes + 1
+        assert calls[-1] == [1.0 if t is SATURATED else t for t in solved]
+        assert [pt.s_star for pt in points] == [
+            None if t is SATURATED else t for t in solved
+        ]
+    # r' and the line past it: one pass at s = 1/2
+    calls.clear()
+    rates.r_prime(p)
+    assert calls == [[0.5]]
+    calls.clear()
+    rates.fidelity_converse_yield(p, 3.0)
+    assert calls == [[0.5]]
+
+
+@pytest.mark.parametrize("fn", ONE_POINT, ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize("s", [-1e-300, -0.5, -math.inf, math.inf, math.nan])
+def test_tilt_outside_family_is_typed_error(fn, s):
+    # the family is taken on s >= 0, where the shifted weights stay in (0, 1]
+    with pytest.raises(TiltOutOfRangeError, match="finite and >= 0"):
+        fn(new_spectrum([0.6, 0.3, 0.1]), s)
+
+
+def _mp_family(p, s):
+    """(psi, psi', psi'', F, H(h)) at tilt s, summed directly in mpmath."""
+    probs = [mp.mpf(float(x)) for x in p.probs]
+    logs = [mp.log(x, 2) for x in probs]
+    s = mp.mpf(s)
+    w = [mp.power(x, s) for x in probs]
+    z = mp.fsum(w)
+    m1 = mp.fsum(a * b for a, b in zip(w, logs)) / z
+    m2 = mp.fsum(a * b * b for a, b in zip(w, logs)) / z
+    value = mp.log(z, 2)
+    return value, m1, mp.log(2) * (m2 - m1 * m1), -value - (1 - s) * m1, value - s * m1
+
+
+NEAR_FLAT = [0.5000003, 0.4999997]
+
+
+@pytest.mark.parametrize("spectrum, tilts, rel", [
+    ("near-flat", (1e3, 1e5, 5e5), 1e-9),
+    ("dirichlet-2048", (0.5, 3.0, 40.0), 1e-13),
+])
+def test_tilted_family_matches_mpmath(spectrum, tilts, rel):
+    # on a near-flat top E_h[(log2 p)**2] - E_h[log2 p]**2 cancels (off by a
+    # factor 6 at s = 1e5); over D = log2(p / p_1) the variance does not
+    if spectrum == "near-flat":
+        p = new_spectrum(NEAR_FLAT)
+    else:
+        raw = np.random.default_rng(0).dirichlet(np.ones(2048))
+        p = new_spectrum(raw, renormalize=True)
+    for s in tilts:
+        want = _mp_family(p, s)
+        prime, second = psi_derivatives(p, s)
+        got = (psi(p, s), prime, second, big_f(p, s), tilted_entropy(p, s))
+        for name, a, b in zip(("psi", "psi'", "psi''", "F", "H"), got, want):
+            assert abs(a - b) <= rel * abs(b), (name, s)
+
+
+@pytest.mark.parametrize("tilt, rel", [(1e3, 1e-6), (1e5, 1e-9), (5e5, 1e-9)])
+def test_inverse_direct_near_flat_top_matches_mpmath(tilt, rel):
+    # the rate lanes stop on the scale of F, (s - 1) |-psi' - rate| <= F_TOL;
+    # at tilt 1e3 the rounding of the rate to a float sets the limit
+    p = new_spectrum(NEAR_FLAT)
+    with mp.workdps(40):
+        _, prime, _, f, _ = _mp_family(p, tilt)
+        assert abs(rates.inverse_direct(p, float(-prime)) - f) <= rel * f
