@@ -8,9 +8,9 @@ computation in this package:
     log2 |T_q|                in [n H(q) - d log2(n+1), n H(q)]
     log2 Pr[T_q under p**n]   in [-n D(q||p) - d log2(n+1), -n D(q||p)]
 
-type_matrix builds the lattice in d - 1 numpy passes. Multinomials come
-from one log-gamma table, never integer factorials, because d = 2 sweeps
-push n into the thousands. Everything returns base-2 logs.
+type_matrix and log_multinomial_rows work one column at a time. Multinomials
+come from one log-gamma table, never integer factorials, because d = 2
+sweeps push n into the thousands. Everything returns base-2 logs.
 """
 
 from __future__ import annotations
@@ -64,24 +64,29 @@ def enumerate_types(
 
 def type_matrix(n: int, d: int, max_count: int = DEFAULT_TYPE_GUARD) -> np.ndarray:
     """All types as an int64 (count, d) array, rows lexicographically
-    descending. Column by column, each row so far, with rest = n - its sum,
-    spawns rest + 1 rows whose next count runs rest, ..., 0."""
+    descending. Column by column, a prefix leaving rest takes counts rest,
+    ..., 0; a count leaving r spans the C(r + k, k) rows that fill the k + 1
+    columns after it."""
     if n < 1 or d < 1:
         raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
-    if count_types(n, d) > max_count:
+    count = count_types(n, d)
+    if count > max_count:
         raise TooManyTypesError(
-            f"{count_types(n, d)} types for (n={n}, d={d}) exceeds guard {max_count}"
+            f"{count} types for (n={n}, d={d}) exceeds guard {max_count}"
         )
-    rows = np.zeros((1, 0), dtype=np.int64)
+    rows = np.empty((count, d), dtype=np.int64)
     rest = np.array([n], dtype=np.int64)
-    for _ in range(d - 1):
+    for j in range(d - 1):
         sizes = rest + 1
         starts = np.cumsum(sizes) - sizes
         offset = np.arange(int(sizes.sum()), dtype=np.int64) - np.repeat(starts, sizes)
-        column = np.repeat(rest, sizes) - offset
-        rows = np.column_stack((np.repeat(rows, sizes, axis=0), column))
+        span = 1
+        for i in range(1, d - 1 - j):
+            span = span * (offset + i) // i
+        rows[:, j] = np.repeat(np.repeat(rest, sizes) - offset, span)
         rest = offset
-    return np.column_stack((rows, rest))
+    rows[:, d - 1] = rest
+    return rows
 
 
 def log_type_class_size(t: TypeComposition) -> float:
@@ -91,11 +96,13 @@ def log_type_class_size(t: TypeComposition) -> float:
 
 def log_multinomial_rows(counts: np.ndarray) -> np.ndarray:
     """Row-wise log2 multinomials for an integer (m, d) counts array; rows
-    may differ in n, and every log-gamma comes from one table."""
+    may differ in n, every log-gamma comes from one table, columns add up
+    left to right."""
     counts = np.asarray(counts, dtype=np.int64)
-    n = counts.sum(axis=-1)
-    table = gammaln(np.arange(int(n.max(initial=0)) + 2))
-    return (table[n + 1] - table[counts + 1].sum(axis=-1)) / LN2
+    n = sum(counts[..., j] for j in range(counts.shape[-1]))
+    table = gammaln(np.arange(1, int(n.max(initial=0)) + 2))  # table[c] = ln c!
+    classes = sum(table[counts[..., j]] for j in range(counts.shape[-1]))
+    return (table[n] - classes) / LN2
 
 
 def log_sequence_prob(t: TypeComposition, q) -> float:

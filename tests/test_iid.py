@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from concentrate import (
     RateOutOfRangeError,
@@ -22,7 +23,8 @@ from concentrate import (
     new_spectrum,
     optimal_probability,
 )
-from concentrate.iid import _solve_grouped_threshold
+from concentrate import iid
+from concentrate.iid import FIRST_CHUNK, _merge_groups, _solve_grouped_threshold
 from concentrate.numerics import LN2, log2_sub, logsumexp2
 from conftest import random_spectrum
 
@@ -63,6 +65,50 @@ def test_grouped_spectrum_normalized():
         assert np.all(np.diff(spec.log_probs) < 0)
 
 
+def _lexicographic_types(n, d):
+    """Every composition of n into d parts, lexicographically descending."""
+    heads = itertools.product(range(n, -1, -1), repeat=d - 1)
+    rows = [head + (n - sum(head),) for head in heads if sum(head) <= n]
+    return np.array(rows, dtype=np.int64)
+
+
+def _sorted_lattice_groups(p, n):
+    """The grouped spectrum built the direct way: each type's log probability
+    and whole-row log multinomial, one argsort, then the merge."""
+    counts = _lexicographic_types(n, p.dim)
+    table = gammaln(np.arange(n + 2))
+    log_probs = counts @ p.log2
+    log_mults = (table[n + 1] - table[counts + 1].sum(axis=-1)) / LN2
+    order = np.argsort(log_probs)[::-1]
+    return _merge_groups(log_probs[order], log_mults[order])
+
+
+PINNED_SPECTRA = {
+    3: ([0.5, 0.25, 0.25], [0.4, 0.4, 0.2]),
+    4: ([0.5, 0.25, 0.125, 0.125], [0.3, 0.3, 0.2, 0.2]),
+    5: ([0.25, 0.25, 0.25, 0.125, 0.125], [0.3, 0.3, 0.2, 0.1, 0.1]),
+}
+
+
+@pytest.mark.parametrize(
+    "d, n_list", [(3, (1, 2, 7, 23, 40)), (4, (1, 5, 12, 20)), (5, (1, 6, 14))]
+)
+def test_grouped_spectrum_equals_sorted_lattice_construction(d, n_list):
+    # random, dyadic (types merge) and tied spectra, bit for bit
+    rng = np.random.default_rng(100 + d)
+    dyadic, tied = PINNED_SPECTRA[d]
+    spectra = [random_spectrum(rng, d), new_spectrum(dyadic), new_spectrum(tied)]
+    for p in spectra:
+        for n in n_list:
+            spec = grouped_spectrum(p, n)
+            log_probs, log_mults = _sorted_lattice_groups(p, n)
+            assert np.array_equal(spec.log_probs, log_probs), (p.probs, n)
+            assert np.array_equal(spec.log_mults, log_mults), (p.probs, n)
+    assert grouped_spectrum(spectra[1], n_list[-1]).group_count < len(
+        _lexicographic_types(n_list[-1], d)
+    )
+
+
 def test_exact_success_prob_example():
     p = new_spectrum([0.75, 0.25])
     log_p, log_fail = exact_success_prob(p, 2, 1.0)
@@ -83,6 +129,26 @@ def test_size_out_of_range():
         exact_success_prob(p, 3, -0.5)
     with pytest.raises(SizeOutOfRangeError):
         exact_success_prob(p, 3, 3.5)
+
+
+def test_size_checked_before_the_lattice_is_built(monkeypatch):
+    # n = 400, d = 4 has 10.8M types; an out-of-range size must not build them
+    calls = []
+    build = iid.type_matrix
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(iid, "type_matrix", counting)
+    p = new_spectrum([0.4, 0.3, 0.2, 0.1])
+    with pytest.raises(SizeOutOfRangeError):
+        exact_success_prob(p, 400, 1e9)
+    with pytest.raises(SizeOutOfRangeError):
+        exact_success_prob(p, 400, -1.0)
+    assert calls == []
+    exact_success_prob(p, 3, 1.0)
+    assert calls == [(3, 4, iid.DEFAULT_TYPE_GUARD)]
 
 
 def test_single_copy_agrees_with_plan_solver():
@@ -198,6 +264,80 @@ def test_vectorized_scan_matches_reference_loop():
                 assert [type(a) for a in got] == [type(b) for b in want]
                 checked += 1
     assert checked >= 300 * 10
+
+
+def _whole_log_above(spec):
+    return np.concatenate(([-np.inf], np.logaddexp2.accumulate(spec.log_mults)[:-1]))
+
+
+def _scan_prefix(spec, bits):
+    """How many k the scan examines: those whose count above is below the size."""
+    whole = _whole_log_above(spec).tolist()
+    return next((k for k, v in enumerate(whole) if v >= bits), len(whole))
+
+
+def _assert_scan_matches_reference(spec, bits):
+    got = _scan_outcome(_solve_grouped_threshold, spec, bits)
+    want = _scan_outcome(_reference_threshold, spec, bits)
+    assert got == want, bits
+    return got
+
+
+def test_scan_prefix_stopping_at_first_groups():
+    rng = np.random.default_rng(89)
+    for p, n in [(new_spectrum([0.75, 0.25]), 30), (random_spectrum(rng, 3), 25),
+                 (new_spectrum([0.5, 0.25, 0.25]), 12)]:
+        spec = grouped_spectrum(p, n)
+        first = float(spec.log_mults[0])
+        # sizes up to the count of the top group examine k = 0 alone; just
+        # past it, k = 0 and 1
+        just_past = float(np.nextafter(first, np.inf))
+        for bits, prefix in [(0.0, 1), (first, 1), (just_past, 2)]:
+            assert _scan_prefix(spec, bits) == prefix
+            assert _assert_scan_matches_reference(spec, bits)[1] == 0
+
+
+def test_scan_prefix_crossing_chunk_boundaries():
+    # a binomial lattice, whose count above grows strictly up to n / 2
+    spec = grouped_spectrum(new_spectrum([0.75, 0.25]), 16_000)
+    whole = _whole_log_above(spec)
+    log_tail = np.logaddexp2.accumulate((spec.log_mults + spec.log_probs)[::-1])[::-1]
+    # chunks end at k = FIRST_CHUNK, 3 FIRST_CHUNK, 7 FIRST_CHUNK
+    for edge in (FIRST_CHUNK, 3 * FIRST_CHUNK, 7 * FIRST_CHUNK):
+        for k in (edge - 1, edge, edge + 1):
+            # the scan stops just before, at or just after the chunk's end
+            value = float(whole[k])
+            for bits, prefix in [(float(np.nextafter(value, -np.inf)), k), (value, k),
+                                 (float(np.nextafter(value, np.inf)), k + 1)]:
+                assert _scan_prefix(spec, bits) == prefix
+                _assert_scan_matches_reference(spec, bits)
+            # the threshold at the value of group k, so the scan ends at k or
+            # k + 1, read from counts on either side of the chunk's end
+            bits = float(np.logaddexp2(whole[k], log_tail[k] - spec.log_probs[k]))
+            assert _assert_scan_matches_reference(spec, bits)[1] in (k, k + 1)
+
+
+def test_scan_prefix_covering_every_group():
+    # converse sizes near n log2 d: every group is below the size
+    rng = np.random.default_rng(101)
+    cases = [(new_spectrum([0.6, 0.4]), 40), (new_spectrum([0.75, 0.25]), 30),
+             (new_spectrum([0.5, 0.3, 0.2]), 12), (random_spectrum(rng, 4), 9),
+             (random_spectrum(rng, 3), 90)]
+    for p, n in cases:
+        spec = grouped_spectrum(p, n)
+        top = spec.total_log_dim
+        last = float(_whole_log_above(spec)[-1])
+        for bits in (float(np.nextafter(last, np.inf)), (last + top) / 2, top):
+            assert _scan_prefix(spec, bits) == spec.group_count
+            _assert_scan_matches_reference(spec, bits)
+    # at d**n the count above rounds up to the size before the last group;
+    # both scans raise, as the k-by-k loop always has
+    for p, n in cases[:3]:
+        spec = grouped_spectrum(p, n)
+        with pytest.raises(SolverError):
+            _solve_grouped_threshold(spec, spec.total_log_dim)
+        with pytest.raises(SolverError):
+            _reference_threshold(spec, spec.total_log_dim)
 
 
 def test_failure_prob_accurate_when_success_is_close_to_one():
