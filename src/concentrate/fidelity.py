@@ -102,28 +102,28 @@ class RecoveryBoundCheck:
 def verify_recovery_bound(p: SchmidtSpectrum, target_size: int) -> RecoveryBoundCheck:
     """Scan every threshold t = p_k and confirm max sqrt(P L) clears the bound.
 
-    At threshold t the implied size is sum_i min(1, p_i / t) (real-valued)
-    and the success probability is sum_i min(t, p_i) = t * size.
+    At threshold t the implied size is the breakpoint sum_i min(1, p_i / t)
+    = (count of p_i >= t) + (mass below t) / t, real valued and the same
+    across a run of equal coefficients, and the success probability is
+    sum_i min(t, p_i) = t * size, so sqrt(P L) = size * sqrt(t). The first
+    maximum wins.
     """
     fid = best_fidelity_to_target(p, target_size)
     if target_size < 2:
         raise SizeOutOfRangeError("bound needs T >= 2 (ln T vanishes at 1)")
     bound = recovery_bound(target_size, fid)
-    best = -np.inf
-    best_idx = 0
-    for k, t in enumerate(p.probs):
-        size = float(np.minimum(1.0, p.probs / t).sum())
-        prob = float(np.minimum(t, p.probs).sum())
-        value = math.sqrt(prob * size)
-        if value > best:
-            best = value
-            best_idx = k + 1
+    probs = p.probs
+    count = np.searchsorted(-probs, -probs, side="right")
+    below = np.append(np.cumsum(probs[::-1])[::-1], 0.0)[count]
+    values = (count + below / probs) * np.sqrt(probs)
+    k = int(np.argmax(values))
+    best = float(values[k])
     return RecoveryBoundCheck(
         target_size=target_size,
         fidelity=fid,
         bound=bound,
         best_sqrt_pl=best,
-        best_threshold_index=best_idx,
+        best_threshold_index=k + 1,
         holds=best >= bound,
     )
 

@@ -8,23 +8,32 @@ with probability at most
 and the optimum is achieved by a two-outcome measurement that truncates the
 spectrum at a threshold t: coefficients above t are damped to t, the rest
 pass through. The threshold is pinned by L = sum_i min(1, p_i / t), which
-makes P_L = t * L an exact identity. solve_plan finds t in closed form by
-scanning the candidate intervals between consecutive coefficients, where
-the defining equation is linear in t.
+makes P_L = t * L an exact identity.
 
-For L <= floor(1/p_1) no truncation is needed; the scan then lands on
-t = 1/L >= p_1, which keeps P = t*L = 1 exact without a special case.
+With coefficients in groups of equal value p_0 > p_1 > ..., A_k the count
+above group k and T_k the mass from it on, the breakpoint B_k = A_k + T_k/p_k
+is the size whose threshold sits on p_k. It never decreases in k, so the
+first k with B_k >= L has k groups above t and t = T_k / (L - A_k).
+_breakpoint_search runs this in log2 space for solve_plan and for iid's
+n-copy groups. For L <= floor(1/p_1) it lands on k = 0 and t = 1/L >= p_1,
+which keeps P = t*L = 1 exact without a special case.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SizeOutOfRangeError, SolverError
-from .numerics import tolerant_floor
+from .errors import SizeOutOfRangeError
+from .numerics import LN2, log2_sub, tolerant_floor
 from .spectra import SchmidtSpectrum, new_spectrum
+
+#: log2 allowance on t at an exact tie t = p_k, where the smallest k wins
+TIE_BITS = 1e-12
+#: groups in the first chunk of counts above; later chunks double
+FIRST_CHUNK = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,31 +81,63 @@ def optimal_probability(p: SchmidtSpectrum, target_size: int) -> float:
     return float(min(np.min(L * suffix[:L] / (L - l + 1)), 1.0))
 
 
+def _breakpoint_search(log_probs, log_mults, log2_size: float, top: float):
+    """The module doc's rule on groups of descending log2 values and log2
+    counts whose total is 2**top. Returns (k, log2 T_k, log2 (L - A_k)); a
+    tie within TIE_BITS of t goes to the smaller k."""
+    lp, lm = log_probs, log_mults
+    mass = lm + lp
+    near_top = log2_size > top - 1.0
+    if near_top:
+        # A_k rounds towards L: take L - A_k = C_k - R, with C_k the count
+        # from group k on and R = 2**top - L (d**n - L for n copies)
+        rest = -math.expm1((log2_size - top) * LN2)  # R / 2**top
+        log_rest = top + math.log2(rest) if rest > 0.0 else -math.inf
+        log_count = np.logaddexp2.accumulate(lm[::-1])[::-1]
+        admitted = int(np.count_nonzero(log_count > log_rest))  # A_k < L
+        log_tail = np.logaddexp2.accumulate(mass[::-1])[::-1][:admitted]
+        base, reach = log_rest, log_count[:admitted]
+    else:
+        # log count above k, only while below L, in doubling chunks, each
+        # seeded with the last count: one accumulate's bits
+        log_above = np.concatenate(([-np.inf], lm[:-1]))
+        stop, width = 1, FIRST_CHUNK
+        while log_above[stop - 1] < log2_size and stop < lm.size:
+            start, stop, width = stop, min(stop + width, lm.size), 2 * width
+            chunk = log_above[start - 1 : stop]
+            np.logaddexp2.accumulate(chunk, out=chunk)
+        log_above = log_above[: np.searchsorted(log_above[:stop], log2_size)]
+        admitted = log_above.size
+        # log mass from k on: the groups past the prefix reduced once, then
+        # accumulated from that seed in the whole accumulate's order
+        past = np.logaddexp2.reduce(mass[admitted:][::-1])
+        tail = np.append(past, mass[:admitted][::-1])
+        log_tail = np.logaddexp2.accumulate(tail)[:0:-1]
+        base, reach = log_above, log2_size
+    # B_k >= L, the allowance on T_k / p_k (so on t); near the top R + T_k/p_k >= C_k
+    hits = np.logaddexp2(base, log_tail - lp[:admitted] + TIE_BITS) >= reach
+    k = int(np.argmax(hits)) if hits.any() else admitted - 1  # a miss is roundoff
+    if near_top:
+        return k, log_tail[k], log2_sub(log_count[k], log_rest)
+    return k, log_tail[k], log2_sub(log2_size, log_above[k])
+
+
 def solve_plan(p: SchmidtSpectrum, target_size: int) -> ConcentrationPlan:
     """Solve the truncation threshold and assemble the full protocol."""
     _check_size(p, target_size)
     L = target_size
     probs = p.probs
     suffix = np.cumsum(probs[::-1])[::-1]
-    # k = number of coefficients strictly above t; within each candidate
-    # interval the defining equation is linear: t = (tail mass) / (L - k)
-    for k in range(0, min(L, probs.size)):
-        t = suffix[k] / (L - k)
-        above_ok = k == 0 or probs[k - 1] > t
-        # right edge tolerates roundoff: at an exact tie t = p_{k+1} this
-        # interval is the conventional (smallest-k) answer
-        below_ok = t >= probs[k] - 1e-14
-        if above_ok and below_ok:
-            coeffs = np.minimum(1.0, np.sqrt(t / probs))
-            return ConcentrationPlan(
-                target_size=L,
-                threshold=float(t),
-                cut_index=k + 1,
-                success_prob=float(min(t * L, 1.0)),
-                measurement_coeffs=coeffs,
-            )
-    raise SolverError(
-        f"no threshold interval bracketed size {L}; spectrum may be corrupt"
+    # k = number of coefficients strictly above t; on its interval the
+    # defining equation is linear: t = (tail mass) / (L - k)
+    k = _breakpoint_search(p.log2, np.zeros(p.dim), math.log2(L), math.log2(p.dim))[0]
+    t = suffix[k] / (L - k)
+    return ConcentrationPlan(
+        target_size=L,
+        threshold=float(t),
+        cut_index=k + 1,
+        success_prob=float(min(t * L, 1.0)),
+        measurement_coeffs=np.minimum(1.0, np.sqrt(t / probs)),
     )
 
 

@@ -445,6 +445,9 @@ def _check_exact_identity(rng, tol):
         bits = float(rng.uniform(0.0, spec.total_log_dim))
         log_t, _, log_p, _ = _solve_grouped_threshold(spec, bits)
         worst = max(worst, abs(log_p - (log_t + bits)))
+        # at size d**n the threshold is the smallest coefficient: P = (d p_d)**n
+        log_top = _solve_grouped_threshold(spec, spec.total_log_dim)[2]
+        worst = max(worst, abs(log_top - n * math.log2(p.dim * p.probs[-1])))
         # single-copy agreement
         for size in range(1, p.dim + 1):
             log_p1, _ = exact_success_prob(p, 1, math.log2(size))

@@ -3,14 +3,22 @@
 For small n the full product spectrum (all d**n coefficient products) fits
 in memory, so the single-copy machinery applied to it is an independent
 route to every n-copy success probability; the grouped log-space path must
-reproduce it exactly.
+reproduce it exactly. Floats are dyadic, so the product's groups and the
+threshold scan also run in exact integers (ExactProduct), which checks the
+scan where floats cancel: at d**n, just below it and on group values.
 """
 
+import bisect
+import collections
 import itertools
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from concentrate import (
@@ -22,9 +30,11 @@ from concentrate import (
     grouped_spectrum,
     new_spectrum,
     optimal_probability,
+    solve_plan,
 )
 from concentrate import iid
-from concentrate.iid import FIRST_CHUNK, _merge_groups, _solve_grouped_threshold
+from concentrate.finite import FIRST_CHUNK, TIE_BITS
+from concentrate.iid import _merge_groups, _solve_grouped_threshold
 from concentrate.numerics import LN2, log2_sub, logsumexp2
 from conftest import random_spectrum
 
@@ -219,28 +229,101 @@ def _reference_threshold(spec, log2_size):
     raise SolverError("reference scan found no threshold")
 
 
-def _scan_outcome(scan, spec, log2_size):
-    try:
-        return scan(spec, log2_size)
-    except SolverError:
-        return SolverError
+def _pow2(x):
+    """2**x for a Fraction x, to 40 digits, as a Fraction."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        return Fraction(Decimal(2) ** (Decimal(x.numerator) / Decimal(x.denominator)))
+
+
+TIE = _pow2(Fraction(TIE_BITS))
+
+
+class ExactProduct:
+    """The n-copy product state in exact integers.
+
+    Floats are dyadic: p_i = a_i / 2**e with integer a_i, so each product
+    coefficient is an integer value over 2**(n e). Groups are the distinct
+    values, largest first, with their multinomial counts.
+    """
+
+    def __init__(self, p, n):
+        probs = [Fraction(q) for q in p.probs.tolist()]
+        denominator = max(q.denominator for q in probs)
+        self.shift = n * (denominator.bit_length() - 1)
+        # powers[i][c] = a_i**c, factorials[c] = c!
+        powers = [[*itertools.accumulate([int(q * denominator)] * n, initial=1,
+                                          func=lambda x, y: x * y)] for q in probs]
+        factorials = [*itertools.accumulate(range(1, n + 1), initial=1,
+                                            func=lambda x, y: x * y)]
+        counts = collections.Counter()
+        for row in _lexicographic_types(n, p.dim).tolist():
+            value = math.prod([column[c] for column, c in zip(powers, row)])
+            counts[value] += factorials[n] // math.prod([factorials[c] for c in row])
+        self.values = sorted(counts, reverse=True)
+        self.counts = [counts[v] for v in self.values]
+        masses = [m * v for m, v in zip(self.counts, self.values)]
+        self.above = [0, *itertools.accumulate(self.counts)]  # A_k; A_G = d**n
+        self.tails = [*itertools.accumulate(masses[::-1])][::-1] + [0]  # T_k
+
+    def log_success(self, bits, top):
+        """(log2 P, log2 (1 - P)) at size L = d**n 2**(bits - top).
+
+        B_k = A_k + T_k / v_k never decreases, so bisect for the first
+        B_k >= L; then, as the scan does at a tie, step down while
+        t = T_k / (L - A_k) stays within TIE_BITS of v_k at the k below.
+        """
+        size = self.above[-1] * _pow2(Fraction(bits) - Fraction(top))
+        ln, ld = size.numerator, size.denominator
+        a, tail, v = self.above, self.tails, self.values
+        k = bisect.bisect_left(
+            range(len(v)), True, key=lambda j: (a[j] * v[j] + tail[j]) * ld >= ln * v[j]
+        )
+        while k > 0 and tail[k - 1] * TIE.numerator * ld >= (
+            (ln - a[k - 1] * ld) * v[k - 1] * TIE.denominator
+        ):
+            k -= 1
+        if k == 0:
+            return 0.0, -math.inf
+        room = ln - a[k] * ld  # (L - A_k) ld
+        log_p = math.log2(tail[k]) + math.log2(ln) - math.log2(room) - self.shift
+        # excess above t: sum_{j<k} m_j (v_j - t) = (S_k room - T_k A_k ld) / room
+        excess = (tail[0] - tail[k]) * room - tail[k] * a[k] * ld
+        if excess <= 0:
+            return min(log_p, 0.0), -math.inf
+        return min(log_p, 0.0), math.log2(excess) - math.log2(room) - self.shift
+
+
+def _assert_matches_exact(spec, exact, bits):
+    _, _, log_p, log_f = _solve_grouped_threshold(spec, bits)
+    want_p, want_f = exact.log_success(bits, spec.total_log_dim)
+    assert abs(log_p - want_p) <= 1e-10, (bits, log_p, want_p)
+    assert log_f == want_f or abs(log_f - want_f) <= 1e-10, (bits, log_f, want_f)
+
+
+def _group_sizes(spec, groups):
+    """Sizes that put the threshold exactly on the value of each group j:
+    L = (count above j) + (mass from j) / (value of j)."""
+    log_above = np.concatenate(([-np.inf], np.logaddexp2.accumulate(spec.log_mults)))
+    log_tail = np.logaddexp2.accumulate((spec.log_mults + spec.log_probs)[::-1])[::-1]
+    sizes = np.logaddexp2(log_above[:-1], log_tail - spec.log_probs)
+    return [float(sizes[j]) for j in groups]
 
 
 def _edge_sizes(spec, rng):
     """Sizes 0 and d**n, random sizes, sizes that put the threshold exactly
-    on a group value, and sizes just above a count of groups."""
+    on a group value, and sizes just above a count of groups. Returns the
+    sizes 0 and random sizes more than a bit below d**n, where the scan
+    reads the count above directly, then the rest."""
     top = spec.total_log_dim
     log_above = np.logaddexp2.accumulate(spec.log_mults)
-    log_tail = np.logaddexp2.accumulate(
-        (spec.log_mults + spec.log_probs)[::-1]
-    )[::-1]
     sizes = [0.0, top, *rng.uniform(0.0, top, size=3).tolist()]
     for j in rng.integers(0, spec.group_count, size=3).tolist():
-        # t = value of group j: L = (count above j) + (mass from j) / t
-        above = -np.inf if j == 0 else log_above[j - 1]
-        sizes.append(float(np.logaddexp2(above, log_tail[j] - spec.log_probs[j])))
+        sizes.extend(_group_sizes(spec, [j]))
         sizes.append(float(log_above[j]) + float(rng.choice([1e-12, 1e-9, 1e-6, 1e-3])))
-    return [min(max(b, 0.0), top) for b in sizes]
+    sizes = [min(max(b, 0.0), top) for b in sizes]
+    direct = [sizes[0]] + [b for b in sizes[2:5] if b <= top - 1.0]
+    return direct, [sizes[1]] + [b for b in sizes[2:5] if b > top - 1.0] + sizes[5:]
 
 
 def test_vectorized_scan_matches_reference_loop():
@@ -254,16 +337,19 @@ def test_vectorized_scan_matches_reference_loop():
     for p in spectra:
         n = int(rng.integers(1, {2: 300, 3: 40}.get(p.dim, 14)))
         spec = grouped_spectrum(p, n)
-        for bits in _edge_sizes(spec, rng):
-            # at size d**n the count above can round up to the size before
-            # the last group; then both scans raise SolverError
-            got = _scan_outcome(_solve_grouped_threshold, spec, bits)
-            want = _scan_outcome(_reference_threshold, spec, bits)
+        direct, rest = _edge_sizes(spec, rng)
+        for bits in direct:
+            got = _solve_grouped_threshold(spec, bits)
+            want = _reference_threshold(spec, bits)
             assert got == want, (p.probs, n, bits)
-            if want is not SolverError:
-                assert [type(a) for a in got] == [type(b) for b in want]
-                checked += 1
-    assert checked >= 300 * 10
+            assert [type(a) for a in got] == [type(b) for b in want]
+            checked += 1
+        # at d**n, within a bit of it, on group values and just above a
+        # count the k-by-k loop loses bits or raises: check these exactly
+        exact = ExactProduct(p, n)
+        for bits in rest:
+            _assert_matches_exact(spec, exact, bits)
+    assert checked >= 300 * 3
 
 
 def _whole_log_above(spec):
@@ -277,9 +363,8 @@ def _scan_prefix(spec, bits):
 
 
 def _assert_scan_matches_reference(spec, bits):
-    got = _scan_outcome(_solve_grouped_threshold, spec, bits)
-    want = _scan_outcome(_reference_threshold, spec, bits)
-    assert got == want, bits
+    got = _solve_grouped_threshold(spec, bits)
+    assert got == _reference_threshold(spec, bits), bits
     return got
 
 
@@ -301,7 +386,6 @@ def test_scan_prefix_crossing_chunk_boundaries():
     # a binomial lattice, whose count above grows strictly up to n / 2
     spec = grouped_spectrum(new_spectrum([0.75, 0.25]), 16_000)
     whole = _whole_log_above(spec)
-    log_tail = np.logaddexp2.accumulate((spec.log_mults + spec.log_probs)[::-1])[::-1]
     # chunks end at k = FIRST_CHUNK, 3 FIRST_CHUNK, 7 FIRST_CHUNK
     for edge in (FIRST_CHUNK, 3 * FIRST_CHUNK, 7 * FIRST_CHUNK):
         for k in (edge - 1, edge, edge + 1):
@@ -313,31 +397,97 @@ def test_scan_prefix_crossing_chunk_boundaries():
                 _assert_scan_matches_reference(spec, bits)
             # the threshold at the value of group k, so the scan ends at k or
             # k + 1, read from counts on either side of the chunk's end
-            bits = float(np.logaddexp2(whole[k], log_tail[k] - spec.log_probs[k]))
+            bits = _group_sizes(spec, [k])[0]
             assert _assert_scan_matches_reference(spec, bits)[1] in (k, k + 1)
 
 
 def test_scan_prefix_covering_every_group():
-    # converse sizes near n log2 d: every group is below the size
+    # converse sizes near n log2 d, where every group is below the size
     rng = np.random.default_rng(101)
     cases = [(new_spectrum([0.6, 0.4]), 40), (new_spectrum([0.75, 0.25]), 30),
              (new_spectrum([0.5, 0.3, 0.2]), 12), (random_spectrum(rng, 4), 9),
              (random_spectrum(rng, 3), 90)]
     for p, n in cases:
         spec = grouped_spectrum(p, n)
+        exact = ExactProduct(p, n)
         top = spec.total_log_dim
         last = float(_whole_log_above(spec)[-1])
         for bits in (float(np.nextafter(last, np.inf)), (last + top) / 2, top):
             assert _scan_prefix(spec, bits) == spec.group_count
-            _assert_scan_matches_reference(spec, bits)
-    # at d**n the count above rounds up to the size before the last group;
-    # both scans raise, as the k-by-k loop always has
-    for p, n in cases[:3]:
+            _assert_matches_exact(spec, exact, bits)
+        # at d**n the threshold is the smallest coefficient: P = (d p_d)**n
+        log_p = exact_success_prob(p, n, top)[0]
+        assert log_p == pytest.approx(n * math.log2(p.dim * p.probs[-1]), abs=1e-10)
+
+
+@pytest.mark.parametrize("d, n_max", [(2, 60), (3, 8)])
+def test_scan_matches_exact_oracle(d, n_max):
+    rng = np.random.default_rng(200 + d)
+    spectra = [new_spectrum([0.6, 0.4]), new_spectrum([0.75, 0.25])] if d == 2 else [
+        new_spectrum([0.5, 0.3, 0.2]), new_spectrum([0.5, 0.25, 0.25])]
+    spectra += [random_spectrum(rng, d) for _ in range(8)]
+    for p in spectra:
+        n = int(rng.integers(1, n_max + 1))
         spec = grouped_spectrum(p, n)
-        with pytest.raises(SolverError):
-            _solve_grouped_threshold(spec, spec.total_log_dim)
-        with pytest.raises(SolverError):
-            _reference_threshold(spec, spec.total_log_dim)
+        exact = ExactProduct(p, n)
+        top = spec.total_log_dim
+        below = [top - gap for gap in (0.0, 1e-12, 1e-9, 1e-6, 1e-3, 1.0, 10.0)]
+        groups = rng.integers(0, spec.group_count, size=3).tolist()
+        log_above = np.logaddexp2.accumulate(spec.log_mults)
+        counts = [float(log_above[j]) + rng.choice([1e-12, 1e-6, 1e-3]) for j in groups]
+        sizes = below + _group_sizes(spec, groups) + counts
+        sizes += rng.uniform(0.0, top, size=3).tolist()
+        for bits in sizes:
+            if bits >= 0.0:
+                _assert_matches_exact(spec, exact, min(bits, top))
+
+
+def test_closed_form_at_the_largest_size():
+    # at d**n the threshold is the smallest product coefficient p_d**n
+    rng = np.random.default_rng(211)
+    for _ in range(30):
+        p = random_spectrum(rng, 2)
+        n = int(rng.integers(10, 121))
+        log_p = exact_success_prob(p, n, float(n))[0]
+        assert log_p == pytest.approx(n * math.log2(2 * p.probs[-1]), abs=1e-10)
+
+
+@st.composite
+def _spectra(draw):
+    """Random, tied (equal entries) and dyadic (halvings of one) spectra,
+    d from 1 to 4."""
+    d = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["random", "tied", "dyadic"]))
+    if kind == "random":
+        return random_spectrum(np.random.default_rng(draw(st.integers(0, 10**6))), d)
+    if kind == "tied":
+        weights = draw(st.lists(st.integers(1, 3), min_size=d, max_size=d))
+        return new_spectrum(sorted(weights, reverse=True), renormalize=True)
+    probs = [1.0]
+    for _ in range(d - 1):
+        probs.append(probs.pop(draw(st.integers(0, len(probs) - 1))) / 2.0)
+        probs.append(probs[-1])
+    return new_spectrum(sorted(probs, reverse=True))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_spectra(), st.integers(1, 40), st.lists(st.floats(0.0, 1.0), max_size=8))
+def test_scan_is_total_and_never_increases(p, n, fractions):
+    n = min(n, {1: 40, 2: 40, 3: 12, 4: 6}[p.dim])
+    spec = grouped_spectrum(p, n)
+    top = spec.total_log_dim
+    sizes = sorted({0.0, top, *(top * f for f in fractions)})
+    previous = 0.0
+    for bits in sizes:
+        log_t, _, log_p, _ = _solve_grouped_threshold(spec, bits)
+        assert log_p == pytest.approx(log_t + bits, abs=1e-10)
+        assert log_p <= previous + 1e-10
+        previous = log_p
+    for size in range(1, p.dim + 1):
+        plan = solve_plan(p, size)
+        cut = plan.cut_index
+        assert np.all(p.probs[: cut - 1] > plan.threshold)
+        assert plan.threshold >= p.probs[cut - 1] * (1.0 - 1e-12)
 
 
 def test_failure_prob_accurate_when_success_is_close_to_one():
