@@ -9,9 +9,9 @@ size up to d**n has an answer; at d**n, log2 P = n log2(d p_d). d = 2
 reaches n of several thousand without underflow, and d = 3 at n = 2000
 (about 2M types) takes about 0.7 s of CPU.
 
-The failure probability is never formed as 1 - P. It is the exact sum of
-per-group excess mass above the threshold, which stays accurate when P is
-within 1e-300 of one.
+The failure probability is never formed as 1 - P. While P >= 1/2 it is the
+exact sum of per-group excess mass above the threshold, which stays
+accurate when P is within 1e-300 of one; below, it is log1p(-P).
 """
 
 from __future__ import annotations
@@ -96,9 +96,13 @@ def _solve_grouped_threshold(spec: GroupedSpectrum, log2_size: float):
     if k == 0:
         # nothing above the line: success is the whole unit mass
         return log_t, k, 0.0, -np.inf
+    log_success = min(log_t + log2_size, 0.0)
+    if log_success < -1.0:
+        # P < 1/2: log1p(-P) is exact, where the excess mass adds up to ~1
+        return log_t, k, log_success, math.log1p(-(2.0**log_success)) / LN2
     excess = lm[:k] + lp[:k]
     excess += np.log1p(-np.exp2(log_t - lp[:k])) / LN2
-    return log_t, k, min(log_t + log2_size, 0.0), logsumexp2(excess)
+    return log_t, k, log_success, min(logsumexp2(excess), 0.0)
 
 
 def exact_success_prob(

@@ -15,11 +15,11 @@ import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import gammaln
 
 from concentrate import (
     RateOutOfRangeError,
@@ -36,7 +36,7 @@ from concentrate import iid
 from concentrate.finite import FIRST_CHUNK, TIE_BITS
 from concentrate.iid import _merge_groups, _solve_grouped_threshold
 from concentrate.numerics import LN2, log2_sub, logsumexp2
-from conftest import random_spectrum
+from conftest import ln_factorial, random_spectrum
 
 
 def full_product_spectrum(p, n):
@@ -86,9 +86,9 @@ def _sorted_lattice_groups(p, n):
     """The grouped spectrum built the direct way: each type's log probability
     and whole-row log multinomial, one argsort, then the merge."""
     counts = _lexicographic_types(n, p.dim)
-    table = gammaln(np.arange(n + 2))
+    table = np.array([ln_factorial(c) for c in range(n + 1)])
     log_probs = counts @ p.log2
-    log_mults = (table[n + 1] - table[counts + 1].sum(axis=-1)) / LN2
+    log_mults = (table[n] - table[counts].sum(axis=-1)) / LN2
     order = np.argsort(log_probs)[::-1]
     return _merge_groups(log_probs[order], log_mults[order])
 
@@ -223,9 +223,12 @@ def _reference_threshold(spec, log2_size):
         if upper_ok and lower_ok:
             if k == 0:
                 return log_t, k, 0.0, -np.inf
+            log_success = min(log_t + log2_size, 0.0)
+            if log_success < -1.0:
+                return log_t, k, log_success, math.log1p(-(2.0**log_success)) / LN2
             excess = lm[:k] + lp[:k]
             excess += np.log1p(-np.exp2(log_t - lp[:k])) / LN2
-            return log_t, k, min(log_t + log2_size, 0.0), logsumexp2(excess)
+            return log_t, k, log_success, min(logsumexp2(excess), 0.0)
     raise SolverError("reference scan found no threshold")
 
 
@@ -292,6 +295,36 @@ class ExactProduct:
         if excess <= 0:
             return min(log_p, 0.0), -math.inf
         return min(log_p, 0.0), math.log2(excess) - math.log2(room) - self.shift
+
+
+class BinomialScan:
+    """ExactProduct's scan for d = 2 in 40-digit mpmath, fast at n = 16000:
+    group j has count C(n, j) and value p_1**(n - j) p_2**j."""
+
+    def __init__(self, p, n):
+        with mpmath.workdps(40):
+            first, second = (mpmath.mpf(q) for q in p.probs.tolist())
+            counts, values = [mpmath.mpf(1)], [first**n]
+            for j in range(n):
+                counts.append(counts[-1] * (n - j) / (j + 1))
+                values.append(values[-1] * second / first)
+            masses = [m * v for m, v in zip(counts, values)]
+            self.above = [0, *itertools.accumulate(counts)]
+            self.tails = [*itertools.accumulate(masses[::-1])][::-1] + [0]
+            self.values = values
+
+    def log_success(self, bits):
+        """log2 P at size L = 2**bits, the threshold placed as ExactProduct
+        places it."""
+        with mpmath.workdps(40):
+            size, tie = mpmath.mpf(2) ** bits, mpmath.mpf(2) ** -TIE_BITS
+            a, tail, v = self.above, self.tails, self.values
+            k = bisect.bisect_left(
+                range(len(v)), True, key=lambda j: a[j] + tail[j] / v[j] >= size
+            )
+            while k > 0 and tail[k - 1] >= (size - a[k - 1]) * v[k - 1] * tie:
+                k -= 1
+            return float(mpmath.log(tail[k] * size / (size - a[k]), 2))
 
 
 def _assert_matches_exact(spec, exact, bits):
@@ -384,7 +417,9 @@ def test_scan_prefix_stopping_at_first_groups():
 
 def test_scan_prefix_crossing_chunk_boundaries():
     # a binomial lattice, whose count above grows strictly up to n / 2
-    spec = grouped_spectrum(new_spectrum([0.75, 0.25]), 16_000)
+    p, n = new_spectrum([0.75, 0.25]), 16_000
+    spec = grouped_spectrum(p, n)
+    oracle = BinomialScan(p, n)
     whole = _whole_log_above(spec)
     # chunks end at k = FIRST_CHUNK, 3 FIRST_CHUNK, 7 FIRST_CHUNK
     for edge in (FIRST_CHUNK, 3 * FIRST_CHUNK, 7 * FIRST_CHUNK):
@@ -398,7 +433,18 @@ def test_scan_prefix_crossing_chunk_boundaries():
             # the threshold at the value of group k, so the scan ends at k or
             # k + 1, read from counts on either side of the chunk's end
             bits = _group_sizes(spec, [k])[0]
-            assert _assert_scan_matches_reference(spec, bits)[1] in (k, k + 1)
+            got = _solve_grouped_threshold(spec, bits)
+            assert got[1] in (k, k + 1)
+            # log2 P against the mpmath scan, to the 1e-9 bits that the
+            # log-space sums hold at n in the thousands
+            assert abs(got[2] - oracle.log_success(bits)) <= 1e-9, (k, bits)
+            try:
+                want = _reference_threshold(spec, bits)
+            except SolverError:
+                # the reference's log_tail drifts ~1e-10 bits at this n, past
+                # its 1e-12-bit tie allowance: it misses some on-group sizes
+                continue
+            assert got == want, bits
 
 
 def test_scan_prefix_covering_every_group():
@@ -450,6 +496,25 @@ def test_closed_form_at_the_largest_size():
         n = int(rng.integers(10, 121))
         log_p = exact_success_prob(p, n, float(n))[0]
         assert log_p == pytest.approx(n * math.log2(2 * p.probs[-1]), abs=1e-10)
+
+
+def test_failure_prob_at_the_largest_size_stays_below_one():
+    # at d**n, 1 - P = 1 - (d p_d)**n: its log2 is negative, however small P
+    rng = np.random.default_rng(211)
+    cases = [(new_spectrum([0.75, 0.25]), 60), (new_spectrum([0.9, 0.1]), 60)]
+    cases += [(random_spectrum(rng, 2), int(rng.integers(10, 121))) for _ in range(30)]
+    for p, n in cases:
+        log_f = exact_success_prob(p, n, float(n))[1]
+        want = math.log1p(-((2 * p.probs[-1]) ** n)) / LN2
+        assert log_f < 0.0 and log_f == pytest.approx(want, rel=1e-9), (p.probs, n)
+    # underflowing 1 - P stays a signed zero below one, never +0
+    log_f = exact_success_prob(new_spectrum([0.75, 0.25]), 1600, 1600.0)[1]
+    assert log_f == 0.0 and math.copysign(1.0, log_f) == -1.0
+    # a converse rate whose size rounds up to d**n: both exponents positive
+    for p in (new_spectrum([0.75, 0.25]), new_spectrum([0.9, 0.1])):
+        sample = exponent_sweep(p, 0.995, [5], "converse")[0]
+        assert sample.rate == 1.0
+        assert sample.failure_exponent > 0.0 and sample.success_exponent > 0.0
 
 
 @st.composite

@@ -1,0 +1,36 @@
+"""The package needs numpy alone: scipy is neither loaded nor imported."""
+
+import ast
+import os
+import pathlib
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def test_cli_import_loads_no_scipy():
+    code = (
+        "import concentrate.cli, sys; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
+
+
+def _imported_roots(path):
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def test_no_source_or_test_imports_scipy():
+    files = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
+    assert len(files) > 10
+    offenders = [str(f.relative_to(ROOT)) for f in files if "scipy" in _imported_roots(f)]
+    assert offenders == []

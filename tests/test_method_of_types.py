@@ -3,9 +3,9 @@
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from scipy.special import gammaln
 
 from concentrate import (
     DimensionMismatchError,
@@ -18,9 +18,10 @@ from concentrate import (
     log_type_class_size,
     new_spectrum,
 )
+from concentrate import method_of_types
 from concentrate.method_of_types import log_multinomial_rows, type_matrix
 from concentrate.numerics import LN2, logsumexp2
-from conftest import random_spectrum
+from conftest import ln_factorial, random_spectrum
 
 
 def _entropy_of(t):
@@ -107,15 +108,40 @@ def test_enumerate_types_wraps_matrix_rows():
     assert all(type(c) is int for t in types for c in t.counts)
 
 
-def test_log_multinomial_rows_bit_equal_to_per_entry_gammaln():
+def test_log_multinomial_rows_bit_equal_to_per_entry_ln_factorial():
     rng = np.random.default_rng(71)
     counts = rng.integers(0, 400, size=(200, 4))
     counts[:4] = [[0, 0, 0, 1], [5, 5, 5, 5], [0, 0, 0, 0], [399, 0, 1, 0]]
-    as_float = counts.astype(float)
-    n = as_float.sum(axis=-1)
-    want = (gammaln(n + 1) - gammaln(as_float + 1).sum(axis=-1)) / LN2
+    want = [
+        (ln_factorial(sum(row)) - sum(ln_factorial(c) for c in row)) / LN2
+        for row in counts.tolist()
+    ]
     got = log_multinomial_rows(counts)
     assert np.array_equal(got, want)
+    # ln 2! is ln 2 rounded, as LN2 is, so log2 C(2, 1) is exactly one
+    assert log_multinomial_rows([[1, 1], [2, 0]]).tolist() == [1.0, 0.0]
+
+
+def test_ln_factorial_table_against_mpmath():
+    # at most 0.5 ulp (correctly rounded) up to 170, 2 ulp above
+    rng = np.random.default_rng(73)
+    large = [171, 172, 1000, 20_000, *rng.integers(171, 20_001, size=300).tolist()]
+    table = method_of_types._ln_factorials(20_000)
+    with mpmath.workdps(40):
+        for c in [*range(171), *large]:
+            exact = mpmath.loggamma(c + 1)
+            ulps = abs(mpmath.mpf(table[c]) - exact) / math.ulp(float(exact) or 1.0)
+            assert ulps <= (0.5 if c <= 170 else 2.0), (c, float(ulps))
+
+
+def test_ln_factorial_table_grown_in_pieces_equals_one_build(monkeypatch):
+    monkeypatch.setattr(method_of_types, "_LN_FACTORIAL", np.zeros(1))
+    for n in (0, 5, 170, 171, 900, 900, 3000):
+        table = method_of_types._ln_factorials(n)
+    assert method_of_types._ln_factorials(10) is table  # nothing recomputed
+    monkeypatch.setattr(method_of_types, "_LN_FACTORIAL", np.zeros(1))
+    assert np.array_equal(method_of_types._ln_factorials(3000), table)
+    assert table.size == 3001
 
 
 def test_type_composition_fields():
