@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 from .errors import (
     ConcentrationError,
-    DegenerateSpectrumError,
     DimensionMismatchError,
     DimensionTooLargeError,
     EmptySpectrumError,
@@ -56,12 +55,11 @@ from .finite import (
     solve_plan,
 )
 from .method_of_types import (
-    TypeComposition,
     count_types,
-    enumerate_types,
     log_sequence_prob,
     log_type_class_prob,
     log_type_class_size,
+    type_matrix,
 )
 from .iid import (
     ExponentSample,

@@ -30,10 +30,6 @@ class DimensionMismatchError(ConcentrationError):
     """Two distributions that must share an index set have different lengths."""
 
 
-class DegenerateSpectrumError(ConcentrationError):
-    """Operation undefined on a uniform (flat) spectrum."""
-
-
 class SizeOutOfRangeError(ConcentrationError):
     """Target maximally-entangled size outside the feasible range."""
 

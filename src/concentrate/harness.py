@@ -37,9 +37,9 @@ from .iid import (
 from .method_of_types import (
     DEFAULT_TYPE_GUARD,
     count_types,
-    enumerate_types,
     log_type_class_prob,
     log_type_class_size,
+    type_matrix,
 )
 from .numerics import logsumexp2
 from .rates import (
@@ -187,14 +187,15 @@ def run_convergence(cfg: ExperimentConfig) -> ExperimentRecord:
     regime = _infer_regime(p, cfg.rate)
     predicted = (inverse_direct if regime == "direct" else inverse_converse)(p, cfg.rate)
     tol = cfg.tolerance if cfg.tolerance is not None else DEFAULT_CONVERGENCE_TOL
-
-    def one(n: int) -> dict:
-        sample = exponent_sweep(p, cfg.rate, [n], regime, max_types=cfg.max_types)[0]
+    samples = exponent_sweep(p, cfg.rate, n_list, regime, max_types=cfg.max_types)
+    rows = []
+    for sample in samples:
+        n = sample.n
         measured = (
             sample.failure_exponent if regime == "direct" else sample.success_exponent
         )
         residual = None if measured is None else measured - predicted
-        return _row(
+        rows.append(_row(
             n=n,
             rate_requested=cfg.rate,
             rate_actual=sample.rate,
@@ -203,9 +204,7 @@ def run_convergence(cfg: ExperimentConfig) -> ExperimentRecord:
             residual=residual,
             finite_size_allowance=p.dim * math.log2(n + 1) / n,
             within_tolerance=(residual is not None and abs(residual) <= tol),
-        )
-
-    rows = [one(n) for n in n_list]
+        ))
     meta = _base_meta(cfg, "convergence")
     meta.update(regime=regime, rate=cfg.rate, predicted_exponent=predicted, tolerance=tol)
     return ExperimentRecord(meta, list(rows[0]), rows)
@@ -301,30 +300,32 @@ def _check_plan_monotonicity(rng, tol):
     return worst, worst <= tol
 
 
+def _type_information(counts, q: SchmidtSpectrum):
+    """H(t) and D(t||q) of each counts row, from xlog2x sums of t = counts / n.
+
+    An independent route: neither is read off the library's log_sequence_prob.
+    """
+    t = counts / counts.sum(axis=1, keepdims=True)
+    log_t = np.log2(t, out=np.zeros_like(t), where=t > 0)
+    return -(t * log_t).sum(axis=1), (t * (log_t - q.log2)).sum(axis=1)
+
+
 def _check_type_sandwiches(rng, tol):
     worst = 0.0
     for d in (2, 3):
         for n in (5, 12, 25):
             if count_types(n, d) > (n + 1) ** d:
                 return float("inf"), False
-            types = list(enumerate_types(n, d))
+            rows = type_matrix(n, d)
+            size = log_type_class_size(rows)
+            slack = d * math.log2(n + 1)
             for _ in range(5):
                 q = _random_spectrum(rng, d)
-                for t in types:
-                    h = _entropy_with_zeros(t)
-                    size = log_type_class_size(t)
-                    div = relative_entropy(t, q)
-                    slack = d * math.log2(n + 1)
-                    worst = max(worst, size - n * h, (n * h - slack) - size)
-                    prob = log_type_class_prob(t, q)
-                    worst = max(worst, prob - (-n * div), (-n * div - slack) - prob)
+                h, div = _type_information(rows, q)
+                prob = log_type_class_prob(rows, q)
+                worst = max(worst, np.max(size - n * h), np.max(n * h - slack - size),
+                            np.max(prob + n * div), np.max(-n * div - slack - prob))
     return worst, worst <= tol
-
-
-def _entropy_with_zeros(t) -> float:
-    q = t.distribution()
-    mask = q > 0
-    return float(-(q[mask] @ np.log2(q[mask])))
 
 
 def _check_type_completeness(rng, tol):
@@ -332,9 +333,7 @@ def _check_type_completeness(rng, tol):
     for d in (2, 3):
         for n in (6, 17):
             q = _random_spectrum(rng, d)
-            total = logsumexp2(
-                [log_type_class_prob(t, q) for t in enumerate_types(n, d)]
-            )
+            total = logsumexp2(log_type_class_prob(type_matrix(n, d), q))
             worst = max(worst, abs(total))
     return worst, worst <= tol
 
@@ -472,12 +471,8 @@ def _check_exponent_lower_bound(rng, tol):
 
 
 def _discrete_direct_bound(p: SchmidtSpectrum, n: int, rate: float) -> float:
-    best = np.inf
-    for t in enumerate_types(n, p.dim):
-        div = relative_entropy(t, p)
-        if div + _entropy_with_zeros(t) <= rate:
-            best = min(best, div)
-    return float(best)
+    h, div = _type_information(type_matrix(n, p.dim), p)
+    return float(np.min(div, initial=np.inf, where=div + h <= rate))
 
 
 def _check_fidelity_bounds(rng, tol):

@@ -23,7 +23,12 @@ import numpy as np
 
 from .errors import RateOutOfRangeError, SizeOutOfRangeError
 from .finite import _breakpoint_search
-from .method_of_types import DEFAULT_TYPE_GUARD, log_multinomial_rows, type_matrix
+from .method_of_types import (
+    DEFAULT_TYPE_GUARD,
+    log_sequence_prob,
+    log_type_class_size,
+    type_matrix,
+)
 from .numerics import LN2, logsumexp2
 from .spectra import SchmidtSpectrum, shannon_entropy
 
@@ -73,15 +78,14 @@ def grouped_spectrum(
     """Group the coefficients of the n-copy product state by value."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    d = p.dim
-    counts = type_matrix(n, d, max_types)
-    log_probs = counts @ p.log2
-    log_mults = log_multinomial_rows(counts)
+    counts = type_matrix(n, p.dim, max_types)
+    log_probs = log_sequence_prob(counts, p)
+    log_mults = log_type_class_size(counts)
     order = np.argsort(log_probs)[::-1]
     log_probs = log_probs[order]
     log_mults = log_mults[order]
     log_probs, log_mults = _merge_groups(log_probs, log_mults)
-    return GroupedSpectrum(log_probs, log_mults, n, n * math.log2(d))
+    return GroupedSpectrum(log_probs, log_mults, n, n * math.log2(p.dim))
 
 
 def _solve_grouped_threshold(spec: GroupedSpectrum, log2_size: float):

@@ -1,25 +1,26 @@
-"""Types with denominator n: enumeration, class sizes, and probabilities.
+"""Types with denominator n: the lattice, class sizes, and probabilities.
 
 A type is the empirical distribution of a length-n sequence over d symbols,
-stored as integer counts. The standard sandwiches drive every exact n-copy
-computation in this package:
+stored as its integer counts: a (d,) row for one type, an (m, d) array for
+many, such as the rows of type_matrix. The standard sandwiches drive every
+exact n-copy computation in this package:
 
     number of types           <= (n + 1)**d
     log2 |T_q|                in [n H(q) - d log2(n+1), n H(q)]
     log2 Pr[T_q under p**n]   in [-n D(q||p) - d log2(n+1), -n D(q||p)]
 
-type_matrix and log_multinomial_rows work one column at a time. Multinomials
-read ln c! from one process-wide table, grown on demand to the largest n
-seen and never recomputed: math.log(math.factorial(c)) up to c = 170,
-correctly rounded, and math.lgamma(c + 1) above, within 2 ulp to c = 20000.
-Everything returns base-2 logs.
+log_type_class_size, log_sequence_prob and log_type_class_prob take one row
+or many and return one value or an (m,) array. type_matrix and the
+multinomials work one column at a time. Multinomials read ln c! from one
+process-wide table, grown on demand to the largest n seen and never
+recomputed: math.log(math.factorial(c)) up to c = 170, correctly rounded,
+and math.lgamma(c + 1) above, within 2 ulp to c = 20000. Everything returns
+base-2 logs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -34,36 +35,9 @@ DEFAULT_TYPE_GUARD = 10**8
 _LN_FACTORIAL = np.zeros(1)
 
 
-@dataclass(frozen=True)
-class TypeComposition:
-    """Counts of each symbol in a length-n sequence; an empirical distribution."""
-
-    counts: tuple[int, ...]
-
-    @property
-    def n(self) -> int:
-        return sum(self.counts)
-
-    @property
-    def d(self) -> int:
-        return len(self.counts)
-
-    def distribution(self) -> np.ndarray:
-        """The type as a probability vector counts / n."""
-        return np.asarray(self.counts, dtype=float) / self.n
-
-
 def count_types(n: int, d: int) -> int:
     """Number of compositions of n into d ordered parts: C(n+d-1, d-1)."""
     return math.comb(n + d - 1, d - 1)
-
-
-def enumerate_types(
-    n: int, d: int, max_count: int = DEFAULT_TYPE_GUARD
-) -> Iterator[TypeComposition]:
-    """Every type with denominator n over d symbols: the rows of type_matrix,
-    built eagerly, so its memory is bounded by max_count."""
-    return (TypeComposition(tuple(r)) for r in type_matrix(n, d, max_count).tolist())
 
 
 def type_matrix(n: int, d: int, max_count: int = DEFAULT_TYPE_GUARD) -> np.ndarray:
@@ -105,38 +79,42 @@ def _ln_factorials(n: int) -> np.ndarray:
     return table
 
 
-def log_type_class_size(t: TypeComposition) -> float:
-    """log2 of the multinomial n! / prod(counts_i!) from the ln c! table,
-    whose entries are correctly rounded to c = 170 and within 2 ulp above."""
-    return float(log_multinomial_rows(t.counts))
+def _one_or_many(values):
+    """A float for a one-row call, the (m,) array for many rows."""
+    return float(values) if np.ndim(values) == 0 else values
 
 
-def log_multinomial_rows(counts: np.ndarray) -> np.ndarray:
-    """Row-wise log2 multinomials for an integer (m, d) counts array; rows
-    may differ in n, every ln c! comes from one table, columns add up left
-    to right."""
+def log_type_class_size(counts):
+    """log2 multinomial n! / prod(counts_i!) of a counts row, or of each row
+    of an (m, d) array; rows may differ in n. Every ln c! comes from one
+    table, correctly rounded to c = 170 and within 2 ulp above, and the
+    columns add up left to right, so a row's value never depends on the
+    rows that come with it."""
     counts = np.asarray(counts, dtype=np.int64)
     n = sum(counts[..., j] for j in range(counts.shape[-1]))
-    table = _ln_factorials(int(n.max(initial=0)))
+    table = _ln_factorials(int(np.max(n, initial=0)))
     classes = sum(table[counts[..., j]] for j in range(counts.shape[-1]))
-    return (table[n] - classes) / LN2
+    return _one_or_many((table[n] - classes) / LN2)
 
 
-def log_sequence_prob(t: TypeComposition, q) -> float:
-    """log2 probability of any one sequence of type t under q drawn i.i.d.
+def log_sequence_prob(counts, q):
+    """log2 probability of any one sequence with these counts under q drawn
+    i.i.d.: counts @ log2 q, which equals -n (H(t) + D(t||q)) for the type t.
 
-    Equals -n (H(t) + D(t||q)); -inf when t uses a symbol q excludes.
+    -inf for a row that uses a symbol q excludes. q is a SchmidtSpectrum or
+    a probability vector as wide as the counts.
     """
+    counts = np.asarray(counts, dtype=np.int64)
     qv = _as_prob_vector(q)
-    if qv.size != t.d:
-        raise DimensionMismatchError(f"type has {t.d} symbols, q has {qv.size}")
-    counts = np.asarray(t.counts, dtype=float)
-    if np.any((counts > 0) & (qv == 0.0)):
-        return float(-np.inf)
-    mask = counts > 0
-    return float(counts[mask] @ np.log2(qv[mask]))
+    if qv.size != counts.shape[-1]:
+        raise DimensionMismatchError(f"{counts.shape[-1]} counts, {qv.size} q entries")
+    excluded = qv == 0.0
+    logs = counts @ np.log2(qv, out=np.zeros_like(qv), where=~excluded)
+    if excluded.any():
+        logs = np.where(counts[..., excluded].any(axis=-1), -np.inf, logs)
+    return _one_or_many(logs)
 
 
-def log_type_class_prob(t: TypeComposition, q) -> float:
-    """log2 probability of the whole type class under q**n."""
-    return log_type_class_size(t) + log_sequence_prob(t, q)
+def log_type_class_prob(counts, q):
+    """log2 probability of the whole type class under q**n, per row."""
+    return log_type_class_size(counts) + log_sequence_prob(counts, q)

@@ -150,9 +150,6 @@ def tensor(p: SchmidtSpectrum, q: SchmidtSpectrum) -> SchmidtSpectrum:
 def _as_prob_vector(q) -> np.ndarray:
     if isinstance(q, SchmidtSpectrum):
         return q.probs
-    dist = getattr(q, "distribution", None)
-    if callable(dist):
-        return np.asarray(dist(), dtype=float)
     return np.asarray(q, dtype=float)
 
 
@@ -164,8 +161,8 @@ def shannon_entropy(p: SchmidtSpectrum) -> float:
 def relative_entropy(q, p: SchmidtSpectrum) -> float:
     """D(q||p) in bits with 0 log 0 = 0; +inf where q puts mass off p's support.
 
-    q may be a SchmidtSpectrum, a type composition, or a plain probability
-    vector over the same (sorted) index set as p.
+    q may be a SchmidtSpectrum or a plain probability vector over the same
+    (sorted) index set as p.
     """
     qv = _as_prob_vector(q)
     if qv.size != p.dim:

@@ -658,7 +658,7 @@ def test_extreme_sizes():
 def test_converse_success_respects_discrete_upper_bound():
     # success probability is capped by the count-above/mass-below split at
     # the solved threshold, up to the polynomial type-count factor
-    from concentrate import enumerate_types
+    from concentrate import type_matrix
     from concentrate.iid import _solve_grouped_threshold
 
     p = new_spectrum([0.75, 0.25])
@@ -669,8 +669,8 @@ def test_converse_success_respects_discrete_upper_bound():
         log_t, _, _, _ = _solve_grouped_threshold(spec, sample.rate * n)
         threshold_rate = -log_t / n
         best_low, best_high = math.inf, math.inf
-        for t in enumerate_types(n, 2):
-            q = t.distribution()
+        for counts in type_matrix(n, 2):
+            q = counts / n
             mask = q > 0
             h = float(-(q[mask] @ np.log2(q[mask])))
             div = float(q[mask] @ (np.log2(q[mask]) - p.log2[mask]))
@@ -685,15 +685,15 @@ def test_converse_success_respects_discrete_upper_bound():
 def test_exponent_sequences_respect_discrete_lower_bound():
     # failure exponent >= min divergence over feasible types, minus the
     # polynomial allowance, checkable exactly at every n
-    from concentrate import enumerate_types
+    from concentrate import type_matrix
 
     p = new_spectrum([0.75, 0.25])
     rate = 0.6
     for n in (40, 90):
         sample = exponent_sweep(p, rate, [n], "direct")[0]
         best = math.inf
-        for t in enumerate_types(n, 2):
-            q = t.distribution()
+        for counts in type_matrix(n, 2):
+            q = counts / n
             mask = q > 0
             h = float(-(q[mask] @ np.log2(q[mask])))
             div = float(q[mask] @ (np.log2(q[mask]) - p.log2[mask]))

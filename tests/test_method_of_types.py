@@ -1,4 +1,7 @@
-"""Type enumeration and the class-size / class-probability sandwiches."""
+"""The type lattice and the class-size / class-probability sandwiches.
+
+A type is a counts row; every function takes one row or an (m, d) array.
+"""
 
 import itertools
 import math
@@ -10,41 +13,38 @@ import pytest
 from concentrate import (
     DimensionMismatchError,
     TooManyTypesError,
-    TypeComposition,
     count_types,
-    enumerate_types,
     log_sequence_prob,
     log_type_class_prob,
     log_type_class_size,
     new_spectrum,
+    type_matrix,
 )
 from concentrate import method_of_types
-from concentrate.method_of_types import log_multinomial_rows, type_matrix
 from concentrate.numerics import LN2, logsumexp2
 from conftest import ln_factorial, random_spectrum
 
 
-def _entropy_of(t):
-    q = t.distribution()
+def _entropy_of(counts):
+    q = np.asarray(counts) / sum(counts)
     q = q[q > 0]
     return float(-(q @ np.log2(q)))
 
 
-def _divergence_of(t, p):
-    q = t.distribution()
+def _divergence_of(counts, p):
+    q = np.asarray(counts) / sum(counts)
     mask = q > 0
     return float(q[mask] @ (np.log2(q[mask]) - p.log2[mask]))
 
 
 def test_enumeration_example_n3_d2():
-    got = [t.counts for t in enumerate_types(3, 2)]
-    assert got == [(3, 0), (2, 1), (1, 2), (0, 3)]
+    assert type_matrix(3, 2).tolist() == [[3, 0], [2, 1], [1, 2], [0, 3]]
 
 
 def test_enumeration_count_n2_d3():
-    types = list(enumerate_types(2, 3))
-    assert len(types) == 6 == count_types(2, 3)
-    assert len(set(t.counts for t in types)) == 6
+    rows = type_matrix(2, 3)
+    assert len(rows) == 6 == count_types(2, 3)
+    assert len({tuple(r) for r in rows.tolist()}) == 6
 
 
 def test_enumeration_respects_polynomial_bound():
@@ -55,7 +55,7 @@ def test_enumeration_respects_polynomial_bound():
 
 def test_enumeration_guard():
     with pytest.raises(TooManyTypesError):
-        list(enumerate_types(100, 8, max_count=10_000))
+        type_matrix(100, 8, max_count=10_000)
 
 
 def _product_reference(n, d):
@@ -98,17 +98,9 @@ def test_type_matrix_argument_errors_and_guard():
     # about 1.7e11 types: the guard must fire before anything is allocated
     with pytest.raises(TooManyTypesError):
         type_matrix(10_000, 4, max_count=10**6)
-    with pytest.raises(TooManyTypesError):
-        enumerate_types(100, 8, max_count=10_000)
 
 
-def test_enumerate_types_wraps_matrix_rows():
-    types = list(enumerate_types(7, 3))
-    assert [t.counts for t in types] == [tuple(r) for r in type_matrix(7, 3).tolist()]
-    assert all(type(c) is int for t in types for c in t.counts)
-
-
-def test_log_multinomial_rows_bit_equal_to_per_entry_ln_factorial():
+def test_log_type_class_size_rows_bit_equal_to_per_entry_ln_factorial():
     rng = np.random.default_rng(71)
     counts = rng.integers(0, 400, size=(200, 4))
     counts[:4] = [[0, 0, 0, 1], [5, 5, 5, 5], [0, 0, 0, 0], [399, 0, 1, 0]]
@@ -116,10 +108,10 @@ def test_log_multinomial_rows_bit_equal_to_per_entry_ln_factorial():
         (ln_factorial(sum(row)) - sum(ln_factorial(c) for c in row)) / LN2
         for row in counts.tolist()
     ]
-    got = log_multinomial_rows(counts)
+    got = log_type_class_size(counts)
     assert np.array_equal(got, want)
     # ln 2! is ln 2 rounded, as LN2 is, so log2 C(2, 1) is exactly one
-    assert log_multinomial_rows([[1, 1], [2, 0]]).tolist() == [1.0, 0.0]
+    assert log_type_class_size([[1, 1], [2, 0]]).tolist() == [1.0, 0.0]
 
 
 def test_ln_factorial_table_against_mpmath():
@@ -144,36 +136,20 @@ def test_ln_factorial_table_grown_in_pieces_equals_one_build(monkeypatch):
     assert table.size == 3001
 
 
-def test_type_composition_fields():
-    t = TypeComposition((2, 0, 3))
-    assert t.n == 5 and t.d == 3
-    assert np.allclose(t.distribution(), [0.4, 0.0, 0.6])
-
-
 def test_log_type_class_size_examples():
-    assert log_type_class_size(TypeComposition((7, 0, 0))) == pytest.approx(
-        0.0, abs=1e-12
-    )
-    assert log_type_class_size(TypeComposition((3, 1))) == pytest.approx(
-        2.0, abs=1e-12
-    )
-    assert log_type_class_size(TypeComposition((2, 2))) == pytest.approx(
-        math.log2(6), abs=1e-12
-    )
+    assert log_type_class_size((7, 0, 0)) == pytest.approx(0.0, abs=1e-12)
+    assert log_type_class_size((3, 1)) == pytest.approx(2.0, abs=1e-12)
+    assert log_type_class_size((2, 2)) == pytest.approx(math.log2(6), abs=1e-12)
 
 
 def test_log_sequence_prob_examples():
     flat = new_spectrum([0.5, 0.5])
     for counts in ((4, 0), (2, 2), (0, 4)):
-        assert log_sequence_prob(TypeComposition(counts), flat) == pytest.approx(
-            -4.0, abs=1e-12
-        )
+        assert log_sequence_prob(counts, flat) == pytest.approx(-4.0, abs=1e-12)
     p = new_spectrum([0.75, 0.25])
-    assert log_sequence_prob(TypeComposition((2, 0)), p) == pytest.approx(
-        2 * math.log2(0.75), abs=1e-12
-    )
+    assert log_sequence_prob((2, 0), p) == pytest.approx(2 * math.log2(0.75), abs=1e-12)
     with pytest.raises(DimensionMismatchError):
-        log_sequence_prob(TypeComposition((1, 1, 1)), p)
+        log_sequence_prob((1, 1, 1), p)
 
 
 def test_log_sequence_prob_matches_entropy_form():
@@ -182,15 +158,14 @@ def test_log_sequence_prob_matches_entropy_form():
         d = int(rng.integers(2, 5))
         n = int(rng.integers(1, 30))
         q = random_spectrum(rng, d)
-        counts = tuple(rng.multinomial(n, q.probs))
-        t = TypeComposition(counts)
-        expected = -n * (_entropy_of(t) + _divergence_of(t, q))
-        assert log_sequence_prob(t, q) == pytest.approx(expected, abs=1e-10)
+        counts = rng.multinomial(n, q.probs)
+        expected = -n * (_entropy_of(counts) + _divergence_of(counts, q))
+        assert log_sequence_prob(counts, q) == pytest.approx(expected, abs=1e-10)
 
 
 def test_log_type_class_prob_example_binomial():
     flat = new_spectrum([0.5, 0.5])
-    assert log_type_class_prob(TypeComposition((2, 2)), flat) == pytest.approx(
+    assert log_type_class_prob((2, 2), flat) == pytest.approx(
         math.log2(6 / 16), abs=1e-12
     )
 
@@ -200,9 +175,7 @@ def test_type_class_probs_sum_to_one():
     for d in (2, 3):
         for n in (5, 11, 23):
             q = random_spectrum(rng, d)
-            total = logsumexp2(
-                [log_type_class_prob(t, q) for t in enumerate_types(n, d)]
-            )
+            total = logsumexp2(log_type_class_prob(type_matrix(n, d), q))
             assert total == pytest.approx(0.0, abs=1e-10)
 
 
@@ -211,7 +184,7 @@ def test_size_and_prob_sandwiches():
     for d in (2, 3):
         for n in (4, 9, 21):
             slack = d * math.log2(n + 1)
-            types = list(enumerate_types(n, d))
+            types = type_matrix(n, d)
             for _ in range(5):
                 q = random_spectrum(rng, d)
                 for t in types:
@@ -224,3 +197,57 @@ def test_size_and_prob_sandwiches():
                     assert prob <= -n * div + 1e-9
                     assert prob >= -n * div - slack - 1e-9
 
+
+def test_rows_equal_one_row_calls():
+    # class sizes add their columns one at a time, so rows are bit-equal to
+    # one-row calls; a dyadic q makes every sequence probability an exact
+    # integer, so there the probabilities are bit-equal too
+    rng = np.random.default_rng(83)
+    dyadic = [[1.0], [0.5, 0.5], [0.5, 0.25, 0.25], [0.5, 0.25, 0.125, 0.125]]
+    for q_exact in dyadic:
+        d = len(q_exact)
+        rows = type_matrix(int(rng.integers(1, 30)), d)
+        mixed = rng.integers(0, 50, size=(40, d))
+        for counts in (rows, mixed):
+            many = log_type_class_size(counts)
+            assert many.shape == (len(counts),)
+            assert np.array_equal(many, [log_type_class_size(r) for r in counts])
+            for fn in (log_sequence_prob, log_type_class_prob):
+                many = fn(counts, q_exact)
+                one = [fn(r, q_exact) for r in counts]
+                assert all(type(v) is float for v in one)
+                assert np.array_equal(many, one)
+            # a general q: numpy hands one row to BLAS ddot and many rows to
+            # dgemv, whose roundings differ in the last bits
+            q = random_spectrum(rng, d)
+            many = log_sequence_prob(counts, q)
+            one = np.array([log_sequence_prob(r, q) for r in counts])
+            assert np.all(np.abs(many - one) <= 2 * np.spacing(np.abs(one)))
+            sizes = log_type_class_size(counts)
+            assert np.array_equal(log_type_class_prob(counts, q), sizes + many)
+            assert [log_type_class_prob(r, q) for r in counts] == (sizes + one).tolist()
+
+
+def test_zero_q_entry_excludes_only_rows_that_use_it():
+    q = [0.5, 0.0, 0.25, 0.25]
+    rows = type_matrix(5, 4)
+    uses = rows[:, 1] > 0
+    seq = log_sequence_prob(rows, q)
+    cls = log_type_class_prob(rows, q)
+    assert np.all(seq[uses] == -np.inf) and np.all(cls[uses] == -np.inf)
+    assert np.array_equal(seq[~uses], -(rows[~uses] @ [1, 0, 2, 2]))
+    assert np.array_equal(cls[~uses], log_type_class_size(rows[~uses]) + seq[~uses])
+    assert log_sequence_prob((0, 1, 0, 4), q) == -np.inf
+    assert log_sequence_prob((3, 0, 1, 1), q) == -7.0
+    want = math.log2(20) - 7.0
+    assert log_type_class_prob((3, 0, 1, 1), q) == pytest.approx(want, abs=1e-12)
+
+
+def test_width_mismatch_raises_for_one_row_and_many():
+    p = new_spectrum([0.75, 0.25])
+    for counts in ((1, 1, 1), type_matrix(4, 3), [[1, 2, 3]]):
+        for fn in (log_sequence_prob, log_type_class_prob):
+            with pytest.raises(DimensionMismatchError):
+                fn(counts, p)
+            with pytest.raises(DimensionMismatchError):
+                fn(counts, [0.5, 0.5, 0.0, 0.0])
