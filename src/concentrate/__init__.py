@@ -72,9 +72,7 @@ from .rates import (
     NonAdditivityReport,
     RateCurvePoint,
     RPrimeResult,
-    brute_force_converse,
     brute_force_curves,
-    brute_force_direct,
     converse_curve,
     converse_yield,
     direct_curve,

@@ -15,7 +15,7 @@ class EmptySpectrumError(ConcentrationError):
 
 
 class NegativeEntryError(ConcentrationError):
-    """Spectrum construction received a negative probability."""
+    """A spectrum or a type received a negative probability or count."""
 
 
 class NonFiniteEntryError(ConcentrationError):
@@ -51,7 +51,7 @@ class TiltOutOfRangeError(ConcentrationError):
 
 
 class DimensionTooLargeError(ConcentrationError):
-    """Simplex-grid oracle only supports dimensions 2 and 3."""
+    """Simplex-grid oracle only supports dimensions up to 3."""
 
 
 class SizeOrderError(ConcentrationError):

@@ -10,12 +10,12 @@ exact n-copy computation in this package:
     log2 Pr[T_q under p**n]   in [-n D(q||p) - d log2(n+1), -n D(q||p)]
 
 log_type_class_size, log_sequence_prob and log_type_class_prob take one row
-or many and return one value or an (m,) array. type_matrix and the
-multinomials work one column at a time. Multinomials read ln c! from one
-process-wide table, grown on demand to the largest n seen and never
-recomputed: math.log(math.factorial(c)) up to c = 170, correctly rounded,
-and math.lgamma(c + 1) above, within 2 ulp to c = 20000. Everything returns
-base-2 logs.
+or many and return one value or an (m,) array; a negative count raises
+NegativeEntryError. type_matrix and the multinomials work one column at a
+time. Multinomials read ln c! from one process-wide table, grown on demand
+to the largest n seen and never recomputed: math.log(math.factorial(c)) up
+to c = 170, correctly rounded, and math.lgamma(c + 1) above, within 2 ulp to
+c = 20000. Everything returns base-2 logs.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatchError, TooManyTypesError
+from .errors import DimensionMismatchError, NegativeEntryError, TooManyTypesError
 from .numerics import LN2
 from .spectra import _as_prob_vector
 
@@ -79,6 +79,14 @@ def _ln_factorials(n: int) -> np.ndarray:
     return table
 
 
+def _as_counts(counts) -> np.ndarray:
+    """One counts row or many as int64, refusing any negative count."""
+    counts = np.asarray(counts, dtype=np.int64)
+    if np.min(counts, initial=0) < 0:
+        raise NegativeEntryError(f"negative count in {counts!r}")
+    return counts
+
+
 def _one_or_many(values):
     """A float for a one-row call, the (m,) array for many rows."""
     return float(values) if np.ndim(values) == 0 else values
@@ -90,7 +98,7 @@ def log_type_class_size(counts):
     table, correctly rounded to c = 170 and within 2 ulp above, and the
     columns add up left to right, so a row's value never depends on the
     rows that come with it."""
-    counts = np.asarray(counts, dtype=np.int64)
+    counts = _as_counts(counts)
     n = sum(counts[..., j] for j in range(counts.shape[-1]))
     table = _ln_factorials(int(np.max(n, initial=0)))
     classes = sum(table[counts[..., j]] for j in range(counts.shape[-1]))
@@ -104,7 +112,7 @@ def log_sequence_prob(counts, q):
     -inf for a row that uses a symbol q excludes. q is a SchmidtSpectrum or
     a probability vector as wide as the counts.
     """
-    counts = np.asarray(counts, dtype=np.int64)
+    counts = _as_counts(counts)
     qv = _as_prob_vector(q)
     if qv.size != counts.shape[-1]:
         raise DimensionMismatchError(f"{counts.shape[-1]} counts, {qv.size} q entries")

@@ -24,10 +24,10 @@ slope-one point is r' = F(1/2) in closed form. Past it the fidelity-converse
 line is E*(r') + r - r' = r + 2 psi(1/2) = r + H_{1/2}(p), the Renyi-1/2
 entropy; on a flat spectrum that is r + log2 d.
 
-brute_force_direct / brute_force_converse evaluate the defining simplex
-optimizations literally on a grid (d <= 3). They exist purely as
-independent oracles for the parametric route and are deliberately kept free
-of the tilted-family machinery.
+brute_force_curves evaluates both defining simplex optimizations exactly
+over a grid (d <= 3), row by row with bisections run on every row at once.
+It exists purely as an independent oracle for the parametric route and is
+deliberately kept free of the tilted-family machinery.
 """
 
 from __future__ import annotations
@@ -190,93 +190,75 @@ def inverse_converse(p: SchmidtSpectrum, rate: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _xlog2x_table(g: int) -> np.ndarray:
-    k = np.arange(g + 1, dtype=float)
-    out = np.zeros(g + 1)
-    out[1:] = (k[1:] / g) * np.log2(k[1:] / g)
-    return out
+def _last_true(holds, lo, hi):
+    """Per lane, the last index in [lo, hi) at which holds is true, for a
+    test true at lo and true on a prefix: one bisection over every lane."""
+    while np.any(hi - lo > 1):
+        mid = (lo + hi) // 2
+        ok = holds(mid)
+        lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
+    return lo
 
 
-def _grid_curves_d2(p, r_values, g):
-    lp = np.log2(p)
-    tab = _xlog2x_table(g)
-    entropy = -(tab + tab[::-1])
-    x = np.arange(g + 1, dtype=float) / g
-    cross = -(x * lp[0] + (1.0 - x) * lp[1])
-    div = cross - entropy
-    nearest = int(np.argmin(div))
-    direct = np.empty(len(r_values))
-    converse = np.empty(len(r_values))
-    for i, r in enumerate(r_values):
-        feasible = div <= r
+def _grid_curves(p, r_values, g):
+    """Exact grid optima of both curves for d = 2 or 3; see brute_force_curves."""
+    # d = 2 is the row i = 0 of a d = 3 grid whose first symbol has log2 p = 0
+    lp = np.log2(np.concatenate((np.ones(3 - p.size), p)))
+    rows = np.arange(g + 1 if p.size == 3 else 1)
+    frac = np.arange(g + 1) / g
+    tab = frac * np.log2(frac, out=np.zeros_like(frac), where=frac > 0)
+
+    def at(i, j):
+        """(cross, entropy) at the grid point with counts (i, j, g - i - j)."""
+        x, y = i / g, j / g
+        cross = -(x * lp[0] + y * lp[1] + (1.0 - x - y) * lp[2])
+        return cross, -(tab[i] + tab[j] + tab[g - i - j])
+
+    def div(i, j):
+        return np.subtract(*at(i, j))
+
+    m = g - rows
+    # each row's first argmin: the last j whose backward difference is negative
+    j_min = _last_true(
+        lambda j: (j == 0) | (div(rows, j) < div(rows, np.maximum(j - 1, 0))),
+        np.zeros_like(m), m + 1,
+    )
+    div_min = div(rows, j_min)
+    peak = m // 2
+    peak = np.where(at(rows, m - peak)[1] > at(rows, peak)[1], m - peak, peak)
+    direct, converse = np.empty(len(r_values)), np.empty(len(r_values))
+    for k, r in enumerate(r_values):
+        feasible = div_min <= r
         if not feasible.any():
             # r below the grid's divergence resolution: report the point
             # closest to feasibility, matching the r -> 0 limit
-            direct[i] = cross[nearest]
-            converse[i] = entropy[nearest]
+            nearest = np.argmin(div_min)
+            direct[k], converse[k] = at(rows[nearest], j_min[nearest])
             continue
-        direct[i] = cross[feasible].min()
-        converse[i] = entropy[feasible].max()
-    return direct, converse
-
-
-def _grid_curves_d3(p, r_values, g):
-    """Exact grid optima via one scan of the simplex rows.
-
-    Along a row (first coordinate fixed) the divergence is a convex
-    sequence, so its feasible set is an index interval found with two
-    searchsorted calls; the direct objective is linear on the row (optimum
-    at an interval endpoint) and the entropy is concave (optimum at the
-    clipped unconstrained argmax). This reproduces the full-enumeration
-    result exactly at a fraction of the cost.
-    """
-    lp = np.log2(p)
-    tab = _xlog2x_table(g)
-    r_arr = np.asarray(r_values, dtype=float)
-    direct = np.full(r_arr.size, np.inf)
-    converse = np.full(r_arr.size, -np.inf)
-    nearest = (np.inf, np.nan, np.nan)  # (div, cross, entropy) closest to p
-    slope = (lp[1] - lp[2]) / g
-    for i in range(g + 1):
-        m = g - i
-        j = np.arange(m + 1)
-        cross = -(i * lp[0] + m * lp[2]) / g - slope * j
-        entropy = -(tab[i] + tab[: m + 1] + tab[: m + 1][::-1])
-        div = cross - entropy
-        j_min = int(np.argmin(div))
-        if div[j_min] < nearest[0]:
-            nearest = (div[j_min], cross[j_min], entropy[j_min])
-        feasible = div[j_min] <= r_arr
-        if not feasible.any():
-            continue
-        j_hi = j_min + np.searchsorted(div[j_min:], r_arr, side="right") - 1
-        j_lo = j_min - (np.searchsorted(div[: j_min + 1][::-1], r_arr, side="right") - 1)
-        lo = j_lo[feasible]
-        hi = j_hi[feasible]
-        direct[feasible] = np.minimum(
-            direct[feasible], np.minimum(cross[lo], cross[hi])
-        )
-        j_peak = np.clip(int(np.argmax(entropy)), lo, hi)
-        best = np.maximum(entropy[j_peak], np.maximum(entropy[lo], entropy[hi]))
-        converse[feasible] = np.maximum(converse[feasible], best)
-    never = ~np.isfinite(direct)
-    if never.any():
-        # below grid resolution: fall back to the point closest to p
-        direct[never] = nearest[1]
-        converse[never] = nearest[2]
+        i, j = rows[feasible], j_min[feasible]
+        hi = _last_true(lambda t: div(i, t) <= r, j, m[feasible] + 1)
+        lo = j - _last_true(lambda t: div(i, j - t) <= r, np.zeros_like(j), j + 1)
+        cross, entropy = at(i, np.stack((lo, hi, np.clip(peak[feasible], lo, hi))))
+        direct[k], converse[k] = cross[:2].min(), entropy.max()
     return direct, converse
 
 
 def brute_force_curves(
     p: SchmidtSpectrum, r_values, grid_steps: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Both grid-oracle curves for a batch of exponents in one grid pass.
+    """Both oracle curves, exact over the grid q = counts / grid_steps.
 
     Returns (direct, converse) arrays aligned with r_values; accuracy is
-    O(1/grid_steps) in the optimizer. Supports d <= 3 only. When r falls
-    below the divergence of the grid point nearest to p (possible only for
-    r comparable to 1/grid_steps**2), that nearest point stands in for the
-    empty feasible set, matching the r -> 0 limit.
+    O(1/grid_steps) in the optimizer. Supports d <= 3 only; d = 1 gives
+    zeros. Row i fixes the first count and j = 0..m the second, m =
+    grid_steps - i; d = 2 is the one row i = 0. Along a row D(q||p) is
+    convex, D(q||p) + H(q) linear and H(q) concave, so {D(q||p) <= r} is an
+    interval about the divergence's argmin, E sits at one of its ends and
+    E* at an end or at the peak m // 2 (or m - m // 2) clipped into it.
+    Bisections on every row at once find the argmin, then both ends per
+    exponent. When r falls below the divergence of the grid point nearest
+    to p (possible only for r comparable to 1/grid_steps**2), that point
+    stands in for the empty feasible set, matching the r -> 0 limit.
     """
     if p.dim > 3:
         raise DimensionTooLargeError(f"grid oracle supports d <= 3, got {p.dim}")
@@ -288,19 +270,7 @@ def brute_force_curves(
     if p.dim == 1:
         z = np.zeros(len(r_arr))
         return z, z.copy()
-    if p.dim == 2:
-        return _grid_curves_d2(p.probs, r_arr, grid_steps)
-    return _grid_curves_d3(p.probs, r_arr, grid_steps)
-
-
-def brute_force_direct(p: SchmidtSpectrum, r: float, grid_steps: int) -> float:
-    """min over grid {q : D(q||p) <= r} of D(q||p) + H(q), evaluated literally."""
-    return float(brute_force_curves(p, [r], grid_steps)[0][0])
-
-
-def brute_force_converse(p: SchmidtSpectrum, r: float, grid_steps: int) -> float:
-    """max over grid {q : D(q||p) <= r} of H(q), evaluated literally."""
-    return float(brute_force_curves(p, [r], grid_steps)[1][0])
+    return _grid_curves(p.probs, r_arr, grid_steps)
 
 
 # ---------------------------------------------------------------------------

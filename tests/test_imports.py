@@ -1,5 +1,6 @@
 """Source-level checks: the package needs numpy alone (scipy is neither loaded
-nor imported), and every domain error it defines is raised somewhere."""
+nor imported), every domain error it defines is raised somewhere, and the
+simplex-grid oracle stays independent of the tilted family."""
 
 import ast
 import os
@@ -59,3 +60,27 @@ def test_every_concentration_error_is_raised_in_src():
     assert len(errors) > 10
     raised = {name for f in (ROOT / "src").rglob("*.py") for name in _raised_names(f)}
     assert sorted(errors - raised) == []
+
+
+TILTED_FAMILY = {
+    "_family", "solve_tilts", "big_f", "psi", "psi_derivatives", "tilted",
+    "tilted_entropy", "tilted_point", "SATURATED", "direct_curve", "converse_curve",
+}
+
+
+def test_grid_oracle_names_nothing_of_the_tilted_family():
+    tree = ast.parse((ROOT / "src" / "concentrate" / "rates.py").read_text())
+    functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    # brute_force_curves and every rates.py function it reaches, transitively
+    reached, todo, names = set(), ["brute_force_curves"], set()
+    while todo:
+        name = todo.pop()
+        reached.add(name)
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+        todo += sorted((names & functions.keys()) - reached)
+    assert {"_grid_curves", "_last_true"} <= reached
+    assert sorted(names & TILTED_FAMILY) == []

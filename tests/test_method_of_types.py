@@ -12,6 +12,7 @@ import pytest
 
 from concentrate import (
     DimensionMismatchError,
+    NegativeEntryError,
     TooManyTypesError,
     count_types,
     log_sequence_prob,
@@ -251,3 +252,15 @@ def test_width_mismatch_raises_for_one_row_and_many():
                 fn(counts, p)
             with pytest.raises(DimensionMismatchError):
                 fn(counts, [0.5, 0.5, 0.0, 0.0])
+
+
+def test_negative_count_raises_for_one_row_and_many():
+    p = new_spectrum([0.75, 0.25])
+    rows = type_matrix(4, 2)
+    rows[2] = (-1, 5)
+    for counts in ((-1, 3), rows):
+        with pytest.raises(NegativeEntryError):
+            log_type_class_size(counts)
+        for fn in (log_sequence_prob, log_type_class_prob):
+            with pytest.raises(NegativeEntryError):
+                fn(counts, p)

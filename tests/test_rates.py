@@ -11,9 +11,7 @@ from concentrate import (
     RateOutOfRangeError,
     SolverError,
     big_f,
-    brute_force_converse,
     brute_force_curves,
-    brute_force_direct,
     converse_yield,
     direct_yield,
     divergence_from_uniform,
@@ -224,9 +222,13 @@ def test_inverse_converse_round_trip():
 
 
 def literal_grid_optimum(p, r, g):
-    """Dumb full enumeration of the simplex grid, for cross-validation."""
+    """Dumb full enumeration of the simplex grid, for cross-validation.
+
+    With no grid point feasible, the point of least divergence stands in.
+    """
     lp = p.log2
     best_direct, best_converse = np.inf, -np.inf
+    nearest = (np.inf, np.nan, np.nan)  # (divergence, cross, entropy)
     if p.dim == 2:
         combos = ((i, g - i) for i in range(g + 1))
     else:
@@ -236,9 +238,13 @@ def literal_grid_optimum(p, r, g):
         mask = q > 0
         h = float(-(q[mask] @ np.log2(q[mask])))
         cross = float(-(q @ lp))
+        if cross - h < nearest[0]:
+            nearest = (cross - h, cross, h)
         if cross - h <= r:
             best_direct = min(best_direct, cross)
             best_converse = max(best_converse, h)
+    if best_direct == np.inf:
+        return nearest[1], nearest[2]
     return best_direct, best_converse
 
 
@@ -248,26 +254,29 @@ def test_grid_oracle_matches_literal_enumeration():
         for _ in range(4):
             p = random_spectrum(rng, d)
             top = max(-float(p.log2[0]), divergence_from_uniform(p))
-            for r in (0.07 * top, 0.5 * top, 1.2 * top):
-                want_d, want_c = literal_grid_optimum(p, r, g)
-                got_d = brute_force_direct(p, r, g)
-                got_c = brute_force_converse(p, r, g)
-                assert got_d == pytest.approx(want_d, abs=1e-13)
-                assert got_c == pytest.approx(want_c, abs=1e-13)
+            # 1e-12 lies below every grid point's divergence
+            rs = (0.07 * top, 0.5 * top, 1.2 * top, 1e-12)
+            for steps in (g, 1, 2, 3, 7):
+                got_d, got_c = brute_force_curves(p, rs, steps)
+                for r, gd, gc in zip(rs, got_d, got_c):
+                    want_d, want_c = literal_grid_optimum(p, r, steps)
+                    assert gd == pytest.approx(want_d, abs=1e-13)
+                    assert gc == pytest.approx(want_c, abs=1e-13)
 
 
 def test_grid_oracle_limits():
     p = new_spectrum([0.7, 0.3])
     top = -float(p.log2[0])
-    # with the point mass feasible the direct optimum is the plateau value
-    assert brute_force_direct(p, top + 0.1, 4000) == pytest.approx(top, abs=1e-9)
     c = divergence_from_uniform(p)
-    assert brute_force_converse(p, c + 0.1, 4000) == pytest.approx(1.0, abs=1e-9)
-    # vanishing radius pins q to p itself
     tiny = 1e-6
+    direct, converse = brute_force_curves(p, [top + 0.1, c + 0.1, tiny], 4000)
+    # with the point mass feasible the direct optimum is the plateau value
+    assert direct[0] == pytest.approx(top, abs=1e-9)
+    assert converse[1] == pytest.approx(1.0, abs=1e-9)
+    # vanishing radius pins q to p itself
     h = shannon_entropy(p)
-    assert brute_force_direct(p, tiny, 4000) == pytest.approx(h, abs=1e-3)
-    assert brute_force_converse(p, tiny, 4000) == pytest.approx(h, abs=1e-3)
+    assert direct[2] == pytest.approx(h, abs=1e-3)
+    assert converse[2] == pytest.approx(h, abs=1e-3)
 
 
 def test_grid_oracle_agrees_with_parametric_route():
@@ -289,7 +298,7 @@ def test_grid_oracle_agrees_with_parametric_route():
 
 def test_grid_oracle_rejects_large_dimension():
     with pytest.raises(DimensionTooLargeError):
-        brute_force_direct(new_spectrum([0.4, 0.3, 0.2, 0.1]), 0.1, 100)
+        brute_force_curves(new_spectrum([0.4, 0.3, 0.2, 0.1]), [0.1], 100)
 
 
 # --- non-additivity ---------------------------------------------------------
