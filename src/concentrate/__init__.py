@@ -36,11 +36,8 @@ from .spectra import (
     divergence_from_uniform,
     new_spectrum,
     psi,
-    psi_derivatives,
     relative_entropy,
     shannon_entropy,
-    solve_s_minus,
-    solve_s_plus,
     solve_tilts,
     tensor,
     tilted,

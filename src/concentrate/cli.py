@@ -11,7 +11,8 @@ record machinery, so `--format json` and `--format csv` carry the same values.
 
 Exit codes: 0 success, 1 computation-domain error (JSON error object on
 stdout when --format json) or failed checks, 2 usage error (unknown flags,
-malformed values, unreadable files, fidelity modes combined wrongly).
+malformed values, a non-finite --tolerance, unreadable files, fidelity
+modes combined wrongly).
 """
 
 from __future__ import annotations
@@ -101,6 +102,12 @@ def _parse_n_list(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(",") if tok.strip())
 
 
+def _finite_float(text: str) -> float:
+    if not np.isfinite(value := float(text)):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _parse_r_grid(text: str) -> tuple[float, ...]:
     """'lo:hi:steps' mapped to an inclusive linspace with `steps` points."""
     parts = text.split(":")
@@ -150,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
         if seed:
             sp.add_argument("--seed", type=int, default=ExperimentConfig.seed)
         if tolerance:
-            sp.add_argument("--tolerance", type=float, default=None)
+            sp.add_argument("--tolerance", type=_finite_float, default=None)
         return sp
 
     add("info", _cmd_info, "spectrum summary quantities")

@@ -368,9 +368,9 @@ def _check_solver_roundtrip(rng, tol):
         for equation, edge in (("s_plus", p.min_entropy),
                                ("s_minus", divergence_from_uniform(p))):
             r = float(rng.uniform(0.05, 0.95)) * edge
-            s = solve_tilts(p, [r], equation)[0]
-            if s is not SATURATED:
-                worst = max(worst, abs(big_f(p, s) - r))
+            pt = solve_tilts(p, [r], equation)[0]
+            if pt is not SATURATED:
+                worst = max(worst, abs(big_f(p, pt.s) - r))
     return worst, worst <= tol
 
 

@@ -14,8 +14,8 @@ of the success probability when the yield exceeds the entropy. Both are
 computed through the tilted family h(s): the optimizer is h(s+) (s > 1) for
 E and h(s-) (0 < s < 1) for E*, with F(s) = r pinning the tilt. A whole
 grid of exponents takes one batched solve (direct_curve, converse_curve) of
-a few O(d) steps and one more pass for psi at every tilt, and each point
-equals its single-point value bit for bit.
+a few O(d) steps, which returns psi with every tilt, and each point equals
+its single-point value bit for bit.
 E saturates at -log2 p_1 once r >= -log2 p_1 and E* saturates at log2 d
 once r >= D(u||p).
 
@@ -44,12 +44,11 @@ from .errors import (
 from .spectra import (
     SATURATED,
     SchmidtSpectrum,
-    _family,
     _require_positive,
-    big_f,
     shannon_entropy,
     solve_tilts,
     tensor,
+    tilted_point,
 )
 
 REGIME_INTERIOR = "interior"
@@ -82,29 +81,21 @@ def converse_yield(p: SchmidtSpectrum, r: float) -> RateCurvePoint:
     return converse_curve(p, [r])[0]
 
 
-def _tilts_with_psi(p: SchmidtSpectrum, r_values, equation: str):
-    """(r, s, psi(s)) per exponent: tilts from one solve, psi from one kernel pass."""
-    tilts = solve_tilts(p, r_values, equation)
-    # a saturated exponent reads psi at s = 1, which its caller ignores
-    values = _family(p, [1.0 if s is SATURATED else s for s in tilts])[0]
-    return zip(r_values, tilts, (v[0] for v in values))
-
-
 def direct_curve(p: SchmidtSpectrum, r_values) -> list[RateCurvePoint]:
     """direct_yield at every exponent of r_values, the tilts from one solve."""
     return [
-        RateCurvePoint(r, p.min_entropy, REGIME_SATURATED_HIGH) if s is SATURATED
-        else RateCurvePoint(r, (r + psi) / (1.0 - s), REGIME_INTERIOR, s)
-        for r, s, psi in _tilts_with_psi(p, r_values, "s_plus")
+        RateCurvePoint(r, p.min_entropy, REGIME_SATURATED_HIGH) if pt is SATURATED
+        else RateCurvePoint(r, (r + pt.psi) / (1.0 - pt.s), REGIME_INTERIOR, pt.s)
+        for r, pt in zip(r_values, solve_tilts(p, r_values, "s_plus"))
     ]
 
 
 def converse_curve(p: SchmidtSpectrum, r_values) -> list[RateCurvePoint]:
     """converse_yield at every exponent of r_values, the tilts from one solve."""
     return [
-        RateCurvePoint(r, math.log2(p.dim), REGIME_SATURATED_LOW) if s is SATURATED
-        else RateCurvePoint(r, (s * r + psi) / (1.0 - s), REGIME_INTERIOR, s)
-        for r, s, psi in _tilts_with_psi(p, r_values, "s_minus")
+        RateCurvePoint(r, math.log2(p.dim), REGIME_SATURATED_LOW) if pt is SATURATED
+        else RateCurvePoint(r, (pt.s * r + pt.psi) / (1.0 - pt.s), REGIME_INTERIOR, pt.s)
+        for r, pt in zip(r_values, solve_tilts(p, r_values, "s_minus"))
     ]
 
 
@@ -137,8 +128,8 @@ def r_prime(p: SchmidtSpectrum) -> RPrimeResult:
     dE*/dr = s/(1-s) along the tilted family, so the slope passes through
     one exactly at the tilt s = 1/2. F(1/2) and psi(1/2) are one kernel pass.
     """
-    half, _, _, f_half, _ = _family(p, [0.5])[0][0]
-    return RPrimeResult(0.0 if p.is_uniform else f_half, 2.0 * half, p.is_uniform)
+    half = tilted_point(p, 0.5)
+    return RPrimeResult(0.0 if p.is_uniform else half.f_value, 2.0 * half.psi, p.is_uniform)
 
 
 def fidelity_converse_yield(p: SchmidtSpectrum, r: float) -> RateCurvePoint:
@@ -169,7 +160,7 @@ def inverse_direct(p: SchmidtSpectrum, rate: float) -> float:
         ties = int(np.sum(p.probs >= p.probs[0] * (1.0 - 1e-12)))
         return -math.log2(ties * float(p.probs[0]))
 
-    return big_f(p, solve_tilts(p, [rate], "direct_rate")[0])
+    return solve_tilts(p, [rate], "direct_rate")[0].f_value
 
 
 def inverse_converse(p: SchmidtSpectrum, rate: float) -> float:
@@ -182,7 +173,7 @@ def inverse_converse(p: SchmidtSpectrum, rate: float) -> float:
     top = math.log2(p.dim)
     if not (entropy < rate < top):
         raise RateOutOfRangeError(f"rate {rate} outside ({entropy}, {top})")
-    return big_f(p, solve_tilts(p, [rate], "converse_rate")[0])
+    return solve_tilts(p, [rate], "converse_rate")[0].f_value
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,10 @@ in decreasing order. On top of that vector this module provides
 
 and the two inverse maps of F: the solution s > 1 of F(s) = r (exists for
 0 < r < -log2 p_1) and the solution 0 < s < 1 (exists for 0 < r < D(u||p)
-with u uniform), found for a whole array of r at once by solve_tilts. Outside
-those ranges the solvers return the SATURATED sentinel rather than failing,
-because the downstream yield curves are still well defined constants there.
+with u uniform), found for a whole array of r at once by solve_tilts as the
+TiltedFamilyPoint (s, psi, psi', psi'', F, H(h(s))) of the kernel pass that
+solved it. Outside those ranges it returns the SATURATED sentinel, because
+the downstream yield curves are still well defined constants there.
 
 Everything is in bits. The tilted family is taken on s >= 0 (other tilts
 raise TiltOutOfRangeError) in its shifted form over D = log2(p / p_1) <= 0:
@@ -28,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,7 +53,7 @@ TIE_TOL = 1e-12
 
 
 class Saturated:
-    """Sentinel returned by the tilt solvers when the exponent saturates."""
+    """Sentinel returned by the tilt solver when the exponent saturates."""
 
     _instance = None
 
@@ -112,21 +114,29 @@ class SchmidtSpectrum:
         return f"SchmidtSpectrum({np.array2string(self.probs, separator=', ')})"
 
 
+def _as_prob_vector(q) -> np.ndarray:
+    """q's entries; a plain vector must be finite and non-negative (zeros allowed)."""
+    if isinstance(q, SchmidtSpectrum):
+        return q.probs
+    arr = np.asarray(q, dtype=float)
+    if not np.isfinite(arr).all():
+        raise NonFiniteEntryError(f"non-finite probability in {arr!r}")
+    if np.any(arr < 0.0):
+        raise NegativeEntryError(f"negative probability in {arr!r}")
+    return arr
+
+
 def new_spectrum(values, renormalize: bool = False) -> SchmidtSpectrum:
     """Validate raw squared coefficients into a SchmidtSpectrum.
 
     Zeros are stripped, entries sorted descending, and the result is divided
     by its sum so the normalization invariant holds exactly. Without the
     `renormalize` flag the input sum must already be within SUM_TOL of one.
-    NaN and infinite entries are refused before anything else is checked.
+    NaN, infinite and negative entries are refused first.
     """
-    arr = np.asarray(values, dtype=float).ravel()
-    if not np.isfinite(arr).all():
-        raise NonFiniteEntryError(f"non-finite probability in {arr!r}")
+    arr = _as_prob_vector(values).ravel()
     if arr.size == 0 or not np.any(arr > 0.0):
         raise EmptySpectrumError("spectrum needs at least one positive entry")
-    if np.any(arr < 0.0):
-        raise NegativeEntryError(f"negative probability in {arr!r}")
     total = float(arr.sum())
     if not renormalize and abs(total - 1.0) > SUM_TOL:
         raise NotNormalizedError(
@@ -147,12 +157,6 @@ def tensor(p: SchmidtSpectrum, q: SchmidtSpectrum) -> SchmidtSpectrum:
     return new_spectrum(np.outer(p.probs, q.probs).ravel(), renormalize=True)
 
 
-def _as_prob_vector(q) -> np.ndarray:
-    if isinstance(q, SchmidtSpectrum):
-        return q.probs
-    return np.asarray(q, dtype=float)
-
-
 def shannon_entropy(p: SchmidtSpectrum) -> float:
     """H(p) in bits; zero for a product state, log2 d for a flat spectrum."""
     return 0.0 - float(p.probs @ p.log2)
@@ -161,8 +165,8 @@ def shannon_entropy(p: SchmidtSpectrum) -> float:
 def relative_entropy(q, p: SchmidtSpectrum) -> float:
     """D(q||p) in bits with 0 log 0 = 0; +inf where q puts mass off p's support.
 
-    q may be a SchmidtSpectrum or a plain probability vector over the same
-    (sorted) index set as p.
+    q may be a SchmidtSpectrum or a plain probability vector (finite and
+    non-negative, else it raises) over the same (sorted) index set as p.
     """
     qv = _as_prob_vector(q)
     if qv.size != p.dim:
@@ -214,15 +218,6 @@ def tilted(p: SchmidtSpectrum, s: float) -> SchmidtSpectrum:
     return new_spectrum(_at(p, s)[1], renormalize=True)
 
 
-def psi_derivatives(p: SchmidtSpectrum, s: float) -> tuple[float, float]:
-    """(psi'(s), psi''(s)) with psi' in bits.
-
-    psi'(s) = sum h_i(s) log2 p_i and psi''(s) = ln2 * Var_h(log2 p), the
-    variance taken over D = log2(p / p_1) so that it does not cancel.
-    """
-    return _at(p, s)[0][1:3]
-
-
 def big_f(p: SchmidtSpectrum, s: float) -> float:
     """F(s) = -psi(s) - (1-s) psi'(s); equals D(h(s)||p).
 
@@ -237,22 +232,21 @@ def divergence_from_uniform(p: SchmidtSpectrum) -> float:
     return 0.0 - float(np.log2(p.dim) + p.log2.mean())
 
 
-@dataclass(frozen=True, eq=False)
-class TiltedFamilyPoint:
-    """Everything the tilted family knows at one value of s."""
+class TiltedFamilyPoint(NamedTuple):
+    """The tilted family at tilt s, in bits: psi, psi' = E_h[log2 p], psi'' =
+    ln2 Var_h(log2 p), F(s) and H(h(s)); tilted(p, s) gives h(s) itself."""
 
     s: float
-    h: SchmidtSpectrum
     psi: float
     psi_prime: float
     psi_double_prime: float
     f_value: float
+    entropy: float
 
 
 def tilted_point(p: SchmidtSpectrum, s: float) -> TiltedFamilyPoint:
-    """Evaluate the tilted distribution and all functionals at one tilt."""
-    values, weights = _at(p, s)
-    return TiltedFamilyPoint(s, new_spectrum(weights, renormalize=True), *values[:4])
+    """The tilted family's functionals at one tilt, from one kernel pass."""
+    return TiltedFamilyPoint(s, *_at(p, s)[0])
 
 
 def tilted_entropy(p: SchmidtSpectrum, s: float) -> float:
@@ -271,25 +265,28 @@ def _require_positive(r: float) -> None:
 
 
 def solve_tilts(p: SchmidtSpectrum, targets, equation: str) -> list:
-    """The tilt solving one tilted-family equation, for every target at once.
+    """The family point solving one tilted-family equation, for every target at once.
 
     s_plus and s_minus solve F(s) = r on s > 1 and 0 < s < 1 (r finite and
-    positive; SATURATED at or past the branch's saturation point), and
-    direct_rate and converse_rate solve -psi'(s) = rate on s > 1 and
-    H(h(s)) = rate on 0 < s < 1. Each step reads every unsolved tilt from one
-    call of the tilted-family kernel (_family, the shifted form). Each target
-    keeps its bracket as in rtsafe: a Newton step leaving it, or over half the
-    step before last, gives way to the midpoint. An s > 1 bracket is open
-    until the target is passed; a target not passed at BRACKET_CAP raises
-    SolverError. A target is done when its residual on the scale of F is at
-    most F_TOL (|F - r|, and (s - 1) |-psi' - rate| on direct_rate, since
-    dF = (s - 1) d(-psi') there), or when its bracket is two adjacent floats.
+    positive; SATURATED at or past the branch's saturation point, and for
+    any r on a uniform spectrum), and direct_rate and converse_rate solve
+    -psi'(s) = rate on s > 1 and H(h(s)) = rate on 0 < s < 1. A solved
+    target gets the TiltedFamilyPoint of the kernel row that solved it, which
+    equals tilted_point at its tilt bit for bit. Each step reads every
+    unsolved tilt from one call of the tilted-family kernel (_family, the
+    shifted form). Each target keeps its bracket as in rtsafe: a Newton step
+    leaving it, or over half the step before last, gives way to the midpoint.
+    An s > 1 bracket is open until the target is passed; a target not passed
+    at BRACKET_CAP raises SolverError. A target is done when its residual on
+    the scale of F is at most F_TOL (|F - r|, and (s - 1) |-psi' - rate| on
+    direct_rate, since dF = (s - 1) d(-psi') there), or when its bracket is
+    two adjacent floats.
     """
     above_one, increasing = equation in ("s_plus", "direct_rate"), equation == "s_plus"
     lo, hi = (1.0, _OPEN) if above_one else (0.0, 1.0)
     want = [float(v) for v in targets]
     n = len(want)
-    tilts, lanes = [SATURATED] * n, list(range(n))
+    points, lanes = [SATURATED] * n, list(range(n))
     top = p.min_entropy
     x = [2.0 if above_one else 0.5] * n
     if equation in ("s_plus", "s_minus"):
@@ -298,7 +295,7 @@ def solve_tilts(p: SchmidtSpectrum, targets, equation: str) -> list:
         end = top if above_one else divergence_from_uniform(p)
         lanes = [] if p.is_uniform else [i for i in lanes if want[i] < end]
         if not lanes:
-            return tilts
+            return points
         # start from F ~ psi''(1) (s-1)**2 / 2 and, on s_minus, F ~ D(u||p) - psi''(0) s
         curve, tangent = (v[2] for v in _family(p, [1.0, 0.0])[0])
         for i in lanes:
@@ -309,10 +306,10 @@ def solve_tilts(p: SchmidtSpectrum, targets, equation: str) -> list:
     low, high, step, before = [lo] * n, [hi] * n, [hi - lo] * n, [hi - lo] * n
     for _ in range(MAX_ITER):
         if not lanes:
-            return tilts
-        running, values = [], _family(p, [x[i] for i in lanes])[0]
-        for i, (_, prime, second, f, entropy) in zip(lanes, values):
-            xi = x[i]
+            return points
+        running, rows = [], _family(p, [x[i] for i in lanes])[0]
+        for i, row in zip(lanes, rows):
+            xi, (_, prime, second, f, entropy) = x[i], row
             if equation == "direct_rate":
                 value, slope, scale = -prime, -second, xi - 1.0
             elif equation == "converse_rate":
@@ -336,7 +333,7 @@ def solve_tilts(p: SchmidtSpectrum, targets, equation: str) -> list:
             a, b, proposal = low[i], high[i], xi + ni
             mid = 0.5 * (a + b)
             if scale * abs(gi) <= F_TOL or not a < mid < b:
-                tilts[i] = xi
+                points[i] = TiltedFamilyPoint(xi, *row)
                 continue
             if a < proposal < b and (b == _OPEN or abs(ni) <= 0.5 * before[i]):
                 x[i] = proposal
@@ -348,16 +345,3 @@ def solve_tilts(p: SchmidtSpectrum, targets, equation: str) -> list:
             running.append(i)
         lanes = running
     raise SolverError(f"{len(lanes)} tilts unsolved after {MAX_ITER} steps")
-
-
-def solve_s_plus(p: SchmidtSpectrum, r: float):
-    """The unique s > 1 with F(s) = r, or SATURATED when r >= -log2 p_1.
-
-    Uniform spectra have F identically zero, so every positive r saturates.
-    """
-    return solve_tilts(p, [r], "s_plus")[0]
-
-
-def solve_s_minus(p: SchmidtSpectrum, r: float):
-    """The unique 0 < s < 1 with F(s) = r, or SATURATED when r >= D(u||p)."""
-    return solve_tilts(p, [r], "s_minus")[0]

@@ -76,7 +76,8 @@ def test_traced_runs_match_untraced(tracer):
     counts, _ = tracing.job_metrics(tracer, trace)
     tracer.uninstall()
     assert traced == plain
-    assert counts["spectra.f_evals"] > 0
+    # F comes with each solved point: no route re-evaluates it through big_f
+    assert counts["spectra.f_evals"] == 0
     # one engine run per sweep branch and one for the predicted exponent
     assert trace.calls("spectra.solve_tilts") == 3
     assert counts["numerics.unconverged"] == 0

@@ -270,6 +270,16 @@ def test_check_command_and_corrupted_tolerance(tmp_path, capsys):
     assert code == 1 and "false" in out
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("cmd", ["check", "converge", "nonadd"])
+def test_non_finite_tolerance_is_usage_error(capsys, cmd, value):
+    # a non-finite tolerance used to reach json.dumps and end in a traceback
+    with pytest.raises(SystemExit) as exc:
+        main([*BASE_ARGV[cmd], "--tolerance", value, "--format", "json"])
+    assert exc.value.code == 2
+    assert "--tolerance" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("renormalize", [False, True])
 @pytest.mark.parametrize("spectrum", ["0.6,nan", "0.6,inf", "0.6,-inf"])
 def test_non_finite_spectrum_entry_is_typed_error(capsys, spectrum, renormalize):

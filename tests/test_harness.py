@@ -20,7 +20,7 @@ from concentrate import (
     run_sweep,
     shannon_entropy,
 )
-from concentrate import rates
+from concentrate import rates, spectra
 from concentrate.harness import DEFAULT_CONVERGENCE_TOL
 
 P34 = new_spectrum([0.75, 0.25])
@@ -116,13 +116,13 @@ def test_sweep_evaluates_half_tilt_once(monkeypatch):
     p = new_spectrum([0.5, 0.3, 0.15, 0.05])
     grid = tuple(np.linspace(0.01, 3.0, 25))
     halves = []
-    family = rates._family
+    family = spectra._family
 
     def counting(spectrum, tilts):
         halves.extend(s for s in tilts if s == 0.5)
         return family(spectrum, tilts)
 
-    monkeypatch.setattr(rates, "_family", counting)
+    monkeypatch.setattr(spectra, "_family", counting)
     record = run_sweep(ExperimentConfig(spectrum=p, r_grid=grid))
     assert halves == [0.5]
     assert sum(row["fidelity_converse_regime"] == "linear" for row in record.rows) > 10

@@ -1,6 +1,7 @@
 """Source-level checks: the package needs numpy alone (scipy is neither loaded
-nor imported), every domain error it defines is raised somewhere, and the
-simplex-grid oracle stays independent of the tilted family."""
+nor imported), every domain error it defines is raised somewhere, the
+simplex-grid oracle stays independent of the tilted family, and only spectra
+names the tilted-family kernel."""
 
 import ast
 import os
@@ -62,9 +63,31 @@ def test_every_concentration_error_is_raised_in_src():
     assert sorted(errors - raised) == []
 
 
+def _names(tree):
+    """Every identifier under tree: bare names, attributes and imported names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rsplit(".", 1)[-1]
+
+
+def test_only_spectra_names_the_kernel():
+    # every other module reads the kernel's rows through solve_tilts or tilted_point
+    files = sorted((ROOT / "src").rglob("*.py"))
+    assert len(files) > 10
+    offenders = [
+        str(f.relative_to(ROOT)) for f in files
+        if f.name != "spectra.py" and "_family" in set(_names(ast.parse(f.read_text())))
+    ]
+    assert offenders == []
+
+
 TILTED_FAMILY = {
-    "_family", "solve_tilts", "big_f", "psi", "psi_derivatives", "tilted",
-    "tilted_entropy", "tilted_point", "SATURATED", "direct_curve", "converse_curve",
+    "_family", "solve_tilts", "big_f", "psi", "tilted", "tilted_entropy",
+    "tilted_point", "SATURATED", "direct_curve", "converse_curve",
 }
 
 
@@ -76,11 +99,7 @@ def test_grid_oracle_names_nothing_of_the_tilted_family():
     while todo:
         name = todo.pop()
         reached.add(name)
-        for node in ast.walk(functions[name]):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
+        names.update(_names(functions[name]))
         todo += sorted((names & functions.keys()) - reached)
     assert {"_grid_curves", "_last_true"} <= reached
     assert sorted(names & TILTED_FAMILY) == []

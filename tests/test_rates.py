@@ -58,9 +58,9 @@ def test_direct_yield_rejects_nonpositive_r():
 
 def test_direct_yield_endpoints():
     # the r -> 0 gap closes like sqrt(2 r psi''(1)); assert at that scale
-    from concentrate import psi_derivatives
+    from concentrate import tilted_point
 
-    curvature = psi_derivatives(P34, 1.0)[1]
+    curvature = tilted_point(P34, 1.0).psi_double_prime
     for r in (1e-7, 1e-9):
         gap = shannon_entropy(P34) - direct_yield(P34, r).yield_bits
         assert 0.0 <= gap <= 1.05 * math.sqrt(2.0 * r * curvature) + 1e-12
@@ -87,9 +87,9 @@ def test_converse_yield_saturates_at_uniform_divergence():
 
 
 def test_converse_yield_endpoints():
-    from concentrate import psi_derivatives
+    from concentrate import tilted_point
 
-    curvature = psi_derivatives(P34, 1.0)[1]
+    curvature = tilted_point(P34, 1.0).psi_double_prime
     for r in (1e-7, 1e-9):
         gap = converse_yield(P34, r).yield_bits - shannon_entropy(P34)
         assert 0.0 <= gap <= 1.05 * math.sqrt(2.0 * r * curvature) + 1e-12

@@ -22,16 +22,15 @@ from concentrate import (
     NonPositiveExponentError,
     NotNormalizedError,
     SolverError,
+    TiltedFamilyPoint,
     TiltOutOfRangeError,
     big_f,
     divergence_from_uniform,
     new_spectrum,
+    log_sequence_prob,
     psi,
-    psi_derivatives,
     relative_entropy,
     shannon_entropy,
-    solve_s_minus,
-    solve_s_plus,
     solve_tilts,
     tensor,
     tilted,
@@ -141,6 +140,21 @@ def test_relative_entropy_examples():
         relative_entropy([0.5, 0.25, 0.25], p)
 
 
+@pytest.mark.parametrize("fn", [relative_entropy, lambda q, p: log_sequence_prob((0, 2), q)],
+                         ids=["relative_entropy", "log_sequence_prob"])
+@pytest.mark.parametrize("q, error", [
+    ([math.nan, 1.0], NonFiniteEntryError),
+    ([0.5, math.inf], NonFiniteEntryError),
+    ([-0.5, 1.5], NegativeEntryError),
+])
+def test_plain_q_with_bad_entry_is_typed_error(fn, q, error):
+    # a plain q is checked as a spectrum is; zeros stay allowed
+    p = new_spectrum([0.75, 0.25])
+    with pytest.raises(error):
+        fn(q, p)
+    assert math.isfinite(fn([0.0, 1.0], p))
+
+
 def test_divergence_from_uniform_matches_relative_entropy():
     p = new_spectrum([0.6, 0.3, 0.1])
     u = np.full(3, 1.0 / 3.0)
@@ -172,13 +186,13 @@ def test_psi_handles_extreme_tilts_in_log_space():
 def test_psi_derivatives_examples():
     flat = new_spectrum([0.5, 0.5])
     for s in (0.0, 1.0, 2.0):
-        prime, second = psi_derivatives(flat, s)
-        assert prime == pytest.approx(-1.0, abs=1e-12)
-        assert second == pytest.approx(0.0, abs=1e-12)
+        point = tilted_point(flat, s)
+        assert point.psi_prime == pytest.approx(-1.0, abs=1e-12)
+        assert point.psi_double_prime == pytest.approx(0.0, abs=1e-12)
     p = new_spectrum([0.75, 0.25])
-    prime, second = psi_derivatives(p, 1.0)
-    assert prime == pytest.approx(-shannon_entropy(p), abs=1e-12)
-    assert second > 0.0
+    point = tilted_point(p, 1.0)
+    assert point.psi_prime == pytest.approx(-shannon_entropy(p), abs=1e-12)
+    assert point.psi_double_prime > 0.0
 
 
 def test_tilted_examples():
@@ -213,25 +227,25 @@ def test_tensor_examples():
 
 def test_solve_s_plus_examples():
     p = new_spectrum([0.75, 0.25])
-    assert solve_s_plus(p, -float(p.log2[0])) is SATURATED  # boundary included
-    assert solve_s_plus(p, 0.4151) is SATURATED
-    assert solve_s_plus(p, 5.0) is SATURATED
-    assert solve_s_plus(new_spectrum([0.5, 0.5]), 0.1) is SATURATED
-    s = solve_s_plus(p, 0.1)
-    assert s > 1.0
-    assert big_f(p, s) == pytest.approx(0.1, abs=1e-12)
+    # the boundary -log2 p_1 is included
+    assert solve_tilts(p, [-float(p.log2[0]), 0.4151, 5.0], "s_plus") == [SATURATED] * 3
+    assert solve_tilts(new_spectrum([0.5, 0.5]), [0.1], "s_plus")[0] is SATURATED
+    point = solve_tilts(p, [0.1], "s_plus")[0]
+    assert point.s > 1.0
+    assert big_f(p, point.s) == pytest.approx(0.1, abs=1e-12)
+    assert point.f_value == pytest.approx(0.1, abs=1e-12)
     with pytest.raises(NonPositiveExponentError):
-        solve_s_plus(p, 0.0)
+        solve_tilts(p, [0.0], "s_plus")
 
 
 def test_solve_s_minus_examples():
     p = new_spectrum([0.75, 0.25])
-    assert solve_s_minus(p, divergence_from_uniform(p)) is SATURATED
-    assert solve_s_minus(p, 0.207519) is SATURATED
-    assert solve_s_minus(new_spectrum([0.5, 0.5]), 0.01) is SATURATED
-    s = solve_s_minus(p, 0.05)
-    assert 0.0 < s < 1.0
-    assert big_f(p, s) == pytest.approx(0.05, abs=1e-12)
+    assert solve_tilts(p, [divergence_from_uniform(p), 0.207519], "s_minus") == [SATURATED] * 2
+    assert solve_tilts(new_spectrum([0.5, 0.5]), [0.01], "s_minus")[0] is SATURATED
+    point = solve_tilts(p, [0.05], "s_minus")[0]
+    assert 0.0 < point.s < 1.0
+    assert big_f(p, point.s) == pytest.approx(0.05, abs=1e-12)
+    assert point.f_value == pytest.approx(0.05, abs=1e-12)
 
 
 def _shifted(p, s):
@@ -253,12 +267,12 @@ def test_bisection_stops_on_collapsed_bracket(monkeypatch):
     r = 0.99 * p.min_entropy
     monkeypatch.setattr(spectra, "F_TOL", -1.0)
     monkeypatch.setattr(spectra, "MAX_ITER", 100)
-    s = solve_s_plus(p, r)
+    s = solve_tilts(p, [r], "s_plus")[0].s
     monkeypatch.undo()
     # s is one end of a bracket of adjacent floats that holds the root
     values = _shifted(p, [np.nextafter(s, 0.0), s, np.nextafter(s, np.inf)])[0]
     assert values[0] < r <= values[1] or values[1] < r <= values[2]
-    assert s == pytest.approx(solve_s_plus(p, r), rel=1e-13)
+    assert s == pytest.approx(solve_tilts(p, [r], "s_plus")[0].s, rel=1e-13)
 
 
 def test_solver_roundtrip_random():
@@ -267,14 +281,11 @@ def test_solver_roundtrip_random():
         p = random_spectrum(rng, int(rng.integers(2, 7)))
         top = -float(p.log2[0])
         c = divergence_from_uniform(p)
-        r = float(rng.uniform(0.05, 0.95) * top)
-        s = solve_s_plus(p, r)
-        if s is not SATURATED:
-            assert big_f(p, s) == pytest.approx(r, abs=1e-10)
-        r = float(rng.uniform(0.05, 0.95) * c)
-        s = solve_s_minus(p, r)
-        if s is not SATURATED:
-            assert big_f(p, s) == pytest.approx(r, abs=1e-10)
+        for equation, edge in (("s_plus", top), ("s_minus", c)):
+            r = float(rng.uniform(0.05, 0.95) * edge)
+            point = solve_tilts(p, [r], equation)[0]
+            if point is not SATURATED:
+                assert big_f(p, point.s) == pytest.approx(r, abs=1e-10)
 
 
 # --- functional identities --------------------------------------------------
@@ -315,7 +326,7 @@ def test_tilted_point_bundles_consistent_values():
     assert point.s == 2.3
     assert point.psi == pytest.approx(psi(p, 2.3), abs=1e-15)
     assert point.f_value == pytest.approx(big_f(p, 2.3), abs=1e-12)
-    assert np.allclose(point.h.probs, tilted(p, 2.3).probs)
+    assert point.entropy == pytest.approx(shannon_entropy(tilted(p, 2.3)), abs=1e-12)
     assert point.psi_double_prime > 0.0
     flat = new_spectrum([0.5, 0.5])
     assert tilted_point(flat, 3.0).psi_double_prime == pytest.approx(0.0, abs=1e-12)
@@ -359,7 +370,7 @@ def test_open_bracket_matches_explicit_bracket():
             hi = 2.0
             while fn(hi) <= sign * t:
                 hi *= 2.0
-            s = solve_tilts(p, [t], equation)[0]
+            s = solve_tilts(p, [t], equation)[0].s
             assert 1.0 < s < hi
             assert s == pytest.approx(_bisect(fn, sign * t, 1.0, hi), rel=1e-11)
             assert abs(fn(s) - sign * t) <= 1e-12
@@ -381,7 +392,7 @@ def test_open_bracket_raises_past_cap(increasing):
     with pytest.raises(SolverError, match="exceeded cap"):
         solve_tilts(p, [target(1.01 * BRACKET_CAP)], equation)
     for root in (0.5 * BRACKET_CAP, 0.99 * BRACKET_CAP):
-        s = solve_tilts(p, [target(root)], equation)[0]
+        s = solve_tilts(p, [target(root)], equation)[0].s
         assert s == pytest.approx(root, rel=rel)
         assert abs(target(s) - target(root)) <= 1e-12
     # one stuck lane fails the whole call
@@ -393,7 +404,7 @@ def test_engine_raises_when_iterations_run_out(monkeypatch):
     # a lane still unsolved after MAX_ITER steps is an error, not a value
     monkeypatch.setattr(spectra, "MAX_ITER", 3)
     with pytest.raises(SolverError, match="after 3 steps"):
-        solve_s_plus(new_spectrum([0.6, 0.25, 0.15]), 0.3)
+        solve_tilts(new_spectrum([0.6, 0.25, 0.15]), [0.3], "s_plus")
 
 
 ENGINE_DIMS = (2, 3, 16, 1024, 2048)
@@ -418,6 +429,12 @@ def _engine_targets(p, equation, fractions):
     return [lo + f * (hi - lo) for f in fractions]
 
 
+def _bits(point):
+    """A solved point's fields as hex strings, so that == compares bits."""
+    assert isinstance(point, TiltedFamilyPoint)
+    return tuple(float.hex(v) for v in point)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     d=st.sampled_from(ENGINE_DIMS),
@@ -428,12 +445,11 @@ def test_engine_lanes_equal_one_lane_calls(d, seed, fractions):
     p = _engine_spectrum(d, seed)
     for equation in ENGINE_EQUATIONS:
         targets = _engine_targets(p, equation, fractions)
-        batch = solve_tilts(p, targets, equation)
-        alone = [solve_tilts(p, [t], equation)[0] for t in targets]
-        assert batch == alone
-        assert all(isinstance(s, float) for s in batch)
-    r = _engine_targets(p, "s_plus", fractions)
-    assert [solve_s_plus(p, x) for x in r] == solve_tilts(p, r, "s_plus")
+        points = solve_tilts(p, targets, equation)
+        batch = [_bits(pt) for pt in points]
+        assert batch == [_bits(solve_tilts(p, [t], equation)[0]) for t in targets]
+        # each point is the kernel row at its tilt, as tilted_point reads it
+        assert batch == [_bits(tilted_point(p, pt.s)) for pt in points]
 
 
 @settings(max_examples=25, deadline=None)
@@ -446,7 +462,7 @@ def test_engine_residual_on_shifted_form(d, seed, fractions):
     p = _engine_spectrum(d, seed)
     for equation in ("s_plus", "s_minus"):
         targets = _engine_targets(p, equation, fractions)
-        s = np.array(solve_tilts(p, targets, equation))
+        s = np.array([pt.s for pt in solve_tilts(p, targets, equation)])
         assert np.all((s > 1.0) if equation == "s_plus" else ((0.0 < s) & (s < 1.0)))
         assert np.max(np.abs(_shifted(p, s)[0] - np.array(targets))) <= 1e-12
 
@@ -455,7 +471,7 @@ def test_engine_tilt_matches_mpmath_root_at_large_d():
     rng = np.random.default_rng(0)
     p = new_spectrum(rng.dirichlet(np.ones(1024)), renormalize=True)
     r = 0.99 * p.min_entropy
-    s = solve_s_plus(p, r)
+    s = solve_tilts(p, [r], "s_plus")[0].s
     with mp.workdps(40):
         probs = [mp.mpf(float(x)) for x in p.probs]
         logs = [mp.log(x, 2) for x in probs]
@@ -483,7 +499,7 @@ def test_engine_raises_on_tied_maxima(values, r):
     p = new_spectrum(values)
     assert r < p.min_entropy
     with pytest.raises(SolverError):
-        solve_s_plus(p, r)
+        solve_tilts(p, [r], "s_plus")
     with pytest.raises(SolverError):
         solve_tilts(p, [0.01, r], "s_plus")
 
@@ -493,11 +509,11 @@ def test_engine_raises_on_near_flat_top():
     p = new_spectrum([0.500000001, 0.499999999])
     for frac in (0.5, 0.9, 0.999):
         with pytest.raises(SolverError):
-            solve_s_plus(p, frac * p.min_entropy)
+            solve_tilts(p, [frac * p.min_entropy], "s_plus")
 
 
 def _counting_kernel(monkeypatch):
-    """Record the tilts of every tilted-family kernel pass, in spectra and rates."""
+    """Record the tilts of every tilted-family kernel pass."""
     calls = []
     original = spectra._family
 
@@ -506,11 +522,10 @@ def _counting_kernel(monkeypatch):
         return original(p, tilts)
 
     monkeypatch.setattr(spectra, "_family", counting)
-    monkeypatch.setattr(rates, "_family", counting)
     return calls
 
 
-ONE_POINT = (psi, big_f, psi_derivatives, tilted_entropy, tilted, tilted_point)
+ONE_POINT = (psi, big_f, tilted_entropy, tilted, tilted_point)
 
 
 @pytest.mark.parametrize("d", [1, 2, 16, 1024])
@@ -525,16 +540,14 @@ def test_tilted_family_reads_one_kernel(d, monkeypatch):
             calls.clear()
             fn(p, s)
             assert calls == [[s]], fn.__name__
-        prime, second = psi_derivatives(p, s)
         point = tilted_point(p, s)
-        bundle = (point.psi, point.psi_prime, point.psi_double_prime)
-        assert bundle == (psi(p, s), prime, second)
-        assert point.f_value == big_f(p, s)
-        assert np.array_equal(point.h.probs, tilted(p, s).probs)
+        prime = point.psi_prime
+        assert (point.s, point.psi, point.f_value, point.entropy) == (
+            s, psi(p, s), big_f(p, s), tilted_entropy(p, s))
         tol = 1e-14 * (1.0 + s)
         assert big_f(p, s) == pytest.approx(-psi(p, s) - (1.0 - s) * prime, abs=tol)
         assert tilted_entropy(p, s) == pytest.approx(psi(p, s) - s * prime, abs=tol)
-        assert tilted_entropy(p, s) == pytest.approx(shannon_entropy(point.h), abs=1e-12)
+        assert point.entropy == pytest.approx(shannon_entropy(tilted(p, s)), abs=1e-12)
 
 
 def test_one_kernel_pass_per_engine_step_and_curve(monkeypatch):
@@ -542,36 +555,35 @@ def test_one_kernel_pass_per_engine_step_and_curve(monkeypatch):
     calls = _counting_kernel(monkeypatch)
     # a one-lane F solve: the two starting curvatures, then one pass per
     # step, the last at the tilt it returns
-    s = solve_s_plus(p, 0.4)
+    s = solve_tilts(p, [0.4], "s_plus")[0].s
     assert calls[0] == [1.0, 0.0]
     assert all(len(c) == 1 for c in calls[1:]) and calls[-1] == [s]
     assert 2 <= len(calls) <= 1 + spectra.MAX_ITER
     # a batch: each step passes exactly the tilts still unsolved
     calls.clear()
     r = [0.01, 0.2, 0.6, 1.2, 5.0]  # the last two at or past -log2 p_1 = 1
-    tilts = solve_tilts(p, r, "s_plus")
+    points = solve_tilts(p, r, "s_plus")
     sizes = [len(c) for c in calls[1:]]
     assert sizes[0] == 3 and sizes == sorted(sizes, reverse=True)
-    assert set(tilts[:3]) <= {t for c in calls for t in c}
-    assert tilts[3:] == [SATURATED, SATURATED]
+    assert {pt.s for pt in points[:3]} <= {t for c in calls for t in c}
+    assert points[3:] == [SATURATED, SATURATED]
     # the rate equations have no starting curvature
     calls.clear()
-    s = solve_tilts(p, [1.0], "direct_rate")[0]
+    s = solve_tilts(p, [1.0], "direct_rate")[0].s
     assert all(len(c) == 1 for c in calls) and calls[-1] == [s]
-    # a curve is its solve plus one pass for psi at every tilt
+    # a curve reads psi from its solve's points: no pass beyond the solve's
     for curve, equation in (
         (rates.direct_curve, "s_plus"),
         (rates.converse_curve, "s_minus"),
     ):
         calls.clear()
         solved = solve_tilts(p, r, equation)
-        solve_passes = len(calls)
+        solve_passes = list(calls)
         calls.clear()
         points = curve(p, r)
-        assert len(calls) == solve_passes + 1
-        assert calls[-1] == [1.0 if t is SATURATED else t for t in solved]
+        assert calls == solve_passes
         assert [pt.s_star for pt in points] == [
-            None if t is SATURATED else t for t in solved
+            None if t is SATURATED else t.s for t in solved
         ]
     # r' and the line past it: one pass at s = 1/2
     calls.clear()
@@ -620,8 +632,7 @@ def test_tilted_family_matches_mpmath(spectrum, tilts, rel):
         p = new_spectrum(raw, renormalize=True)
     for s in tilts:
         want = _mp_family(p, s)
-        prime, second = psi_derivatives(p, s)
-        got = (psi(p, s), prime, second, big_f(p, s), tilted_entropy(p, s))
+        got = tilted_point(p, s)[1:]
         for name, a, b in zip(("psi", "psi'", "psi''", "F", "H"), got, want):
             assert abs(a - b) <= rel * abs(b), (name, s)
 
