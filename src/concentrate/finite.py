@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SizeOutOfRangeError
-from .numerics import LN2, log2_sub, tolerant_floor
+from .numerics import LN2, log2_sub, logsumexp2, tolerant_floor
 from .spectra import SchmidtSpectrum, new_spectrum
 
 #: log2 allowance on t at an exact tie t = p_k, where the smallest k wins
@@ -108,10 +108,9 @@ def _breakpoint_search(log_probs, log_mults, log2_size: float, top: float):
             np.logaddexp2.accumulate(chunk, out=chunk)
         log_above = log_above[: np.searchsorted(log_above[:stop], log2_size)]
         admitted = log_above.size
-        # log mass from k on: the groups past the prefix reduced once, then
-        # accumulated from that seed in the whole accumulate's order
-        past = np.logaddexp2.reduce(mass[admitted:][::-1])
-        tail = np.append(past, mass[:admitted][::-1])
+        # log mass from k on: every group past the prefix in one shifted sum,
+        # the seed of a reversed accumulate over the prefix alone
+        tail = np.append(logsumexp2(mass[admitted:]), mass[:admitted][::-1])
         log_tail = np.logaddexp2.accumulate(tail)[:0:-1]
         base, reach = log_above, log2_size
     # B_k >= L, the allowance on T_k / p_k (so on t); near the top R + T_k/p_k >= C_k

@@ -7,7 +7,7 @@ pairs from the numpy type lattice, and exact_success_prob runs the
 threshold protocol's breakpoint search (finite) on them in log space. Every
 size up to d**n has an answer; at d**n, log2 P = n log2(d p_d). d = 2
 reaches n of several thousand without underflow, and d = 3 at n = 2000
-(about 2M types) takes about 0.7 s of CPU.
+(about 2M types) takes 0.31-0.35 s of CPU on one core of a shared host.
 
 The failure probability is never formed as 1 - P. While P >= 1/2 it is the
 exact sum of per-group excess mass above the threshold, which stays
@@ -81,6 +81,7 @@ def grouped_spectrum(
     counts = type_matrix(n, p.dim, max_types)
     log_probs = log_sequence_prob(counts, p)
     log_mults = log_type_class_size(counts)
+    del counts  # d times the size of each row value: free it before the sort
     order = np.argsort(log_probs)[::-1]
     log_probs = log_probs[order]
     log_mults = log_mults[order]

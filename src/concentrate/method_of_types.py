@@ -11,11 +11,12 @@ exact n-copy computation in this package:
 
 log_type_class_size, log_sequence_prob and log_type_class_prob take one row
 or many and return one value or an (m,) array; a negative count raises
-NegativeEntryError. type_matrix and the multinomials work one column at a
-time. Multinomials read ln c! from one process-wide table, grown on demand
-to the largest n seen and never recomputed: math.log(math.factorial(c)) up
-to c = 170, correctly rounded, and math.lgamma(c + 1) above, within 2 ulp to
-c = 20000. Everything returns base-2 logs.
+NegativeEntryError. Every function works one column at a time, adding columns
+left to right, so no row's class size or sequence probability depends on the
+rows that come with it. Multinomials read ln c! from one process-wide table,
+grown on demand to the largest n seen and never recomputed:
+math.log(math.factorial(c)) up to c = 170, correctly rounded, and
+math.lgamma(c + 1) above, within 2 ulp to c = 20000. All logs are base 2.
 """
 
 from __future__ import annotations
@@ -41,10 +42,10 @@ def count_types(n: int, d: int) -> int:
 
 
 def type_matrix(n: int, d: int, max_count: int = DEFAULT_TYPE_GUARD) -> np.ndarray:
-    """All types as an int64 (count, d) array, rows lexicographically
-    descending. Column by column, a prefix leaving rest takes counts rest,
-    ..., 0; a count leaving r spans the C(r + k, k) rows that fill the k + 1
-    columns after it."""
+    """All types as an int64 (count, d) array with contiguous columns, rows
+    lexicographically descending. Column by column, a prefix leaving rest
+    takes counts rest, ..., 0; a count leaving r spans the C(r + k, k) rows
+    that fill the k + 1 columns after it."""
     if n < 1 or d < 1:
         raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
     count = count_types(n, d)
@@ -52,7 +53,7 @@ def type_matrix(n: int, d: int, max_count: int = DEFAULT_TYPE_GUARD) -> np.ndarr
         raise TooManyTypesError(
             f"{count} types for (n={n}, d={d}) exceeds guard {max_count}"
         )
-    rows = np.empty((count, d), dtype=np.int64)
+    cols = np.empty((d, count), dtype=np.int64)
     rest = np.array([n], dtype=np.int64)
     for j in range(d - 1):
         sizes = rest + 1
@@ -61,10 +62,10 @@ def type_matrix(n: int, d: int, max_count: int = DEFAULT_TYPE_GUARD) -> np.ndarr
         span = 1
         for i in range(1, d - 1 - j):
             span = span * (offset + i) // i
-        rows[:, j] = np.repeat(np.repeat(rest, sizes) - offset, span)
+        cols[j] = np.repeat(np.repeat(rest, sizes) - offset, span)
         rest = offset
-    rows[:, d - 1] = rest
-    return rows
+    cols[d - 1] = rest
+    return cols.T
 
 
 def _ln_factorials(n: int) -> np.ndarray:
@@ -107,7 +108,8 @@ def log_type_class_size(counts):
 
 def log_sequence_prob(counts, q):
     """log2 probability of any one sequence with these counts under q drawn
-    i.i.d.: counts @ log2 q, which equals -n (H(t) + D(t||q)) for the type t.
+    i.i.d.: sum_j counts_j log2 q_j, added up in place one column at a time,
+    which equals -n (H(t) + D(t||q)) for the type t.
 
     -inf for a row that uses a symbol q excludes. q is a SchmidtSpectrum or
     a probability vector as wide as the counts.
@@ -117,7 +119,10 @@ def log_sequence_prob(counts, q):
     if qv.size != counts.shape[-1]:
         raise DimensionMismatchError(f"{counts.shape[-1]} counts, {qv.size} q entries")
     excluded = qv == 0.0
-    logs = counts @ np.log2(qv, out=np.zeros_like(qv), where=~excluded)
+    log_q = np.log2(qv, out=np.zeros_like(qv), where=~excluded)
+    logs = counts[..., 0] * log_q[0]
+    for j in range(1, qv.size):
+        logs += counts[..., j] * log_q[j]
     if excluded.any():
         logs = np.where(counts[..., excluded].any(axis=-1), -np.inf, logs)
     return _one_or_many(logs)

@@ -75,6 +75,33 @@ def test_grouped_spectrum_normalized():
         assert np.all(np.diff(spec.log_probs) < 0)
 
 
+@pytest.mark.parametrize("probs, n", [([0.5, 0.3, 0.2], 100), ([0.41, 0.29, 0.19, 0.11], 30)])
+def test_logsumexp2_of_lattice_masses_against_40_digits(probs, n):
+    # the whole mass and tails past the first 2% and 20% of the groups
+    spec = grouped_spectrum(new_spectrum(probs), n)
+    mass = spec.log_probs + spec.log_mults
+    assert mass.size > 5000
+    for frac in (0.0, 0.02, 0.2):
+        tail = mass[int(frac * mass.size):]
+        with mpmath.workdps(40):
+            want = mpmath.log(mpmath.fsum(mpmath.mpf(2) ** mpmath.mpf(v) for v in tail), 2)
+        assert abs(logsumexp2(tail) - float(want)) <= 2e-15, frac
+
+
+def test_logsumexp2_edge_cases():
+    inf = math.inf
+    assert logsumexp2([]) == -inf
+    assert logsumexp2([-inf, -inf]) == -inf
+    assert logsumexp2([0.0, inf, -3.0]) == inf
+    assert math.isnan(logsumexp2([0.0, math.nan]))
+    assert math.isnan(logsumexp2([inf, math.nan]))
+    for v in (0.0, -3.7, 1e300, -1e300, 5e-324, -inf):
+        assert logsumexp2([v]) == v
+        assert type(logsumexp2([v])) is float
+    assert logsumexp2([-1.0, -1.0]) == 0.0
+    assert logsumexp2([3.0, -inf]) == 3.0
+
+
 def _lexicographic_types(n, d):
     """Every composition of n into d parts, lexicographically descending."""
     heads = itertools.product(range(n, -1, -1), repeat=d - 1)
@@ -84,10 +111,13 @@ def _lexicographic_types(n, d):
 
 def _sorted_lattice_groups(p, n):
     """The grouped spectrum built the direct way: each type's log probability
-    and whole-row log multinomial, one argsort, then the merge."""
+    (columns added left to right) and whole-row log multinomial, one argsort,
+    then the merge."""
     counts = _lexicographic_types(n, p.dim)
     table = np.array([ln_factorial(c) for c in range(n + 1)])
-    log_probs = counts @ p.log2
+    log_probs = counts[:, 0] * p.log2[0]
+    for j in range(1, p.dim):
+        log_probs = log_probs + counts[:, j] * p.log2[j]
     log_mults = (table[n] - table[counts].sum(axis=-1)) / LN2
     order = np.argsort(log_probs)[::-1]
     return _merge_groups(log_probs[order], log_mults[order])
@@ -208,11 +238,16 @@ def test_threshold_size_identity():
 
 
 def _reference_threshold(spec, log2_size):
-    """The k-by-k threshold scan, one group count at a time."""
+    """The k-by-k threshold scan, one group count at a time. The tail mass
+    accumulates from the shifted sum of every group past the first count
+    that reaches the size."""
     lp = spec.log_probs
     lm = spec.log_mults
     log_above = np.logaddexp2.accumulate(lm)
-    log_tail = np.logaddexp2.accumulate((lm + lp)[::-1])[::-1]
+    reach = int(np.count_nonzero(log_above < log2_size)) + 1
+    mass = lm + lp
+    seed = logsumexp2(mass[reach:])
+    log_tail = np.logaddexp2.accumulate(np.append(seed, mass[:reach][::-1]))[:0:-1]
     for k in range(lp.size):
         log_a = -np.inf if k == 0 else log_above[k - 1]
         if log_a >= log2_size:

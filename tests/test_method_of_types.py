@@ -5,6 +5,7 @@ A type is a counts row; every function takes one row or an (m, d) array.
 
 import itertools
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -200,33 +201,48 @@ def test_size_and_prob_sandwiches():
 
 
 def test_rows_equal_one_row_calls():
-    # class sizes add their columns one at a time, so rows are bit-equal to
-    # one-row calls; a dyadic q makes every sequence probability an exact
-    # integer, so there the probabilities are bit-equal too
+    # every function adds its columns left to right, one elementwise pass per
+    # column, so a row's value is the same alone, among all lattice rows and
+    # in any block of rows, for a general q
     rng = np.random.default_rng(83)
-    dyadic = [[1.0], [0.5, 0.5], [0.5, 0.25, 0.25], [0.5, 0.25, 0.125, 0.125]]
-    for q_exact in dyadic:
-        d = len(q_exact)
-        rows = type_matrix(int(rng.integers(1, 30)), d)
+    for d in range(1, 9):
+        n = next(n for n in range(int(rng.integers(1, 30)), 0, -1)
+                 if count_types(n, d) <= 1500)
+        rows = type_matrix(n, d)
         mixed = rng.integers(0, 50, size=(40, d))
-        for counts in (rows, mixed):
-            many = log_type_class_size(counts)
-            assert many.shape == (len(counts),)
-            assert np.array_equal(many, [log_type_class_size(r) for r in counts])
-            for fn in (log_sequence_prob, log_type_class_prob):
-                many = fn(counts, q_exact)
-                one = [fn(r, q_exact) for r in counts]
-                assert all(type(v) is float for v in one)
-                assert np.array_equal(many, one)
-            # a general q: numpy hands one row to BLAS ddot and many rows to
-            # dgemv, whose roundings differ in the last bits
-            q = random_spectrum(rng, d)
-            many = log_sequence_prob(counts, q)
-            one = np.array([log_sequence_prob(r, q) for r in counts])
-            assert np.all(np.abs(many - one) <= 2 * np.spacing(np.abs(one)))
-            sizes = log_type_class_size(counts)
-            assert np.array_equal(log_type_class_prob(counts, q), sizes + many)
-            assert [log_type_class_prob(r, q) for r in counts] == (sizes + one).tolist()
+        for q in (random_spectrum(rng, d), rng.dirichlet(np.ones(d)).tolist()):
+            for counts in (rows, mixed):
+                cuts = np.cumsum(rng.integers(2, 12, size=len(counts)))
+                blocks = np.split(counts, cuts[cuts < len(counts)])
+                sizes = log_type_class_size(counts)
+                for fn in (log_type_class_size, log_sequence_prob, log_type_class_prob):
+                    args = () if fn is log_type_class_size else (q,)
+                    many = fn(counts, *args)
+                    assert many.shape == (len(counts),)
+                    one = [fn(r, *args) for r in counts]
+                    assert all(type(v) is float for v in one)
+                    assert np.array_equal(many, one), (fn.__name__, d)
+                    assert np.array_equal(np.concatenate([fn(b, *args) for b in blocks]), one)
+                seq = log_sequence_prob(counts, q)
+                assert np.array_equal(log_type_class_prob(counts, q), sizes + seq)
+
+
+def test_log_sequence_prob_peaks_at_two_result_arrays():
+    # a matmul of the int64 lattice would make a float64 copy of all of it:
+    # 64 MB at d = 3, n = 2000 against a 16 MB result. Besides the result and
+    # one column's products, only numpy's 8192-element int-to-float cast
+    # buffer and a few small objects are allowed.
+    p = new_spectrum([0.5, 0.3, 0.2])
+    rows = type_matrix(2000, 3)
+    log_sequence_prob(rows[:3], p)
+    tracemalloc.start()
+    try:
+        out = log_sequence_prob(rows, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.nbytes == 8 * len(rows) > 16_000_000
+    assert peak <= 2 * out.nbytes + 8 * 8192 + 8192, peak
 
 
 def test_zero_q_entry_excludes_only_rows_that_use_it():
