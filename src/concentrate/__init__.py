@@ -32,16 +32,13 @@ from .spectra import (
     SATURATED,
     SchmidtSpectrum,
     TiltedFamilyPoint,
-    big_f,
     divergence_from_uniform,
     new_spectrum,
-    psi,
     relative_entropy,
     shannon_entropy,
     solve_tilts,
     tensor,
     tilted,
-    tilted_entropy,
     tilted_point,
 )
 from .finite import (

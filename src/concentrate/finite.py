@@ -30,7 +30,7 @@ from .errors import SizeOutOfRangeError
 from .numerics import LN2, log2_sub, logsumexp2, tolerant_floor
 from .spectra import SchmidtSpectrum, new_spectrum
 
-#: log2 allowance on t at an exact tie t = p_k, where the smallest k wins
+#: log2 allowance on t at a tie t = p_k (the smallest k wins); iid merges by it
 TIE_BITS = 1e-12
 #: groups in the first chunk of counts above; later chunks double
 FIRST_CHUNK = 1024
@@ -127,14 +127,15 @@ def solve_plan(p: SchmidtSpectrum, target_size: int) -> ConcentrationPlan:
     L = target_size
     probs = p.probs
     suffix = np.cumsum(probs[::-1])[::-1]
-    # k = number of coefficients strictly above t; on its interval the
-    # defining equation is linear: t = (tail mass) / (L - k)
-    k = _breakpoint_search(p.log2, np.zeros(p.dim), math.log2(L), math.log2(p.dim))[0]
-    t = suffix[k] / (L - k)
+    # group k is the first at or below t, a = A_k entries above it: t = T_k / (L - a)
+    k = _breakpoint_search(p.log2[p.starts], np.log2(p.mults), math.log2(L),
+                           math.log2(p.dim))[0]
+    a = int(p.starts[k])
+    t = suffix[a] / (L - a)
     return ConcentrationPlan(
         target_size=L,
         threshold=float(t),
-        cut_index=k + 1,
+        cut_index=a + 1,
         success_prob=float(min(t * L, 1.0)),
         measurement_coeffs=np.minimum(1.0, np.sqrt(t / probs)),
     )

@@ -1,17 +1,17 @@
 """Exact n-copy quantities: grouped product spectra and success exponents.
 
 The n-fold product of a spectrum has d**n coefficients but only polynomially
-many distinct values, one per type (fewer when the spectrum is degenerate).
-grouped_spectrum collapses the product state to (log2 value, log2 count)
-pairs from the numpy type lattice, and exact_success_prob runs the
-threshold protocol's breakpoint search (finite) on them in log space. Every
-size up to d**n has an answer; at d**n, log2 P = n log2(d p_d). d = 2
+many distinct values. grouped_spectrum collapses it to (log2 value, log2
+count) pairs from the numpy type lattice over the d' distinct values (m tied
+entries add counts log2 m to a type's count), and exact_success_prob runs
+the threshold protocol's breakpoint search (finite) on them in log space.
+Every size up to d**n has an answer; at d**n, log2 P = n log2(d p_d). d = 2
 reaches n of several thousand without underflow, and d = 3 at n = 2000
 (about 2M types) takes 0.31-0.35 s of CPU on one core of a shared host.
 
-The failure probability is never formed as 1 - P. While P >= 1/2 it is the
-exact sum of per-group excess mass above the threshold, which stays
-accurate when P is within 1e-300 of one; below, it is log1p(-P).
+While P >= 1/2, 1 - P is the exact sum of per-group excess mass above the
+threshold, accurate when P is within 1e-300 of one; whichever of P and
+1 - P is below 1/2 gives the other by log1p, never by subtraction.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RateOutOfRangeError, SizeOutOfRangeError
-from .finite import _breakpoint_search
+from .finite import TIE_BITS, _breakpoint_search
 from .method_of_types import (
     DEFAULT_TYPE_GUARD,
     log_sequence_prob,
@@ -31,9 +31,6 @@ from .method_of_types import (
 )
 from .numerics import LN2, logsumexp2
 from .spectra import SchmidtSpectrum, shannon_entropy
-
-#: groups whose log2 sequence probabilities differ by at most this merge
-MERGE_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,9 +61,9 @@ class GroupedSpectrum:
 
 
 def _merge_groups(log_probs, log_mults):
-    """Collapse runs of equal (within MERGE_TOL) descending log-probs."""
+    """Collapse runs of equal (within TIE_BITS) descending log-probs."""
     gaps = log_probs[:-1] - log_probs[1:]
-    starts = np.concatenate(([0], np.flatnonzero(gaps > MERGE_TOL) + 1))
+    starts = np.concatenate(([0], np.flatnonzero(gaps > TIE_BITS) + 1))
     if starts.size == log_probs.size:
         return log_probs, log_mults
     return log_probs[starts], np.logaddexp2.reduceat(log_mults, starts)
@@ -78,9 +75,11 @@ def grouped_spectrum(
     """Group the coefficients of the n-copy product state by value."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    counts = type_matrix(n, p.dim, max_types)
-    log_probs = log_sequence_prob(counts, p)
+    counts = type_matrix(n, p.mults.size, max_types)
+    log_probs = log_sequence_prob(counts, p.probs[p.starts])
     log_mults = log_type_class_size(counts)
+    for j in np.flatnonzero(p.mults > 1):
+        log_mults += counts[:, j] * math.log2(p.mults[j])
     del counts  # d times the size of each row value: free it before the sort
     order = np.argsort(log_probs)[::-1]
     log_probs = log_probs[order]
@@ -107,7 +106,11 @@ def _solve_grouped_threshold(spec: GroupedSpectrum, log2_size: float):
         return log_t, k, log_success, math.log1p(-(2.0**log_success)) / LN2
     excess = lm[:k] + lp[:k]
     excess += np.log1p(-np.exp2(log_t - lp[:k])) / LN2
-    return log_t, k, log_success, min(logsumexp2(excess), 0.0)
+    log_failure = min(logsumexp2(excess), 0.0)
+    if log_failure < -1.0:
+        # 1 - P < 1/2: log_t + log2_size cancels to ulp(log2 L), log1p does not
+        log_success = math.log1p(-(2.0**log_failure)) / LN2
+    return log_t, k, log_success, log_failure
 
 
 def exact_success_prob(

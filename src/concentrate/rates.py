@@ -149,17 +149,15 @@ def inverse_direct(p: SchmidtSpectrum, rate: float) -> float:
     Solves D(h(s)||p) + H(h(s)) = rate for s > 1 (the combination equals
     -psi'(s), strictly decreasing) and returns F(s). At the lower endpoint
     the optimizer escapes to infinity; the limit is the divergence of the
-    flat distribution on the maximal coefficients. Near-flat tops raise
-    SolverError (root past the bracket cap).
+    flat distribution on the m_1 tied maximal coefficients, -log2(m_1 p_1).
+    Near-flat tops raise SolverError (root past the bracket cap).
     """
     floor = p.min_entropy
     entropy = shannon_entropy(p)
     if not (floor <= rate < entropy):
         raise RateOutOfRangeError(f"rate {rate} outside [{floor}, {entropy})")
     if rate == floor:
-        ties = int(np.sum(p.probs >= p.probs[0] * (1.0 - 1e-12)))
-        return -math.log2(ties * float(p.probs[0]))
-
+        return -math.log2(p.mults[0] * p.probs[0])
     return solve_tilts(p, [rate], "direct_rate")[0].f_value
 
 

@@ -2,26 +2,27 @@
 
 A bipartite pure state enters every computation here only through its
 squared Schmidt coefficients: a strictly positive probability vector sorted
-in decreasing order. On top of that vector this module provides
+in decreasing order, with ties decided once by new_spectrum (SNAP_TOL): its
+runs of equal entries are groups with multiplicities m. On top of it are
 
     shannon_entropy     H(p) = -sum p_i log2 p_i
     relative_entropy    D(q||p) = sum q_i log2(q_i / p_i)
-    psi                 psi(s) = log2 sum_i p_i**s
     tilted              h_i(s) = p_i**s / sum_j p_j**s
-    big_f               F(s) = -psi(s) - (1 - s) psi'(s) = D(h(s)||p)
+    tilted_point        psi(s) = log2 sum_i p_i**s, psi', psi'', H(h(s)) and
+                        F(s) = -psi(s) - (1 - s) psi'(s) = D(h(s)||p)
 
 and the two inverse maps of F: the solution s > 1 of F(s) = r (exists for
-0 < r < -log2 p_1) and the solution 0 < s < 1 (exists for 0 < r < D(u||p)
+0 < r < -log2(m_1 p_1)) and the solution 0 < s < 1 (exists for 0 < r < D(u||p)
 with u uniform), found for a whole array of r at once by solve_tilts as the
 TiltedFamilyPoint (s, psi, psi', psi'', F, H(h(s))) of the kernel pass that
-solved it. Outside those ranges it returns the SATURATED sentinel, because
-the downstream yield curves are still well defined constants there.
+solved it. From -log2 p_1 and D(u||p) on it returns the SATURATED sentinel,
+because the downstream yield curves are still well defined constants there.
 
 Everything is in bits. The tilted family is taken on s >= 0 (other tilts
-raise TiltOutOfRangeError) in its shifted form over D = log2(p / p_1) <= 0:
-the weights 2**(s D) lie in (0, 1] and Z = sum 2**(s D) in [1, d] at any
-tilt, and nothing cancels against s log2 p_1, so F and psi'' keep ten
-digits even 6e-7 from flat at s = 5e5, where Var_h(log2 p) keeps none.
+raise TiltOutOfRangeError) in its shifted form over D = log2(p / p_1) <= 0
+per group: the weights 2**(s D) lie in (0, 1] and Z = sum m 2**(s D) in
+[1, d] at any tilt, and nothing cancels against s log2 p_1, so F and psi''
+keep ten digits even 6e-7 from flat at s = 5e5, where Var_h(log2 p) keeps none.
 """
 
 from __future__ import annotations
@@ -48,8 +49,9 @@ from .numerics import LN2
 #: input probabilities may miss normalization by this much before we refuse
 SUM_TOL = 1e-9
 
-#: two spectrum entries closer than this are treated as tied
-TIE_TOL = 1e-12
+#: p_i >= p_{i+1} tie if p_i - p_{i+1} <= SNAP_TOL p_i / p_1: absolute at the top
+#: (within 1e-12 of flat is one group), relative below (small logs stay apart)
+SNAP_TOL = 1e-12
 
 
 class Saturated:
@@ -74,7 +76,8 @@ class SchmidtSpectrum:
     """Squared Schmidt coefficients: positive, descending, summing to one.
 
     Instances are immutable value objects; build them through new_spectrum,
-    which strips zeros, sorts, and normalizes.
+    which strips zeros, sorts, normalizes and snaps near-ties. The groups
+    are found on first use.
     """
 
     probs: np.ndarray
@@ -88,17 +91,25 @@ class SchmidtSpectrum:
 
     @cached_property
     def log2(self) -> np.ndarray:
-        arr = np.log2(self.probs)
-        arr.setflags(write=False)
-        return arr
+        return _frozen(np.log2(self.probs))
+
+    @cached_property
+    def starts(self) -> np.ndarray:
+        """Each group's first index, which counts the entries above it."""
+        p = self.probs
+        return _frozen(np.concatenate(([True], p[1:] != p[:-1])).nonzero()[0])
+
+    @cached_property
+    def mults(self) -> np.ndarray:
+        """Each group's multiplicity m, a whole number held as float64."""
+        s, d = self.starts, self.dim
+        return _frozen(np.ones(d) if s.size == d else np.concatenate((s[1:], [d])) - s * 1.0)
 
     @cached_property
     def powers(self) -> np.ndarray:
-        """[1, D, D**2] over D = log2(p / p_1), the tilted family's shifted form."""
-        shift = self.log2 - self.log2[0]
-        arr = np.array([np.ones_like(shift), shift, shift * shift])
-        arr.setflags(write=False)
-        return arr
+        """Per group [D, m, m D, m D**2], D = log2(p / p_1): 2**(s D) times the rest."""
+        m, shift = self.mults, self.log2[self.starts] - self.log2[0]
+        return _frozen(np.array([shift, m, m * shift, m * shift * shift]))
 
     @cached_property
     def min_entropy(self) -> float:
@@ -107,11 +118,16 @@ class SchmidtSpectrum:
 
     @property
     def is_uniform(self) -> bool:
-        """True when every coefficient is (numerically) equal."""
-        return bool(self.probs[0] - self.probs[-1] <= TIE_TOL)
+        """True when every coefficient is equal: one group."""
+        return self.mults.size == 1
 
     def __repr__(self) -> str:
         return f"SchmidtSpectrum({np.array2string(self.probs, separator=', ')})"
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 def _as_prob_vector(q) -> np.ndarray:
@@ -132,7 +148,8 @@ def new_spectrum(values, renormalize: bool = False) -> SchmidtSpectrum:
     Zeros are stripped, entries sorted descending, and the result is divided
     by its sum so the normalization invariant holds exactly. Without the
     `renormalize` flag the input sum must already be within SUM_TOL of one.
-    NaN, infinite and negative entries are refused first.
+    NaN, infinite and negative entries are refused first. A run of entries
+    tied by SNAP_TOL takes its mean; exact ties keep their bits.
     """
     arr = _as_prob_vector(values).ravel()
     if arr.size == 0 or not np.any(arr > 0.0):
@@ -149,6 +166,12 @@ def new_spectrum(values, renormalize: bool = False) -> SchmidtSpectrum:
     if arr[-1] == 0.0:
         arr = arr[arr > 0.0]
         arr = arr / arr.sum()
+    gaps = arr[:-1] - arr[1:]
+    if np.minimum.reduce(gaps, initial=1.0, where=gaps > 0.0) <= SNAP_TOL:
+        starts = np.flatnonzero(np.append(True, gaps > SNAP_TOL / arr[0] * arr[:-1]))
+        sizes = np.append(starts[1:], arr.size) - starts
+        heads = np.repeat(arr[starts], sizes)
+        arr = heads + np.repeat(np.add.reduceat(arr - heads, starts) / sizes, sizes)
     return SchmidtSpectrum(arr)
 
 
@@ -172,25 +195,23 @@ def relative_entropy(q, p: SchmidtSpectrum) -> float:
     if qv.size != p.dim:
         raise DimensionMismatchError(f"q has {qv.size} entries, p has {p.dim}")
     mask = qv > 0.0
-    if np.any(p.probs[mask] == 0.0):
-        return float(np.inf)
     qm = qv[mask]
     return float(qm @ (np.log2(qm) - p.log2[mask]))
 
 
 def _family(p: SchmidtSpectrum, tilts) -> tuple[list[tuple], np.ndarray]:
-    """(psi, psi', psi'', F, H(h)) at every tilt s >= 0, and the (S, 1, d) weights 2**(s D).
+    """(psi, psi', psi'', F, H(h)) at every tilt s >= 0, and the (S, 1, g) weights 2**(s D).
 
-    The one kernel of the tilted family: one (S, 3, d) pass gives Z, Z E_h[D]
-    and Z E_h[D**2] over D = log2(p / p_1), each row summed on its own so that
-    no tilt's bits depend on the others passed with it. With m = E_h[D] and
-    top = -log2 p_1: psi = log2 Z - s top, psi' = m - top, psi'' = ln2 Var_h(D)
-    (clipped at zero against roundoff), F = top - log2 Z + (s - 1) m and
-    H(h) = log2 Z - s m.
+    The one kernel of the tilted family: one (S, 3, g) pass over the groups
+    gives Z, Z E_h[D] and Z E_h[D**2] from p.powers, each row summed on its
+    own so that no tilt's bits depend on the others passed with it. With
+    e = E_h[D] and top = -log2 p_1: psi = log2 Z - s top, psi' = e - top,
+    psi'' = ln2 Var_h(D) (clipped at zero against roundoff),
+    F = top - log2 Z + (s - 1) e and H(h) = log2 Z - s e.
     """
     powers = p.powers
-    weights = np.exp2(np.multiply.outer(tilts, powers[1:2]))
-    rows = np.add.reduce(weights * powers, 2).tolist()
+    weights = np.exp2(np.multiply.outer(tilts, powers[:1]))
+    rows = np.add.reduce(weights * powers[1:], 2).tolist()
     top, values = p.min_entropy, []
     for s, (z, zd, zdd) in zip(tilts, rows):
         log_z, mean = math.log2(z), zd / z
@@ -208,23 +229,9 @@ def _at(p: SchmidtSpectrum, s: float) -> tuple[tuple, np.ndarray]:
     return values[0], weights[0, 0]
 
 
-def psi(p: SchmidtSpectrum, s: float) -> float:
-    """psi(s) = log2 sum_i p_i**s = log2 Z(s) + s log2 p_1, for s >= 0."""
-    return _at(p, s)[0][0]
-
-
 def tilted(p: SchmidtSpectrum, s: float) -> SchmidtSpectrum:
     """Tilted family member h(s); h(1) = p and h(0) is uniform on the support."""
-    return new_spectrum(_at(p, s)[1], renormalize=True)
-
-
-def big_f(p: SchmidtSpectrum, s: float) -> float:
-    """F(s) = -psi(s) - (1-s) psi'(s); equals D(h(s)||p).
-
-    F(1) = 0; F decreases to 0 on [0,1] from D(u||p) and increases toward
-    -log2 p_1 for s > 1.
-    """
-    return _at(p, s)[0][3]
+    return new_spectrum(np.repeat(_at(p, s)[1], p.mults.astype(int)), renormalize=True)
 
 
 def divergence_from_uniform(p: SchmidtSpectrum) -> float:
@@ -234,7 +241,7 @@ def divergence_from_uniform(p: SchmidtSpectrum) -> float:
 
 class TiltedFamilyPoint(NamedTuple):
     """The tilted family at tilt s, in bits: psi, psi' = E_h[log2 p], psi'' =
-    ln2 Var_h(log2 p), F(s) and H(h(s)); tilted(p, s) gives h(s) itself."""
+    ln2 Var_h(log2 p), F(s) = D(h(s)||p) and H(h(s)); tilted(p, s) gives h(s)."""
 
     s: float
     psi: float
@@ -247,11 +254,6 @@ class TiltedFamilyPoint(NamedTuple):
 def tilted_point(p: SchmidtSpectrum, s: float) -> TiltedFamilyPoint:
     """The tilted family's functionals at one tilt, from one kernel pass."""
     return TiltedFamilyPoint(s, *_at(p, s)[0])
-
-
-def tilted_entropy(p: SchmidtSpectrum, s: float) -> float:
-    """H(h(s)) = psi(s) - s psi'(s), monotone decreasing in s."""
-    return _at(p, s)[0][4]
 
 
 #: a tilt is solved at |residual| <= F_TOL; MAX_ITER steps or BRACKET_CAP fail

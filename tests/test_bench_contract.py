@@ -52,7 +52,7 @@ def tracer():
 
 def test_tracer_builds_over_the_package(tracer):
     # a public function whose module is not in tracing.LAYERS fails here
-    assert {"spectra.big_f", "spectra.solve_tilts", "rates.direct_yield"} <= set(
+    assert {"spectra.tilted_point", "spectra.solve_tilts", "rates.direct_yield"} <= set(
         tracer.names
     )
 
@@ -76,7 +76,7 @@ def test_traced_runs_match_untraced(tracer):
     counts, _ = tracing.job_metrics(tracer, trace)
     tracer.uninstall()
     assert traced == plain
-    # F comes with each solved point: no route re-evaluates it through big_f
+    # F comes with each solved point; big_f, which this counter reads, is gone
     assert counts["spectra.f_evals"] == 0
     # one engine run per sweep branch and one for the predicted exponent
     assert trace.calls("spectra.solve_tilts") == 3

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from concentrate import cli, new_spectrum, psi
+from concentrate import cli, new_spectrum, tilted_point
 from concentrate.cli import main, _parse_n_list, _parse_r_grid
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -92,7 +92,7 @@ def test_near_flat_spectrum_fidelity_converse(capsys):
     assert code == 0
     row = json.loads(out)["rows"][0]
     p = new_spectrum([0.500000001, 0.499999999])
-    assert row["yield_bits"] == 0.01 + 2.0 * psi(p, 0.5)
+    assert row["yield_bits"] == 0.01 + 2.0 * tilted_point(p, 0.5).psi
     assert row["regime"] == "linear"
 
 

@@ -36,6 +36,7 @@ from concentrate import iid
 from concentrate.finite import FIRST_CHUNK, TIE_BITS
 from concentrate.iid import _merge_groups, _solve_grouped_threshold
 from concentrate.numerics import LN2, log2_sub, logsumexp2
+from concentrate.spectra import SNAP_TOL
 from conftest import ln_factorial, random_spectrum
 
 
@@ -123,10 +124,13 @@ def _sorted_lattice_groups(p, n):
     return _merge_groups(log_probs[order], log_mults[order])
 
 
+#: a geometric spectrum, tie-free with merging types, then a dyadic and a
+#: plain spectrum with ties
 PINNED_SPECTRA = {
-    3: ([0.5, 0.25, 0.25], [0.4, 0.4, 0.2]),
-    4: ([0.5, 0.25, 0.125, 0.125], [0.3, 0.3, 0.2, 0.2]),
-    5: ([0.25, 0.25, 0.25, 0.125, 0.125], [0.3, 0.3, 0.2, 0.1, 0.1]),
+    3: ([4 / 7, 2 / 7, 1 / 7], [0.5, 0.25, 0.25], [0.4, 0.4, 0.2]),
+    4: ([8 / 15, 4 / 15, 2 / 15, 1 / 15], [0.5, 0.25, 0.125, 0.125], [0.3, 0.3, 0.2, 0.2]),
+    5: ([16 / 31, 8 / 31, 4 / 31, 2 / 31, 1 / 31], [0.25, 0.25, 0.25, 0.125, 0.125],
+        [0.3, 0.3, 0.2, 0.1, 0.1]),
 }
 
 
@@ -134,10 +138,12 @@ PINNED_SPECTRA = {
     "d, n_list", [(3, (1, 2, 7, 23, 40)), (4, (1, 5, 12, 20)), (5, (1, 6, 14))]
 )
 def test_grouped_spectrum_equals_sorted_lattice_construction(d, n_list):
-    # random, dyadic (types merge) and tied spectra, bit for bit
+    # random and geometric (types merge) spectra bit for bit; a tied
+    # spectrum's lattice runs over its distinct values, so its groups are
+    # checked against the exact integer groups instead
     rng = np.random.default_rng(100 + d)
-    dyadic, tied = PINNED_SPECTRA[d]
-    spectra = [random_spectrum(rng, d), new_spectrum(dyadic), new_spectrum(tied)]
+    geometric, *tied = PINNED_SPECTRA[d]
+    spectra = [random_spectrum(rng, d), new_spectrum(geometric, renormalize=True)]
     for p in spectra:
         for n in n_list:
             spec = grouped_spectrum(p, n)
@@ -147,6 +153,9 @@ def test_grouped_spectrum_equals_sorted_lattice_construction(d, n_list):
     assert grouped_spectrum(spectra[1], n_list[-1]).group_count < len(
         _lexicographic_types(n_list[-1], d)
     )
+    for p in map(new_spectrum, tied):
+        for n in n_list:
+            _assert_groups_exact(grouped_spectrum(p, n), ExactProduct(p, n))
 
 
 def test_exact_success_prob_example():
@@ -263,7 +272,10 @@ def _reference_threshold(spec, log2_size):
                 return log_t, k, log_success, math.log1p(-(2.0**log_success)) / LN2
             excess = lm[:k] + lp[:k]
             excess += np.log1p(-np.exp2(log_t - lp[:k])) / LN2
-            return log_t, k, log_success, min(logsumexp2(excess), 0.0)
+            log_failure = min(logsumexp2(excess), 0.0)
+            if log_failure < -1.0:
+                log_success = math.log1p(-(2.0**log_failure)) / LN2
+            return log_t, k, log_success, log_failure
     raise SolverError("reference scan found no threshold")
 
 
@@ -367,6 +379,15 @@ def _assert_matches_exact(spec, exact, bits):
     want_p, want_f = exact.log_success(bits, spec.total_log_dim)
     assert abs(log_p - want_p) <= 1e-10, (bits, log_p, want_p)
     assert log_f == want_f or abs(log_f - want_f) <= 1e-10, (bits, log_f, want_f)
+
+
+def _assert_groups_exact(spec, exact):
+    """The groups are the exact product's distinct values and their counts,
+    within 1e-10 bits."""
+    assert spec.group_count == len(exact.values)
+    log_probs = [math.log2(v) - exact.shift for v in exact.values]
+    assert np.max(np.abs(spec.log_probs - log_probs)) <= 1e-10
+    assert np.max(np.abs(spec.log_mults - np.log2(exact.counts))) <= 1e-10
 
 
 def _group_sizes(spec, groups):
@@ -588,6 +609,78 @@ def test_scan_is_total_and_never_increases(p, n, fractions):
         cut = plan.cut_index
         assert np.all(p.probs[: cut - 1] > plan.threshold)
         assert plan.threshold >= p.probs[cut - 1] * (1.0 - 1e-12)
+
+
+@st.composite
+def _tie_spectra(draw):
+    """Tied, near-tied (one gap 10% below or above the tie tolerance) and
+    tie-free spectra, d from 1 to 4."""
+    d = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["tied", "below", "above", "free"]))
+    if kind == "tied":
+        weights = draw(st.lists(st.integers(1, 3), min_size=d, max_size=d))
+        return new_spectrum(sorted(weights, reverse=True), renormalize=True)
+    rng = np.random.default_rng(draw(st.integers(0, 10**6)))
+    raw = np.sort(rng.uniform(0.05, 1.0, size=d))[::-1]
+    j = draw(st.integers(0, max(d - 2, 0)))
+    if kind != "free" and d > 1:
+        raw[j + 1] = raw[j]
+    raw /= raw.sum()
+    if kind != "free" and d > 1:
+        # the gap as new_spectrum sees it, up to a relative 1e-12 of rescaling
+        raw[j + 1] = raw[j] * (1.0 - (0.9 if kind == "below" else 1.1) * SNAP_TOL / raw[0])
+    p = new_spectrum(raw, renormalize=True)
+    # a gap just below the tolerance ties, one just above it does not
+    assert p.mults.size == (d - 1 if kind == "below" and d > 1 else d)
+    return p
+
+
+@settings(max_examples=80, deadline=None)
+@given(_tie_spectra(), st.integers(1, 40))
+def test_groups_plans_and_kernel_agree_on_tied_and_near_tied_spectra(p, n):
+    n = min(n, {1: 40, 2: 40, 3: 12, 4: 6}[p.dim])
+    _assert_groups_exact(grouped_spectrum(p, n), ExactProduct(p, n))
+    for size in range(1, p.dim + 1):
+        assert solve_plan(p, size).success_prob == pytest.approx(
+            optimal_probability(p, size), abs=1e-12)
+    # the kernel's grouped sums of [1, D, D**2] 2**(s D) against every entry
+    shift = p.log2 - p.log2[0]
+    for s in (0.0, 0.5, 1.0, 2.5, 40.0):
+        weights = np.exp2(s * shift)
+        expanded = [weights.sum(), (weights * shift).sum(), (weights * shift * shift).sum()]
+        grouped = np.add.reduce(np.exp2(s * p.powers[0]) * p.powers[1:], 1)
+        np.testing.assert_array_max_ulp(grouped, np.array(expanded), maxulp=4)
+
+
+def test_tied_lattice_runs_over_distinct_values(monkeypatch):
+    # [0.3, 0.3, 0.3, 0.1] at n = 200: 201 types over two values, not 1.37M
+    rows = []
+    build = iid.type_matrix
+
+    def counting(*args):
+        rows.append(build(*args))
+        return rows[-1]
+
+    monkeypatch.setattr(iid, "type_matrix", counting)
+    p = new_spectrum([0.3, 0.3, 0.3, 0.1])
+    spec = grouped_spectrum(p, 200)
+    assert [len(r) for r in rows] == [201] and spec.group_count == 201
+    assert spec.normalization_defect() == pytest.approx(0.0, abs=1e-12)
+    exact = ExactProduct(p, 30)
+    spec = grouped_spectrum(p, 30)
+    for bits in (0.0, 10.0, 30.0, 45.0, spec.total_log_dim):
+        _assert_matches_exact(spec, exact, bits)
+
+
+def test_success_prob_near_one_by_log1p_of_the_failure_prob():
+    # log2 P as log_t + log2 L cancels to ulp(log2 L); with 1 - P < 1/2 it
+    # comes from log1p(-(1 - P)) instead: about -2.5e-33 here, not -2.3e-13
+    p = new_spectrum([0.5, 0.3, 0.2])
+    n, entropy = 600, -float(p.probs @ p.log2)
+    log_p, log_f = exact_success_prob(p, n, n * 0.5 * (p.min_entropy + entropy))
+    assert log_f == pytest.approx(-108.85, abs=0.01)
+    assert log_p == math.log1p(-(2.0**log_f)) / LN2
+    assert -3e-33 < log_p < -2e-33
 
 
 def test_failure_prob_accurate_when_success_is_close_to_one():

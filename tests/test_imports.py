@@ -1,7 +1,7 @@
 """Source-level checks: the package needs numpy alone (scipy is neither loaded
 nor imported), every domain error it defines is raised somewhere, the
-simplex-grid oracle stays independent of the tilted family, and only spectra
-names the tilted-family kernel."""
+simplex-grid oracle stays independent of the tilted family, only spectra
+names the tilted-family kernel, and ties are decided by one rule."""
 
 import ast
 import os
@@ -86,8 +86,8 @@ def test_only_spectra_names_the_kernel():
 
 
 TILTED_FAMILY = {
-    "_family", "solve_tilts", "big_f", "psi", "tilted", "tilted_entropy",
-    "tilted_point", "SATURATED", "direct_curve", "converse_curve",
+    "_family", "solve_tilts", "psi", "f_value", "tilted", "tilted_point",
+    "SATURATED", "direct_curve", "converse_curve",
 }
 
 
@@ -103,3 +103,26 @@ def test_grid_oracle_names_nothing_of_the_tilted_family():
         todo += sorted((names & functions.keys()) - reached)
     assert {"_grid_curves", "_last_true"} <= reached
     assert sorted(names & TILTED_FAMILY) == []
+
+
+def _module_constants(path):
+    """Names assigned a numeric literal at module level."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant):
+            yield from (t.id for t in node.targets if isinstance(t, ast.Name))
+
+
+def test_one_tie_rule_in_p_and_one_log2_allowance():
+    # ties are decided once, in new_spectrum (p-space), and the n-copy
+    # threshold search and group merge share one log2 allowance
+    found = sorted(
+        f"{f.stem}.{name}" for f in (ROOT / "src").rglob("*.py")
+        for name in _module_constants(f)
+        if any(word in name for word in ("TIE", "SNAP", "MERGE"))
+    )
+    assert found == ["finite.TIE_BITS", "spectra.SNAP_TOL"]
+    # inverse_direct reads the top multiplicity; it counts no ties itself
+    rates = ast.parse((ROOT / "src" / "concentrate" / "rates.py").read_text())
+    inverse = next(n for n in rates.body if getattr(n, "name", "") == "inverse_direct")
+    assert "mults" in set(_names(inverse))
+    assert not [n for n in ast.walk(inverse) if isinstance(n, ast.Constant) and n.value == 1e-12]

@@ -10,7 +10,6 @@ from concentrate import (
     NonPositiveExponentError,
     RateOutOfRangeError,
     SolverError,
-    big_f,
     brute_force_curves,
     converse_yield,
     direct_yield,
@@ -23,6 +22,7 @@ from concentrate import (
     nonadditivity_report,
     r_prime,
     shannon_entropy,
+    tilted_point,
 )
 from conftest import gentle_spectrum, random_spectrum
 
@@ -48,7 +48,7 @@ def test_direct_yield_saturates_at_top_coefficient():
 def test_direct_yield_interior_point_carries_tilt():
     point = direct_yield(P34, 0.05)
     assert point.regime == "interior"
-    assert big_f(P34, point.s_star) == pytest.approx(0.05, abs=1e-10)
+    assert tilted_point(P34, point.s_star).f_value == pytest.approx(0.05, abs=1e-10)
 
 
 def test_direct_yield_rejects_nonpositive_r():
@@ -58,7 +58,6 @@ def test_direct_yield_rejects_nonpositive_r():
 
 def test_direct_yield_endpoints():
     # the r -> 0 gap closes like sqrt(2 r psi''(1)); assert at that scale
-    from concentrate import tilted_point
 
     curvature = tilted_point(P34, 1.0).psi_double_prime
     for r in (1e-7, 1e-9):
@@ -87,7 +86,6 @@ def test_converse_yield_saturates_at_uniform_divergence():
 
 
 def test_converse_yield_endpoints():
-    from concentrate import tilted_point
 
     curvature = tilted_point(P34, 1.0).psi_double_prime
     for r in (1e-7, 1e-9):
@@ -114,7 +112,7 @@ def test_fidelity_direct_equals_direct():
 def test_r_prime_matches_half_tilt_closed_form():
     rp = r_prime(P34)
     assert not rp.degenerate
-    assert rp.value == big_f(P34, 0.5)
+    assert rp.value == tilted_point(P34, 0.5).f_value
     # slope really is one there (central differences)
     h = 1e-6
     slope = (

@@ -24,21 +24,18 @@ from concentrate import (
     SolverError,
     TiltedFamilyPoint,
     TiltOutOfRangeError,
-    big_f,
     divergence_from_uniform,
     new_spectrum,
     log_sequence_prob,
-    psi,
     relative_entropy,
     shannon_entropy,
     solve_tilts,
     tensor,
     tilted,
-    tilted_entropy,
     tilted_point,
 )
 from concentrate import rates, spectra
-from concentrate.spectra import BRACKET_CAP
+from concentrate.spectra import BRACKET_CAP, SNAP_TOL
 from conftest import random_spectrum
 
 mp.mp.dps = 50
@@ -113,6 +110,62 @@ def test_construction_invariants_hold(values):
     assert np.all(np.diff(p.probs) <= 0)
 
 
+# --- groups and the tie rule -------------------------------------------------
+
+
+def test_groups_of_a_tied_spectrum():
+    p = new_spectrum([0.1, 0.3, 0.3, 0.3])
+    assert p.probs.tolist() == [0.3, 0.3, 0.3, 0.1]
+    assert p.starts.tolist() == [0, 3] and p.mults.tolist() == [3.0, 1.0]
+    assert not p.is_uniform and new_spectrum([0.25] * 4).mults.tolist() == [4.0]
+
+
+def test_tie_free_and_exactly_tied_spectra_keep_their_bits():
+    rng = np.random.default_rng(3)
+    for raw in [rng.uniform(0.05, 1.0, size=d) for d in (2, 7, 64, 2048)] + [
+            np.array([0.1] * 10), np.array([0.3, 0.3, 0.2, 0.1, 0.1]), np.array([1.0])]:
+        want = np.sort(raw)[::-1] / raw.sum()
+        p = new_spectrum(raw, renormalize=True)
+        assert np.array_equal(p.probs, want)
+        assert p.mults.sum() == p.dim
+
+
+def test_near_ties_snap_to_the_run_mean():
+    # top gaps up to SNAP_TOL are absolute; below the top they scale by p_i / p_1
+    p = new_spectrum([0.4, 0.4 - 0.5 * SNAP_TOL, 0.2 + 0.5 * SNAP_TOL])
+    assert p.mults.tolist() == [2.0, 1.0]
+    assert p.probs[0] == p.probs[1] == pytest.approx(0.4, abs=SNAP_TOL)
+    assert abs(p.probs.sum() - 1.0) <= 1e-15
+    apart = new_spectrum([0.4, 0.4 - 2.0 * SNAP_TOL, 0.2 + 2.0 * SNAP_TOL])
+    assert apart.mults.tolist() == [1.0, 1.0, 1.0]
+    # an absolute 1e-12 rule would merge every small entry here; the relative
+    # rule ties gaps of 1e-13 of the entry and keeps gaps of 1e-11 apart
+    small = [1.0 - 4e-6, 2e-6, 2e-6 * (1 - 1e-13), 2e-6 * (1 + 1e-13)]
+    assert new_spectrum(small, renormalize=True).mults.tolist() == [1.0, 3.0]
+    small = [1.0 - 4e-6, 2e-6, 2e-6 * (1 - 1e-11), 2e-6 * (1 + 1e-11)]
+    assert new_spectrum(small, renormalize=True).mults.tolist() == [1.0] * 4
+
+
+@pytest.mark.parametrize("values", [
+    [0.5 + 4e-13, 0.5 - 4e-13], [0.5 + 4.9e-13, 0.5 - 4.9e-13],
+    [1 / 3 + 4e-13, 1 / 3, 1 / 3 - 4e-13], [0.25 + 4.9e-13, 0.25, 0.25, 0.25 - 4.9e-13],
+])
+def test_spectrum_within_1e12_of_flat_is_one_group(values):
+    # p_1 - p_d <= 1e-12 (relative gaps up to 3.9e-12) is one group, so both
+    # branches saturate; a near-flat top that is not one group would chase its
+    # tilt past the bracket cap
+    raw = np.sort(values)[::-1] / math.fsum(values)
+    assert raw[0] - raw[-1] <= 1e-12
+    p = new_spectrum(values)
+    assert p.is_uniform and p.mults.tolist() == [float(len(values))]
+    top = math.log2(len(values))
+    for r in (1e-6, 0.5, 3.0):
+        assert solve_tilts(p, [r], "s_plus") == [SATURATED]
+        assert solve_tilts(p, [r], "s_minus") == [SATURATED]
+        assert rates.direct_yield(p, r).yield_bits == p.min_entropy
+        assert rates.converse_yield(p, r).yield_bits == top
+
+
 # --- entropies --------------------------------------------------------------
 
 
@@ -169,18 +222,18 @@ def test_divergence_from_uniform_matches_relative_entropy():
 def test_psi_examples():
     flat = new_spectrum([0.5, 0.5])
     for s in (0.0, 0.7, 1.0, 3.5):
-        assert psi(flat, s) == pytest.approx(1.0 - s, abs=1e-12)
+        assert tilted_point(flat, s).psi == pytest.approx(1.0 - s, abs=1e-12)
     p = new_spectrum([0.75, 0.25])
-    assert psi(p, 1.0) == pytest.approx(0.0, abs=1e-12)
+    assert tilted_point(p, 1.0).psi == pytest.approx(0.0, abs=1e-12)
     frozen = -0.6780719051126377  # mp_psi([0.75, 0.25], 2)
     assert mp_psi([0.75, 0.25], 2) == pytest.approx(frozen, abs=1e-15)
-    assert psi(p, 2.0) == pytest.approx(frozen, abs=1e-12)
+    assert tilted_point(p, 2.0).psi == pytest.approx(frozen, abs=1e-12)
 
 
 def test_psi_handles_extreme_tilts_in_log_space():
     p = new_spectrum([0.75, 0.25])
     s = 5000.0
-    assert psi(p, s) == pytest.approx(s * math.log2(0.75), abs=1e-6)
+    assert tilted_point(p, s).psi == pytest.approx(s * math.log2(0.75), abs=1e-6)
 
 
 def test_psi_derivatives_examples():
@@ -204,9 +257,9 @@ def test_tilted_examples():
 
 def test_big_f_examples():
     p = new_spectrum([0.75, 0.25])
-    assert big_f(p, 1.0) == pytest.approx(0.0, abs=1e-12)
-    assert big_f(p, 0.0) == pytest.approx(0.2075187496394219, abs=1e-12)
-    assert big_f(p, 2.0) == pytest.approx(
+    assert tilted_point(p, 1.0).f_value == pytest.approx(0.0, abs=1e-12)
+    assert tilted_point(p, 0.0).f_value == pytest.approx(0.2075187496394219, abs=1e-12)
+    assert tilted_point(p, 2.0).f_value == pytest.approx(
         relative_entropy(tilted(p, 2.0), p), abs=1e-12
     )
 
@@ -232,7 +285,7 @@ def test_solve_s_plus_examples():
     assert solve_tilts(new_spectrum([0.5, 0.5]), [0.1], "s_plus")[0] is SATURATED
     point = solve_tilts(p, [0.1], "s_plus")[0]
     assert point.s > 1.0
-    assert big_f(p, point.s) == pytest.approx(0.1, abs=1e-12)
+    assert tilted_point(p, point.s).f_value == pytest.approx(0.1, abs=1e-12)
     assert point.f_value == pytest.approx(0.1, abs=1e-12)
     with pytest.raises(NonPositiveExponentError):
         solve_tilts(p, [0.0], "s_plus")
@@ -244,7 +297,7 @@ def test_solve_s_minus_examples():
     assert solve_tilts(new_spectrum([0.5, 0.5]), [0.01], "s_minus")[0] is SATURATED
     point = solve_tilts(p, [0.05], "s_minus")[0]
     assert 0.0 < point.s < 1.0
-    assert big_f(p, point.s) == pytest.approx(0.05, abs=1e-12)
+    assert tilted_point(p, point.s).f_value == pytest.approx(0.05, abs=1e-12)
     assert point.f_value == pytest.approx(0.05, abs=1e-12)
 
 
@@ -285,7 +338,7 @@ def test_solver_roundtrip_random():
             r = float(rng.uniform(0.05, 0.95) * edge)
             point = solve_tilts(p, [r], equation)[0]
             if point is not SATURATED:
-                assert big_f(p, point.s) == pytest.approx(r, abs=1e-10)
+                assert tilted_point(p, point.s).f_value == pytest.approx(r, abs=1e-10)
 
 
 # --- functional identities --------------------------------------------------
@@ -297,16 +350,17 @@ def test_psi_is_convex_in_s():
         p = random_spectrum(rng, int(rng.integers(2, 8)))
         a, b = np.sort(rng.uniform(0.0, 6.0, size=2))
         mid = 0.5 * (a + b)
-        assert psi(p, mid) <= 0.5 * (psi(p, a) + psi(p, b)) + 1e-12
+        psi = [tilted_point(p, s).psi for s in (a, b, mid)]
+        assert psi[2] <= 0.5 * (psi[0] + psi[1]) + 1e-12
 
 
 def test_big_f_monotone_on_both_branches():
     p = new_spectrum([0.6, 0.3, 0.1])
     su = np.linspace(1.01, 8.0, 40)
-    vals = [big_f(p, s) for s in su]
+    vals = [tilted_point(p, s).f_value for s in su]
     assert all(b > a for a, b in zip(vals, vals[1:]))
     sd = np.linspace(0.0, 0.99, 40)
-    vals = [big_f(p, s) for s in sd]
+    vals = [tilted_point(p, s).f_value for s in sd]
     assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
@@ -317,15 +371,16 @@ def test_big_f_equals_divergence_of_tilt():
         s = float(rng.uniform(0.0, 5.0))
         h = tilted(p, s)
         if h.dim == p.dim:
-            assert big_f(p, s) == pytest.approx(relative_entropy(h, p), abs=1e-10)
+            f = tilted_point(p, s).f_value
+            assert f == pytest.approx(relative_entropy(h, p), abs=1e-10)
 
 
 def test_tilted_point_bundles_consistent_values():
     p = new_spectrum([0.6, 0.25, 0.15])
     point = tilted_point(p, 2.3)
     assert point.s == 2.3
-    assert point.psi == pytest.approx(psi(p, 2.3), abs=1e-15)
-    assert point.f_value == pytest.approx(big_f(p, 2.3), abs=1e-12)
+    assert point.psi == pytest.approx(mp_psi(p.probs, 2.3), abs=1e-15)
+    assert point.f_value == pytest.approx(relative_entropy(tilted(p, 2.3), p), abs=1e-12)
     assert point.entropy == pytest.approx(shannon_entropy(tilted(p, 2.3)), abs=1e-12)
     assert point.psi_double_prime > 0.0
     flat = new_spectrum([0.5, 0.5])
@@ -339,11 +394,10 @@ def test_tilted_entropy_identity():
         s = float(rng.uniform(0.0, 4.0))
         if abs(s - 1.0) < 1e-3:
             continue
-        expected = (s * big_f(p, s) + psi(p, s)) / (1.0 - s)
-        assert tilted_entropy(p, s) == pytest.approx(expected, abs=1e-10)
-        assert tilted_entropy(p, s) == pytest.approx(
-            shannon_entropy(tilted(p, s)), abs=1e-10
-        )
+        point = tilted_point(p, s)
+        expected = (s * point.f_value + point.psi) / (1.0 - s)
+        assert point.entropy == pytest.approx(expected, abs=1e-10)
+        assert point.entropy == pytest.approx(shannon_entropy(tilted(p, s)), abs=1e-10)
 
 
 def _bisect(fn, target, lo, hi):
@@ -525,28 +579,35 @@ def _counting_kernel(monkeypatch):
     return calls
 
 
-ONE_POINT = (psi, big_f, tilted_entropy, tilted, tilted_point)
+#: every one-point read of the family: tilted, tilted_point, and psi, F and
+#: H(h) by the names of the per-tilt functions they replace
+ONE_POINT = {
+    "psi": lambda p, s: tilted_point(p, s).psi,
+    "big_f": lambda p, s: tilted_point(p, s).f_value,
+    "tilted_entropy": lambda p, s: tilted_point(p, s).entropy,
+    "tilted": tilted,
+    "tilted_point": tilted_point,
+}
 
 
 @pytest.mark.parametrize("d", [1, 2, 16, 1024])
 def test_tilted_family_reads_one_kernel(d, monkeypatch):
-    # every one-point function is one kernel pass at its tilt, and they all
-    # read the same row: the bundle equals the single functions bit for bit
+    # every one-point read is one kernel pass at its tilt, and the record's
+    # fields hold the family's identities
     rng = np.random.default_rng(d)
     p = new_spectrum(rng.dirichlet(np.ones(d)), renormalize=True)
     calls = _counting_kernel(monkeypatch)
     for s in (0.0, 0.3, 0.5, 1.0, 1.7, 6.0, 250.0):
-        for fn in ONE_POINT:
+        for name, fn in ONE_POINT.items():
             calls.clear()
             fn(p, s)
-            assert calls == [[s]], fn.__name__
+            assert calls == [[s]], name
         point = tilted_point(p, s)
         prime = point.psi_prime
-        assert (point.s, point.psi, point.f_value, point.entropy) == (
-            s, psi(p, s), big_f(p, s), tilted_entropy(p, s))
+        assert point.s == s
         tol = 1e-14 * (1.0 + s)
-        assert big_f(p, s) == pytest.approx(-psi(p, s) - (1.0 - s) * prime, abs=tol)
-        assert tilted_entropy(p, s) == pytest.approx(psi(p, s) - s * prime, abs=tol)
+        assert point.f_value == pytest.approx(-point.psi - (1.0 - s) * prime, abs=tol)
+        assert point.entropy == pytest.approx(point.psi - s * prime, abs=tol)
         assert point.entropy == pytest.approx(shannon_entropy(tilted(p, s)), abs=1e-12)
 
 
@@ -594,12 +655,12 @@ def test_one_kernel_pass_per_engine_step_and_curve(monkeypatch):
     assert calls == [[0.5]]
 
 
-@pytest.mark.parametrize("fn", ONE_POINT, ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize("fn", ONE_POINT)
 @pytest.mark.parametrize("s", [-1e-300, -0.5, -math.inf, math.inf, math.nan])
 def test_tilt_outside_family_is_typed_error(fn, s):
     # the family is taken on s >= 0, where the shifted weights stay in (0, 1]
     with pytest.raises(TiltOutOfRangeError, match="finite and >= 0"):
-        fn(new_spectrum([0.6, 0.3, 0.1]), s)
+        ONE_POINT[fn](new_spectrum([0.6, 0.3, 0.1]), s)
 
 
 def _mp_family(p, s):
