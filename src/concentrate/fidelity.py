@@ -100,22 +100,23 @@ class RecoveryBoundCheck:
 
 
 def verify_recovery_bound(p: SchmidtSpectrum, target_size: int) -> RecoveryBoundCheck:
-    """Scan every threshold t = p_k and confirm max sqrt(P L) clears the bound.
+    """Scan one threshold t = p_k per group; max sqrt(P L) must clear the bound.
 
     At threshold t the implied size is the breakpoint sum_i min(1, p_i / t)
-    = (count of p_i >= t) + (mass below t) / t, real valued and the same
-    across a run of equal coefficients, and the success probability is
+    = (count of p_i >= t) + (mass below t) / t, real valued, where the
+    count is the end of t's group, and the success probability is
     sum_i min(t, p_i) = t * size, so sqrt(P L) = size * sqrt(t). The first
-    maximum wins.
+    maximum wins; its index is the first entry of its group.
     """
     fid = best_fidelity_to_target(p, target_size)
     if target_size < 2:
         raise SizeOutOfRangeError("bound needs T >= 2 (ln T vanishes at 1)")
     bound = recovery_bound(target_size, fid)
-    probs = p.probs
-    count = np.searchsorted(-probs, -probs, side="right")
+    probs, starts = p.probs, p.starts
+    count = np.append(starts[1:], p.dim)
     below = np.append(np.cumsum(probs[::-1])[::-1], 0.0)[count]
-    values = (count + below / probs) * np.sqrt(probs)
+    heads = probs[starts]
+    values = (count + below / heads) * np.sqrt(heads)
     k = int(np.argmax(values))
     best = float(values[k])
     return RecoveryBoundCheck(
@@ -123,7 +124,7 @@ def verify_recovery_bound(p: SchmidtSpectrum, target_size: int) -> RecoveryBound
         fidelity=fid,
         bound=bound,
         best_sqrt_pl=best,
-        best_threshold_index=k + 1,
+        best_threshold_index=int(starts[k]) + 1,
         holds=best >= bound,
     )
 

@@ -20,7 +20,6 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import __version__
-from .errors import RateOutOfRangeError
 from .fidelity import (
     prob_to_fidelity,
     recovery_bound,
@@ -29,6 +28,7 @@ from .fidelity import (
 )
 from .finite import optimal_probability, solve_plan
 from .iid import (
+    _regime,
     _solve_grouped_threshold,
     exact_success_prob,
     exponent_sweep,
@@ -158,17 +158,6 @@ def _base_meta(cfg: ExperimentConfig, experiment: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _infer_regime(p: SchmidtSpectrum, rate: float) -> str:
-    entropy = shannon_entropy(p)
-    if p.min_entropy < rate < entropy:
-        return "direct"
-    if entropy < rate < math.log2(p.dim):
-        return "converse"
-    raise RateOutOfRangeError(
-        f"rate {rate} is outside both regime intervals for this spectrum"
-    )
-
-
 def run_convergence(cfg: ExperimentConfig) -> ExperimentRecord:
     """Empirical exponent at each n against the asymptotic prediction.
 
@@ -182,10 +171,10 @@ def run_convergence(cfg: ExperimentConfig) -> ExperimentRecord:
     n_list = list(cfg.n_list)
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be strictly increasing")
-    regime = _infer_regime(p, cfg.rate)
+    regime = _regime(p, cfg.rate)
     predicted = (inverse_direct if regime == "direct" else inverse_converse)(p, cfg.rate)
     tol = cfg.tolerance if cfg.tolerance is not None else DEFAULT_CONVERGENCE_TOL
-    samples = exponent_sweep(p, cfg.rate, n_list, regime, max_types=cfg.max_types)
+    samples = exponent_sweep(p, cfg.rate, n_list, max_types=cfg.max_types)
     rows = []
     for sample in samples:
         n = sample.n
@@ -459,7 +448,7 @@ def _check_exponent_lower_bound(rng, tol):
     top = p.min_entropy
     rate = 0.5 * (entropy + top)
     for n in (50, 120):
-        sample = exponent_sweep(p, rate, [n], "direct")[0]
+        sample = exponent_sweep(p, rate, [n])[0]
         floor_val = _discrete_direct_bound(p, n, sample.rate) - p.dim * math.log2(
             n + 1
         ) / n

@@ -156,30 +156,31 @@ def _log2_size_for_rate(n: int, rate: float, cap_bits: float) -> float:
     return min(max(bits, 0.0), cap_bits)
 
 
+def _regime(p: SchmidtSpectrum, rate: float) -> str:
+    """A rate's regime: direct on (-log2 p_1, H(p)), converse on (H(p), log2 d)."""
+    entropy = shannon_entropy(p)
+    if p.min_entropy < rate < entropy:
+        return "direct"
+    if entropy < rate < math.log2(p.dim):
+        return "converse"
+    raise RateOutOfRangeError(
+        f"rate {rate} is outside both regime intervals for this spectrum"
+    )
+
+
 def exponent_sweep(
     p: SchmidtSpectrum,
     rate: float,
     n_list,
-    regime: str,
     max_types: int = DEFAULT_TYPE_GUARD,
 ) -> list[ExponentSample]:
     """Empirical exponents of the optimal protocol at a fixed per-copy rate.
 
-    regime "direct": requires -log2 p_1 < rate < H(p); the quantity of
-    interest is the failure exponent. regime "converse": requires
-    H(p) < rate < log2 d; the success exponent decays instead.
+    The rate must lie in the direct regime (-log2 p_1, H(p)), where the
+    failure exponent is the quantity of interest, or in the converse regime
+    (H(p), log2 d), where the success exponent decays instead.
     """
-    entropy = shannon_entropy(p)
-    if regime == "direct":
-        lo, hi = p.min_entropy, entropy
-    elif regime == "converse":
-        lo, hi = entropy, math.log2(p.dim)
-    else:
-        raise ValueError(f"regime must be 'direct' or 'converse', not {regime!r}")
-    if not (lo < rate < hi):
-        raise RateOutOfRangeError(
-            f"rate {rate} outside open interval ({lo}, {hi}) for {regime} regime"
-        )
+    _regime(p, rate)
     samples = []
     for n in n_list:
         bits = _log2_size_for_rate(n, rate, n * math.log2(p.dim))

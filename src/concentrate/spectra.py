@@ -2,8 +2,9 @@
 
 A bipartite pure state enters every computation here only through its
 squared Schmidt coefficients: a strictly positive probability vector sorted
-in decreasing order, with ties decided once by new_spectrum (SNAP_TOL): its
-runs of equal entries are groups with multiplicities m. On top of it are
+in decreasing order. new_spectrum decides its ties once (SNAP_TOL) and
+builds it with its groups: runs of equal entries, stored by their first
+indices, with multiplicities m. On top of it are
 
     shannon_entropy     H(p) = -sum p_i log2 p_i
     relative_entropy    D(q||p) = sum q_i log2(q_i / p_i)
@@ -76,14 +77,17 @@ class SchmidtSpectrum:
     """Squared Schmidt coefficients: positive, descending, summing to one.
 
     Instances are immutable value objects; build them through new_spectrum,
-    which strips zeros, sorts, normalizes and snaps near-ties. The groups
-    are found on first use.
+    which strips zeros, sorts, normalizes and snaps near-ties, and builds
+    each spectrum with its groups: starts holds each group's first index,
+    which counts the entries above it.
     """
 
     probs: np.ndarray
+    starts: np.ndarray
 
     def __post_init__(self):
         self.probs.setflags(write=False)
+        self.starts.setflags(write=False)
 
     @property
     def dim(self) -> int:
@@ -92,12 +96,6 @@ class SchmidtSpectrum:
     @cached_property
     def log2(self) -> np.ndarray:
         return _frozen(np.log2(self.probs))
-
-    @cached_property
-    def starts(self) -> np.ndarray:
-        """Each group's first index, which counts the entries above it."""
-        p = self.probs
-        return _frozen(np.concatenate(([True], p[1:] != p[:-1])).nonzero()[0])
 
     @cached_property
     def mults(self) -> np.ndarray:
@@ -119,7 +117,7 @@ class SchmidtSpectrum:
     @property
     def is_uniform(self) -> bool:
         """True when every coefficient is equal: one group."""
-        return self.mults.size == 1
+        return self.starts.size == 1
 
     def __repr__(self) -> str:
         return f"SchmidtSpectrum({np.array2string(self.probs, separator=', ')})"
@@ -149,7 +147,8 @@ def new_spectrum(values, renormalize: bool = False) -> SchmidtSpectrum:
     by its sum so the normalization invariant holds exactly. Without the
     `renormalize` flag the input sum must already be within SUM_TOL of one.
     NaN, infinite and negative entries are refused first. A run of entries
-    tied by SNAP_TOL takes its mean; exact ties keep their bits.
+    tied by SNAP_TOL takes its mean (exact ties keep their bits) and is one
+    of the groups the spectrum is built with.
     """
     arr = _as_prob_vector(values).ravel()
     if arr.size == 0 or not np.any(arr > 0.0):
@@ -167,12 +166,15 @@ def new_spectrum(values, renormalize: bool = False) -> SchmidtSpectrum:
         arr = arr[arr > 0.0]
         arr = arr / arr.sum()
     gaps = arr[:-1] - arr[1:]
-    if np.minimum.reduce(gaps, initial=1.0, where=gaps > 0.0) <= SNAP_TOL:
-        starts = np.flatnonzero(np.append(True, gaps > SNAP_TOL / arr[0] * arr[:-1]))
+    edges = np.empty(arr.size, dtype=bool)  # group starts: gaps over SNAP_TOL p_i / p_1
+    edges[0] = True
+    np.greater(gaps, SNAP_TOL / arr[0] * arr[:-1], out=edges[1:])
+    starts = edges.nonzero()[0]
+    if np.count_nonzero(gaps) >= starts.size:  # a run holds unequal entries
         sizes = np.append(starts[1:], arr.size) - starts
         heads = np.repeat(arr[starts], sizes)
         arr = heads + np.repeat(np.add.reduceat(arr - heads, starts) / sizes, sizes)
-    return SchmidtSpectrum(arr)
+    return SchmidtSpectrum(arr, starts)
 
 
 def tensor(p: SchmidtSpectrum, q: SchmidtSpectrum) -> SchmidtSpectrum:

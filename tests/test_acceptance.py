@@ -127,7 +127,7 @@ def test_04_direct_convergence():
     predicted = inverse_direct(P34, rate)
     residuals = []
     for n in (100, 200, 500, 1000, 2000):
-        sample = exponent_sweep(P34, rate, [n], "direct")[0]
+        sample = exponent_sweep(P34, rate, [n])[0]
         residuals.append(abs(sample.failure_exponent - predicted))
     decreasing = all(b < a for a, b in zip(residuals, residuals[1:]))
     elapsed = time.monotonic() - started
@@ -146,7 +146,7 @@ def test_05_converse_convergence():
     predicted = inverse_converse(P34, rate)
     residuals = []
     for n in (100, 200, 500, 1000, 2000):
-        sample = exponent_sweep(P34, rate, [n], "converse")[0]
+        sample = exponent_sweep(P34, rate, [n])[0]
         residuals.append(float(abs(sample.success_exponent - predicted)))
     decreasing = all(b < a for a, b in zip(residuals, residuals[1:]))
     elapsed = time.monotonic() - started

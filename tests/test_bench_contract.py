@@ -3,9 +3,10 @@
 The benchmark wraps every public function of every module in
 worker.MODULES from outside and charges each span to a layer named after
 its module, and perfbench/checks.py judges every output. These tests load
-worker.py, tracing.py, workloads.py and checks.py read-only and check that
-a traced run still works and changes no output, and that the checks the
-benchmark applies pass on a sample of its own jobs.
+worker.py, tracing.py, workloads.py, checks.py and selftest.py read-only
+and check that a traced run still works and changes no output, that the
+checks the benchmark applies pass on a sample of its own jobs, and that its
+selftest passes, without which every benchmark run exits 1.
 """
 
 import importlib.util
@@ -35,6 +36,7 @@ worker = _load("worker")
 tracing = _load("tracing")
 workloads = _load("workloads")
 checks = _load("checks")
+selftest = _load("selftest")
 
 
 def test_every_submodule_is_in_worker_modules():
@@ -128,3 +130,10 @@ def test_query_jobs_pass_the_benchmark_checks():
         assert not ok
         assert json.loads(text)["error"]["type"] == "SolverError"
         assert checks.check_query("yield-tied", job.args, ok, text, False) == ([], True)
+
+
+@pytest.mark.parametrize("workload", ["sweep", "converge", "queries"])
+def test_benchmark_selftest_passes(workload):
+    # each checker passes the program's output and rejects every corruption
+    package, _ = worker.import_package()
+    assert selftest.run(package, workload) == []

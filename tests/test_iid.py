@@ -31,6 +31,7 @@ from concentrate import (
     new_spectrum,
     optimal_probability,
     solve_plan,
+    verify_recovery_bound,
 )
 from concentrate import iid
 from concentrate.finite import FIRST_CHUNK, TIE_BITS
@@ -568,7 +569,7 @@ def test_failure_prob_at_the_largest_size_stays_below_one():
     assert log_f == 0.0 and math.copysign(1.0, log_f) == -1.0
     # a converse rate whose size rounds up to d**n: both exponents positive
     for p in (new_spectrum([0.75, 0.25]), new_spectrum([0.9, 0.1])):
-        sample = exponent_sweep(p, 0.995, [5], "converse")[0]
+        sample = exponent_sweep(p, 0.995, [5])[0]
         assert sample.rate == 1.0
         assert sample.failure_exponent > 0.0 and sample.success_exponent > 0.0
 
@@ -638,6 +639,19 @@ def _tie_spectra(draw):
 @settings(max_examples=80, deadline=None)
 @given(_tie_spectra(), st.integers(1, 40))
 def test_groups_plans_and_kernel_agree_on_tied_and_near_tied_spectra(p, n):
+    # the groups stored by new_spectrum are the runs of exactly equal entries
+    probs = p.probs
+    assert np.array_equal(p.starts, np.flatnonzero(np.append(True, probs[1:] != probs[:-1])))
+    if p.dim >= 2:
+        # the recovery scan reads one threshold per group; per entry it is the same
+        tail = np.append(np.cumsum(probs[::-1])[::-1], 0.0)
+        values = []
+        for x in probs:
+            count = int(np.count_nonzero(probs >= x))
+            values.append((count + tail[count] / x) * math.sqrt(x))
+        k = int(np.argmax(values))
+        check = verify_recovery_bound(p, 2)
+        assert (check.best_sqrt_pl, check.best_threshold_index) == (values[k], k + 1)
     n = min(n, {1: 40, 2: 40, 3: 12, 4: 6}[p.dim])
     _assert_groups_exact(grouped_spectrum(p, n), ExactProduct(p, n))
     for size in range(1, p.dim + 1):
@@ -693,7 +707,7 @@ def test_failure_prob_accurate_when_success_is_close_to_one():
 
 def test_exponent_sweep_direct_regime():
     p = new_spectrum([0.75, 0.25])
-    samples = exponent_sweep(p, 0.6, [50, 100], "direct")
+    samples = exponent_sweep(p, 0.6, [50, 100])
     assert [s.n for s in samples] == [50, 100]
     for s in samples:
         assert s.failure_exponent is not None and s.failure_exponent > 0
@@ -703,7 +717,7 @@ def test_exponent_sweep_direct_regime():
 
 def test_exponent_sweep_converse_regime():
     p = new_spectrum([0.75, 0.25])
-    samples = exponent_sweep(p, 0.95, [50, 100], "converse")
+    samples = exponent_sweep(p, 0.95, [50, 100])
     for s in samples:
         assert s.success_exponent is not None and s.success_exponent > 0
 
@@ -733,7 +747,7 @@ def test_exponent_sweep_three_symbols_converges_from_above():
 
     predicted = inverse_direct(p, 1.35)
     exps = [
-        exponent_sweep(p, 1.35, [n], "direct")[0].failure_exponent
+        exponent_sweep(p, 1.35, [n])[0].failure_exponent
         for n in (50, 100, 200)
     ]
     assert all(b < a for a, b in zip(exps, exps[1:]))
@@ -745,13 +759,11 @@ def test_exponent_sweep_rejects_boundary_rates():
     p = new_spectrum([0.75, 0.25])
     entropy = -float(p.probs @ p.log2)
     with pytest.raises(RateOutOfRangeError):
-        exponent_sweep(p, entropy, [10], "direct")
+        exponent_sweep(p, entropy, [10])
     with pytest.raises(RateOutOfRangeError):
-        exponent_sweep(p, 0.2, [10], "direct")
+        exponent_sweep(p, 0.2, [10])
     with pytest.raises(RateOutOfRangeError):
-        exponent_sweep(p, 1.5, [10], "converse")
-    with pytest.raises(ValueError):
-        exponent_sweep(p, 0.6, [10], "sideways")
+        exponent_sweep(p, 1.5, [10])
 
 
 def test_ties_in_product_spectrum_merge_correctly():
@@ -792,7 +804,7 @@ def test_converse_success_respects_discrete_upper_bound():
     p = new_spectrum([0.75, 0.25])
     rate = 0.95
     for n in (40, 90):
-        sample = exponent_sweep(p, rate, [n], "converse")[0]
+        sample = exponent_sweep(p, rate, [n])[0]
         spec = grouped_spectrum(p, n)
         log_t, _, _, _ = _solve_grouped_threshold(spec, sample.rate * n)
         threshold_rate = -log_t / n
@@ -818,7 +830,7 @@ def test_exponent_sequences_respect_discrete_lower_bound():
     p = new_spectrum([0.75, 0.25])
     rate = 0.6
     for n in (40, 90):
-        sample = exponent_sweep(p, rate, [n], "direct")[0]
+        sample = exponent_sweep(p, rate, [n])[0]
         best = math.inf
         for counts in type_matrix(n, 2):
             q = counts / n

@@ -1,7 +1,8 @@
 """Source-level checks: the package needs numpy alone (scipy is neither loaded
 nor imported), every domain error it defines is raised somewhere, the
 simplex-grid oracle stays independent of the tilted family, only spectra
-names the tilted-family kernel, and ties are decided by one rule."""
+names the tilted-family kernel, and ties are decided by one rule, in one
+place."""
 
 import ast
 import os
@@ -112,6 +113,11 @@ def _module_constants(path):
             yield from (t.id for t in node.targets if isinstance(t, ast.Name))
 
 
+def _function(module, name):
+    tree = ast.parse((ROOT / "src" / "concentrate" / f"{module}.py").read_text())
+    return next(n for n in tree.body if getattr(n, "name", "") == name)
+
+
 def test_one_tie_rule_in_p_and_one_log2_allowance():
     # ties are decided once, in new_spectrum (p-space), and the n-copy
     # threshold search and group merge share one log2 allowance
@@ -122,7 +128,21 @@ def test_one_tie_rule_in_p_and_one_log2_allowance():
     )
     assert found == ["finite.TIE_BITS", "spectra.SNAP_TOL"]
     # inverse_direct reads the top multiplicity; it counts no ties itself
-    rates = ast.parse((ROOT / "src" / "concentrate" / "rates.py").read_text())
-    inverse = next(n for n in rates.body if getattr(n, "name", "") == "inverse_direct")
+    inverse = _function("rates", "inverse_direct")
     assert "mults" in set(_names(inverse))
     assert not [n for n in ast.walk(inverse) if isinstance(n, ast.Constant) and n.value == 1e-12]
+
+
+def test_groups_are_found_once_in_new_spectrum():
+    # new_spectrum stores the groups; no other code looks for ties in p
+    spectrum = _function("spectra", "SchmidtSpectrum")
+    methods = {n.name for n in spectrum.body if isinstance(n, ast.FunctionDef)}
+    assert "starts" not in methods and "mults" in methods
+    # searchsorted is named once, in finite's count-above prefix
+    named = {
+        f.stem: hits for f in sorted((ROOT / "src").rglob("*.py"))
+        if (hits := list(_names(ast.parse(f.read_text()))).count("searchsorted"))
+    }
+    assert named == {"finite": 1}
+    assert "searchsorted" in set(_names(_function("finite", "_breakpoint_search")))
+    assert "starts" in set(_names(_function("fidelity", "verify_recovery_bound")))
