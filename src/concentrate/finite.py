@@ -16,7 +16,10 @@ is the size whose threshold sits on p_k. It never decreases in k, so the
 first k with B_k >= L has k groups above t and t = T_k / (L - A_k).
 _breakpoint_search runs this in log2 space for solve_plan and for iid's
 n-copy groups. For L <= floor(1/p_1) it lands on k = 0 and t = 1/L >= p_1,
-which keeps P = t*L = 1 exact without a special case.
+which keeps P = t*L = 1 exact without a special case. Past BLOCK groups it
+works in blocks: one shifted sum per block of counts and of masses gives
+B_k at each block start, and the element-wise log-space chains run only
+inside the one or two blocks that hold k.
 """
 
 from __future__ import annotations
@@ -32,8 +35,8 @@ from .spectra import SchmidtSpectrum, new_spectrum
 
 #: log2 allowance on t at a tie t = p_k (the smallest k wins); iid merges by it
 TIE_BITS = 1e-12
-#: groups in the first chunk of counts above; later chunks double
-FIRST_CHUNK = 1024
+#: groups per block of the breakpoint search's shifted sums
+BLOCK = 512
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,44 +84,76 @@ def optimal_probability(p: SchmidtSpectrum, target_size: int) -> float:
     return float(min(np.min(L * suffix[:L] / (L - l + 1)), 1.0))
 
 
+def _block_logsums(values, buffer):
+    """log2 of the sum of 2**values over each BLOCK entries, the last block
+    possibly shorter: logsumexp2's shifted pairwise sum of each block, bit
+    for bit. The full blocks are shifted in buffer, which may be values."""
+    full = values.size - values.size % BLOCK
+    rows, shifted = values[:full].reshape(-1, BLOCK), buffer[:full].reshape(-1, BLOCK)
+    top = np.maximum.reduce(rows, axis=1)
+    np.subtract(rows, top[:, None], out=shifted)
+    sums = top + np.log2(np.add.reduce(np.exp2(shifted, out=shifted), axis=1))
+    return np.append(sums, logsumexp2(values[full:])) if full < values.size else sums
+
+
+def _first_hit(base, log_tail, log_probs, reach):
+    """The first k with B_k >= L, the allowance on T_k / p_k (so on t)
+    included; None if there is none."""
+    hits = np.logaddexp2(base, log_tail - log_probs + TIE_BITS) >= reach
+    return int(np.argmax(hits)) if hits.any() else None
+
+
 def _breakpoint_search(log_probs, log_mults, log2_size: float, top: float):
     """The module doc's rule on groups of descending log2 values and log2
     counts whose total is 2**top. Returns (k, log2 T_k, log2 (L - A_k)); a
     tie within TIE_BITS of t goes to the smaller k."""
     lp, lm = log_probs, log_mults
-    mass = lm + lp
-    near_top = log2_size > top - 1.0
-    if near_top:
+    if log2_size > top - 1.0:
         # A_k rounds towards L: take L - A_k = C_k - R, with C_k the count
         # from group k on and R = 2**top - L (d**n - L for n copies)
         rest = -math.expm1((log2_size - top) * LN2)  # R / 2**top
         log_rest = top + math.log2(rest) if rest > 0.0 else -math.inf
         log_count = np.logaddexp2.accumulate(lm[::-1])[::-1]
         admitted = int(np.count_nonzero(log_count > log_rest))  # A_k < L
-        log_tail = np.logaddexp2.accumulate(mass[::-1])[::-1][:admitted]
-        base, reach = log_rest, log_count[:admitted]
-    else:
-        # log count above k, only while below L, in doubling chunks, each
-        # seeded with the last count: one accumulate's bits
-        log_above = np.concatenate(([-np.inf], lm[:-1]))
-        stop, width = 1, FIRST_CHUNK
-        while log_above[stop - 1] < log2_size and stop < lm.size:
-            start, stop, width = stop, min(stop + width, lm.size), 2 * width
-            chunk = log_above[start - 1 : stop]
-            np.logaddexp2.accumulate(chunk, out=chunk)
-        log_above = log_above[: np.searchsorted(log_above[:stop], log2_size)]
-        admitted = log_above.size
-        # log mass from k on: every group past the prefix in one shifted sum,
-        # the seed of a reversed accumulate over the prefix alone
-        tail = np.append(logsumexp2(mass[admitted:]), mass[:admitted][::-1])
-        log_tail = np.logaddexp2.accumulate(tail)[:0:-1]
-        base, reach = log_above, log2_size
-    # B_k >= L, the allowance on T_k / p_k (so on t); near the top R + T_k/p_k >= C_k
-    hits = np.logaddexp2(base, log_tail - lp[:admitted] + TIE_BITS) >= reach
-    k = int(np.argmax(hits)) if hits.any() else admitted - 1  # a miss is roundoff
-    if near_top:
+        log_tail = np.logaddexp2.accumulate((lm + lp)[::-1])[::-1][:admitted]
+        # R + T_k / p_k >= C_k; a miss is roundoff
+        k = _first_hit(log_rest, log_tail, lp[:admitted], log_count[:admitted])
+        k = admitted - 1 if k is None else k
         return k, log_tail[k], log2_sub(log_count[k], log_rest)
-    return k, log_tail[k], log2_sub(log2_size, log_above[k])
+    # Blocks of BLOCK groups: the count above each block's start and the mass
+    # from each block's start on come from shifted block sums. The first
+    # block start with B_k >= L points at the block before it and its own;
+    # with none, k is in the block holding the last A_k < L.
+    above, tail_past, blocks = (-math.inf,), (-math.inf,), [0]
+    if lm.size > BLOCK:
+        buffer = lm + lp
+        tail = np.logaddexp2.accumulate(_block_logsums(buffer, buffer)[::-1])[::-1]
+        above = np.logaddexp2.accumulate(np.append(-np.inf, _block_logsums(lm, buffer)[:-1]))
+        last = int(np.count_nonzero(above < log2_size)) - 1
+        first = _first_hit(above[: last + 1], tail[: last + 1],
+                           lp[: (last + 1) * BLOCK : BLOCK], log2_size)
+        blocks = [last] if first is None else range(max(first - 1, 0), first + 1)
+        tail_past = np.append(tail[1:], -np.inf)
+    for b in blocks:
+        # in a block, the count above k chains on from the block's start while
+        # below L, and the mass from k on chains back from the groups past
+        # those, which take one shifted sum with the blocks after
+        start = b * BLOCK
+        block_lm, block_lp = lm[start : start + BLOCK], lp[start : start + BLOCK]
+        mass = block_lm + block_lp
+        log_above = np.concatenate(([above[b]], block_lm[:-1]))
+        np.logaddexp2.accumulate(log_above, out=log_above)
+        admitted = int(np.searchsorted(log_above, log2_size))
+        log_above = log_above[:admitted]
+        seed = logsumexp2(mass[admitted:])
+        if tail_past[b] > -math.inf:
+            seed = np.logaddexp2(seed, tail_past[b])
+        log_tail = np.logaddexp2.accumulate(np.append(seed, mass[:admitted][::-1]))[:0:-1]
+        k = _first_hit(log_above, log_tail, block_lp[:admitted], log2_size)
+        if k is not None:
+            break
+    k = admitted - 1 if k is None else k  # a miss is roundoff
+    return start + k, log_tail[k], log2_sub(log2_size, log_above[k])
 
 
 def solve_plan(p: SchmidtSpectrum, target_size: int) -> ConcentrationPlan:

@@ -13,7 +13,10 @@ log_type_class_size, log_sequence_prob and log_type_class_prob take one row
 or many and return one value or an (m,) array; a negative count raises
 NegativeEntryError. Every function works one column at a time, adding columns
 left to right, so no row's class size or sequence probability depends on the
-rows that come with it. Multinomials read ln c! from one process-wide table,
+rows that come with it. lattice_logs gives the first two for every type of
+the lattice, bit for bit, without the (m, d) counts: the n-copy path's
+builder, which peaks at about five arrays of m values.
+Multinomials read ln c! from one process-wide table,
 grown on demand to the largest n seen and never recomputed:
 math.log(math.factorial(c)) up to c = 170, correctly rounded, and
 math.lgamma(c + 1) above, within 2 ulp to c = 20000. All logs are base 2.
@@ -66,6 +69,48 @@ def type_matrix(n: int, d: int, max_count: int = DEFAULT_TYPE_GUARD) -> np.ndarr
         rest = offset
     cols[d - 1] = rest
     return cols.T
+
+
+def lattice_logs(n: int, log_q, max_count: int = DEFAULT_TYPE_GUARD, mults=None):
+    """(log_sequence_prob, log_type_class_size) of every type under finite
+    log2 q, in type_matrix's row order, bit for bit, with no counts matrix.
+
+    The columns are walked as type_matrix walks them, but each prefix keeps
+    only its running sum of c log2 q_j and of ln c!, repeated down to its
+    children. A column standing for m tied symbols (mults[j] = m) counts
+    m**c sequences for c of them: its ln c! becomes ln c! - c ln m.
+    """
+    log_q = np.asarray(log_q, dtype=float)
+    d = log_q.size
+    if n < 1 or d < 1:
+        raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
+    count = count_types(n, d)
+    if count > max_count:
+        raise TooManyTypesError(
+            f"{count} types for (n={n}, d={d}) exceeds guard {max_count}"
+        )
+    table = _ln_factorials(n)[: n + 1]
+    tables = [table if m == 1 else table - np.arange(n + 1) * math.log(m)
+              for m in ([1] * d if mults is None else mults)]
+    rest = np.array([n], dtype=np.int64)
+    logs, ln_classes, terms = np.zeros(1), np.zeros(1), np.empty(count)
+    for j in range(d - 1):
+        sizes = rest + 1
+        starts = np.cumsum(sizes) - sizes
+        offset = np.arange(int(sizes.sum()), dtype=np.int64)
+        offset -= np.repeat(starts, sizes)
+        counts = np.repeat(rest, sizes)
+        counts -= offset
+        logs = np.repeat(logs, sizes)
+        logs += np.multiply(counts, log_q[j], out=terms[: counts.size])
+        ln_classes = np.repeat(ln_classes, sizes)
+        ln_classes += np.take(tables[j], counts, out=terms[: counts.size], mode="clip")
+        rest = offset
+    logs += np.multiply(rest, log_q[d - 1], out=terms)
+    ln_classes += np.take(tables[d - 1], rest, out=terms, mode="clip")
+    np.subtract(table[n], ln_classes, out=ln_classes)
+    ln_classes /= LN2
+    return logs, ln_classes
 
 
 def _ln_factorials(n: int) -> np.ndarray:

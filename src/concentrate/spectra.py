@@ -279,7 +279,9 @@ def solve_tilts(p: SchmidtSpectrum, targets, equation: str) -> list:
     equals tilted_point at its tilt bit for bit. Each step reads every
     unsolved tilt from one call of the tilted-family kernel (_family, the
     shifted form). Each target keeps its bracket as in rtsafe: a Newton step
-    leaving it, or over half the step before last, gives way to the midpoint.
+    leaving it, or over half the step before last, gives way to the midpoint,
+    and one that stalls within roundoff of the root gives way to a step past
+    it, one ulp and doubling while the stall lasts.
     An s > 1 bracket is open until the target is passed; a target not passed
     at BRACKET_CAP raises SolverError. A target is done when its residual on
     the scale of F is at most F_TOL (|F - r|, and (s - 1) |-psi' - rate| on
@@ -308,6 +310,7 @@ def solve_tilts(p: SchmidtSpectrum, targets, equation: str) -> list:
             x[i] = min(1.0 + reach, BRACKET_CAP) if above_one else (
                 guess if 0.0 < guess < 1.0 else 0.5)
     low, high, step, before = [lo] * n, [hi] * n, [hi - lo] * n, [hi - lo] * n
+    stalls = [0] * n
     for _ in range(MAX_ITER):
         if not lanes:
             return points
@@ -343,6 +346,12 @@ def solve_tilts(p: SchmidtSpectrum, targets, equation: str) -> list:
                 x[i] = proposal
             elif b == _OPEN:
                 x[i] = min(BRACKET_CAP, math.inf if proposal >= _OPEN else 2.0 * xi)
+            elif abs(ni) <= (nudge := math.ulp(xi) * 2.0 ** stalls[i]):
+                # Newton stalls at the root within roundoff: step past it, to
+                # the stale end's side, not halfway to that end
+                far = xi + nudge if xi == a else xi - nudge
+                stalls[i] += 1
+                x[i] = far if a < far < b else mid
             else:
                 x[i] = mid
             before[i], step[i] = step[i], abs(x[i] - xi)

@@ -83,7 +83,8 @@ def test_traced_runs_match_untraced(tracer):
     # one engine run per sweep branch and one for the predicted exponent
     assert trace.calls("spectra.solve_tilts") == 3
     assert counts["numerics.unconverged"] == 0
-    assert counts["method_of_types.types"] > 0
+    # one lattice build per n; the counter above reads type_matrix rows only
+    assert trace.calls("method_of_types.lattice_logs") == 3
 
 
 def test_traced_cli_queries_match_untraced(tracer):

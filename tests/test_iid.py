@@ -12,6 +12,7 @@ import bisect
 import collections
 import itertools
 import math
+import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -25,16 +26,18 @@ from concentrate import (
     RateOutOfRangeError,
     SizeOutOfRangeError,
     SolverError,
+    count_types,
     exact_success_prob,
     exponent_sweep,
     grouped_spectrum,
     new_spectrum,
     optimal_probability,
+    shannon_entropy,
     solve_plan,
     verify_recovery_bound,
 )
 from concentrate import iid
-from concentrate.finite import FIRST_CHUNK, TIE_BITS
+from concentrate.finite import BLOCK, TIE_BITS, _breakpoint_search
 from concentrate.iid import _merge_groups, _solve_grouped_threshold
 from concentrate.numerics import LN2, log2_sub, logsumexp2
 from concentrate.spectra import SNAP_TOL
@@ -184,13 +187,13 @@ def test_size_out_of_range():
 def test_size_checked_before_the_lattice_is_built(monkeypatch):
     # n = 400, d = 4 has 10.8M types; an out-of-range size must not build them
     calls = []
-    build = iid.type_matrix
+    build = iid.lattice_logs
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return build(*args, **kwargs)
+    def counting(n, log_q, *args):
+        calls.append((n, len(log_q), *args[:1]))
+        return build(n, log_q, *args)
 
-    monkeypatch.setattr(iid, "type_matrix", counting)
+    monkeypatch.setattr(iid, "lattice_logs", counting)
     p = new_spectrum([0.4, 0.3, 0.2, 0.1])
     with pytest.raises(SizeOutOfRangeError):
         exact_success_prob(p, 400, 1e9)
@@ -247,21 +250,44 @@ def test_threshold_size_identity():
         assert log_p == pytest.approx(log_t + bits, abs=1e-10)
 
 
+def _blocked_prefix_and_tail(spec, log2_size):
+    """A_k and T_k for each k with A_k below the size, in the search's order.
+    Groups come in blocks of BLOCK, each with a shifted sum of its counts and
+    one of its masses; the blocks before a block chain into the count at its
+    start, the blocks after it into the mass past its end. In a block the
+    count chains on from its start, and the mass chains back from the groups
+    past the last count below the size, which take one shifted sum."""
+    lm, lp = spec.log_mults, spec.log_probs
+    mass = lm + lp
+    starts = range(0, lm.size, BLOCK)
+    above_start, tail_past = [-np.inf], [-np.inf]
+    if len(starts) > 1:
+        counts = [logsumexp2(lm[s : s + BLOCK]) for s in starts]
+        masses = [logsumexp2(mass[s : s + BLOCK]) for s in starts]
+        above_start = np.logaddexp2.accumulate([-np.inf, *counts[:-1]])
+        tail_past = [*np.logaddexp2.accumulate(masses[::-1])[::-1][1:], -np.inf]
+    log_above, log_tail = [], []
+    for b, s in enumerate(starts):
+        above = np.logaddexp2.accumulate(np.append(above_start[b], lm[s : s + BLOCK - 1]))
+        admitted = int(np.count_nonzero(above < log2_size))
+        seed = logsumexp2(mass[s + admitted : s + BLOCK])
+        if tail_past[b] > -np.inf:
+            seed = np.logaddexp2(seed, tail_past[b])
+        tail = np.logaddexp2.accumulate(np.append(seed, mass[s : s + admitted][::-1]))[:0:-1]
+        log_above.append(above[:admitted])
+        log_tail.append(tail)
+        if admitted < above.size:
+            break
+    return np.concatenate(log_above), np.concatenate(log_tail)
+
+
 def _reference_threshold(spec, log2_size):
-    """The k-by-k threshold scan, one group count at a time. The tail mass
-    accumulates from the shifted sum of every group past the first count
-    that reaches the size."""
+    """The k-by-k threshold scan, one group count at a time, on A_k and T_k
+    summed in the search's order."""
     lp = spec.log_probs
     lm = spec.log_mults
-    log_above = np.logaddexp2.accumulate(lm)
-    reach = int(np.count_nonzero(log_above < log2_size)) + 1
-    mass = lm + lp
-    seed = logsumexp2(mass[reach:])
-    log_tail = np.logaddexp2.accumulate(np.append(seed, mass[:reach][::-1]))[:0:-1]
-    for k in range(lp.size):
-        log_a = -np.inf if k == 0 else log_above[k - 1]
-        if log_a >= log2_size:
-            break
+    log_above, log_tail = _blocked_prefix_and_tail(spec, log2_size)
+    for k, log_a in enumerate(log_above):
         log_t = log_tail[k] - log2_sub(log2_size, log_a)
         upper_ok = k == 0 or lp[k - 1] > log_t
         lower_ok = log_t >= lp[k] - 1e-12
@@ -478,30 +504,24 @@ def test_scan_prefix_crossing_chunk_boundaries():
     spec = grouped_spectrum(p, n)
     oracle = BinomialScan(p, n)
     whole = _whole_log_above(spec)
-    # chunks end at k = FIRST_CHUNK, 3 FIRST_CHUNK, 7 FIRST_CHUNK
-    for edge in (FIRST_CHUNK, 3 * FIRST_CHUNK, 7 * FIRST_CHUNK):
+    # blocks end at k = BLOCK, 3 BLOCK, 7 BLOCK
+    for edge in (BLOCK, 3 * BLOCK, 7 * BLOCK):
         for k in (edge - 1, edge, edge + 1):
-            # the scan stops just before, at or just after the chunk's end
+            # the scan stops just before, at or just after the block's end
             value = float(whole[k])
             for bits, prefix in [(float(np.nextafter(value, -np.inf)), k), (value, k),
                                  (float(np.nextafter(value, np.inf)), k + 1)]:
                 assert _scan_prefix(spec, bits) == prefix
                 _assert_scan_matches_reference(spec, bits)
             # the threshold at the value of group k, so the scan ends at k or
-            # k + 1, read from counts on either side of the chunk's end
+            # k + 1, read from counts on either side of the block's end
             bits = _group_sizes(spec, [k])[0]
             got = _solve_grouped_threshold(spec, bits)
             assert got[1] in (k, k + 1)
             # log2 P against the mpmath scan, to the 1e-9 bits that the
             # log-space sums hold at n in the thousands
             assert abs(got[2] - oracle.log_success(bits)) <= 1e-9, (k, bits)
-            try:
-                want = _reference_threshold(spec, bits)
-            except SolverError:
-                # the reference's log_tail drifts ~1e-10 bits at this n, past
-                # its 1e-12-bit tie allowance: it misses some on-group sizes
-                continue
-            assert got == want, bits
+            assert got == _reference_threshold(spec, bits), bits
 
 
 def test_scan_prefix_covering_every_group():
@@ -666,19 +686,65 @@ def test_groups_plans_and_kernel_agree_on_tied_and_near_tied_spectra(p, n):
         np.testing.assert_array_max_ulp(grouped, np.array(expanded), maxulp=4)
 
 
+@pytest.mark.parametrize(
+    "probs, n", [([0.5, 0.3, 0.2], 60), ([0.41, 0.29, 0.19, 0.11], 25), ([0.7, 0.3], 1600)]
+)
+def test_blocked_search_sums_against_40_digits(probs, n):
+    # lattices of 3 or more blocks, at a direct and a converse size more than
+    # a bit below the top: log2 T_k and log2 (L - A_k) at the returned k are
+    # within 2e-15 bits per bit of their size of the 40-digit sums of the
+    # same float counts and masses
+    p = new_spectrum(probs)
+    spec = grouped_spectrum(p, n)
+    lm, lp, top = spec.log_mults, spec.log_probs, spec.total_log_dim
+    assert spec.group_count > 2 * BLOCK
+    entropy = shannon_entropy(p)
+    for rate in ((p.min_entropy + entropy) / 2, (entropy + math.log2(p.dim)) / 2):
+        bits = n * rate
+        assert bits < top - 1.0
+        k, log_tail, log_room = _breakpoint_search(lp, lm, bits, top)
+        assert k > 1
+        with mpmath.workdps(40):
+            two = mpmath.mpf(2)
+            above = mpmath.fsum(two ** mpmath.mpf(v) for v in lm[:k].tolist())
+            tail = mpmath.fsum(two ** mpmath.mpf(v) for v in (lm + lp)[k:].tolist())
+            want_tail = mpmath.log(tail, 2)
+            want_room = mpmath.log(two ** mpmath.mpf(bits) - above, 2)
+            for got, want in ((log_tail, want_tail), (log_room, want_room)):
+                error = abs(mpmath.mpf(got) - want)
+                assert error <= 2e-15 * max(1.0, abs(want)), (rate, float(want), float(error))
+
+
+def test_grouped_spectrum_peaks_within_six_result_arrays():
+    # no counts matrix: the lattice's last column holds its two results, its
+    # offsets and counts and one column of terms; the sort, the order and two
+    # sorted copies. d = 4, n = 200: 1.37M types, 10.5 MiB a result array
+    p = new_spectrum([0.41, 0.29, 0.19, 0.11])
+    grouped_spectrum(p, 5)
+    tracemalloc.start()
+    try:
+        spec = grouped_spectrum(p, 200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    result = spec.log_probs.nbytes
+    assert spec.group_count == count_types(200, 4) == 1_373_701
+    assert peak <= 6 * result + 2**20, peak / result
+
+
 def test_tied_lattice_runs_over_distinct_values(monkeypatch):
     # [0.3, 0.3, 0.3, 0.1] at n = 200: 201 types over two values, not 1.37M
     rows = []
-    build = iid.type_matrix
+    build = iid.lattice_logs
 
     def counting(*args):
         rows.append(build(*args))
         return rows[-1]
 
-    monkeypatch.setattr(iid, "type_matrix", counting)
+    monkeypatch.setattr(iid, "lattice_logs", counting)
     p = new_spectrum([0.3, 0.3, 0.3, 0.1])
     spec = grouped_spectrum(p, 200)
-    assert [len(r) for r in rows] == [201] and spec.group_count == 201
+    assert [len(r[0]) for r in rows] == [201] and spec.group_count == 201
     assert spec.normalization_defect() == pytest.approx(0.0, abs=1e-12)
     exact = ExactProduct(p, 30)
     spec = grouped_spectrum(p, 30)

@@ -2,7 +2,7 @@
 nor imported), every domain error it defines is raised somewhere, the
 simplex-grid oracle stays independent of the tilted family, only spectra
 names the tilted-family kernel, and ties are decided by one rule, in one
-place."""
+place. The n-copy path builds no counts matrix."""
 
 import ast
 import os
@@ -146,3 +146,17 @@ def test_groups_are_found_once_in_new_spectrum():
     assert named == {"finite": 1}
     assert "searchsorted" in set(_names(_function("finite", "_breakpoint_search")))
     assert "starts" in set(_names(_function("fidelity", "verify_recovery_bound")))
+
+
+def test_n_copy_path_builds_no_counts_matrix():
+    # iid reads the lattice from lattice_logs alone, and the breakpoint
+    # search has one size constant, its block
+    names = set(_names(ast.parse((ROOT / "src" / "concentrate" / "iid.py").read_text())))
+    assert "lattice_logs" in names
+    row_functions = {"type_matrix", "log_sequence_prob", "log_type_class_size",
+                     "log_type_class_prob"}
+    assert sorted(names & row_functions) == []
+    constants = {f"{f.stem}.{name}" for f in (ROOT / "src").rglob("*.py")
+                 for name in _module_constants(f)}
+    assert "finite.BLOCK" in constants
+    assert not [c for c in constants if c.endswith("FIRST_CHUNK")]

@@ -16,6 +16,7 @@ from concentrate import (
     NegativeEntryError,
     TooManyTypesError,
     count_types,
+    lattice_logs,
     log_sequence_prob,
     log_type_class_prob,
     log_type_class_size,
@@ -58,6 +59,41 @@ def test_enumeration_respects_polynomial_bound():
 def test_enumeration_guard():
     with pytest.raises(TooManyTypesError):
         type_matrix(100, 8, max_count=10_000)
+
+
+def test_lattice_logs_equal_the_row_functions_on_type_matrix():
+    # the builder adds the same floats in the same order as log_sequence_prob
+    # and log_type_class_size on type_matrix's rows: equal, bit for bit
+    rng = np.random.default_rng(97)
+    top = {1: 60, 2: 60, 3: 40, 4: 20, 5: 12, 6: 8}
+    for d in range(1, 7):
+        for n in (1, 2, int(rng.integers(3, top[d]))):
+            q = rng.dirichlet(np.ones(d))
+            rows = type_matrix(n, d)
+            log_probs, log_sizes = lattice_logs(n, np.log2(q))
+            assert np.array_equal(log_probs, log_sequence_prob(rows, q)), (d, n)
+            assert np.array_equal(log_sizes, log_type_class_size(rows)), (d, n)
+            # a column of m tied symbols counts m**c sequences for c of them
+            mults = rng.integers(1, 4, size=d)
+            tied = lattice_logs(n, np.log2(q), mults=mults)[1]
+            want = log_type_class_size(rows) + rows @ np.log2(mults)
+            assert np.max(np.abs(tied - want)) <= 1e-12, (d, n)
+
+
+def test_lattice_logs_guard_allocates_nothing():
+    # 5e11 types: the guard raises before the ln c! table or any array is made
+    log_q = np.log2([0.5, 0.25, 0.25])
+    lattice_logs(3, log_q)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooManyTypesError):
+            lattice_logs(10**6, log_q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
+    with pytest.raises(TooManyTypesError):
+        lattice_logs(100, np.zeros(8), max_count=10_000)
 
 
 def _product_reference(n, d):

@@ -314,14 +314,25 @@ def _shifted(p, s):
 def test_bisection_stops_on_collapsed_bracket(monkeypatch):
     # with a negative F_TOL no residual is small enough, so near -log2 p_1
     # at d = 1024 only the bracket shrinking to two adjacent floats ends the
-    # search, in fewer than 100 steps
+    # search. Newton reaches the root from above in 9 steps; the stale end
+    # at s = 233 is then not halved down to it (63 kernel rows in all):
+    # steps of one ulp, doubling, cross the root instead
     rng = np.random.default_rng(0)
     p = new_spectrum(rng.dirichlet(np.ones(1024)), renormalize=True)
     r = 0.99 * p.min_entropy
+    rows = []
+    kernel = spectra._family
+
+    def counting(p, tilts):
+        rows.extend(tilts)
+        return kernel(p, tilts)
+
+    monkeypatch.setattr(spectra, "_family", counting)
     monkeypatch.setattr(spectra, "F_TOL", -1.0)
     monkeypatch.setattr(spectra, "MAX_ITER", 100)
     s = solve_tilts(p, [r], "s_plus")[0].s
     monkeypatch.undo()
+    assert 10 < len(rows) <= 24, len(rows)
     # s is one end of a bracket of adjacent floats that holds the root
     values = _shifted(p, [np.nextafter(s, 0.0), s, np.nextafter(s, np.inf)])[0]
     assert values[0] < r <= values[1] or values[1] < r <= values[2]
