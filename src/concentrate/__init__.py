@@ -29,7 +29,6 @@ from .errors import (
     TTooSmallError,
 )
 from .spectra import (
-    SATURATED,
     SchmidtSpectrum,
     TiltedFamilyPoint,
     divergence_from_uniform,

@@ -61,6 +61,11 @@ KIND_MAP = {
     "fidelity-converse": fidelity_converse_yield,
 }
 
+#: the row of every fidelity conversion mode (--prob, --eps, --fid)
+CONVERSION_COLUMNS = (
+    "direction", "input_size", "input_quality", "output_size", "output_quality_bound",
+)
+
 
 def _parse_spectrum_text(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
@@ -120,11 +125,11 @@ def _parse_r_grid(text: str) -> tuple[float, ...]:
 
 
 def _emit(record: ExperimentRecord, args) -> None:
-    fmt = args.format
+    text = record.to_json_text() if args.format == "json" else record.to_csv_text()
     if args.out:
-        record.write(args.out, fmt)
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
     else:
-        text = record.to_json_text() if fmt == "json" else record.to_csv_text()
         sys.stdout.write(text)
 
 
@@ -273,32 +278,15 @@ def _cmd_fidelity(args) -> ExperimentRecord:
             }
         return _single_row_record({"experiment": "fidelity-verify"}, row)
     if args.prob is not None:
-        fid = prob_to_fidelity(args.prob, args.size, args.target_size)
-        row = {
-            "direction": "prob-to-fidelity",
-            "input_size": args.size,
-            "input_quality": args.prob,
-            "output_size": args.target_size,
-            "output_quality_bound": fid,
-        }
+        values = ("prob-to-fidelity", args.size, args.prob, args.target_size,
+                  prob_to_fidelity(args.prob, args.size, args.target_size))
     elif args.eps is not None:
         size, bound = fidelity_to_prob_params(args.target_size, args.eps)
-        row = {
-            "direction": "fidelity-to-prob",
-            "input_size": args.target_size,
-            "input_quality": 1.0 - args.eps,
-            "output_size": size,
-            "output_quality_bound": bound,
-        }
+        values = ("fidelity-to-prob", args.target_size, 1.0 - args.eps, size, bound)
     else:
-        value = recovery_bound(args.target_size, args.fid)
-        row = {
-            "direction": "fidelity-to-prob-bound",
-            "input_size": args.target_size,
-            "input_quality": args.fid,
-            "output_size": args.target_size,
-            "output_quality_bound": value,
-        }
+        values = ("fidelity-to-prob-bound", args.target_size, args.fid, args.target_size,
+                  recovery_bound(args.target_size, args.fid))
+    row = dict(zip(CONVERSION_COLUMNS, values))
     return _single_row_record({"experiment": "fidelity"}, row)
 
 

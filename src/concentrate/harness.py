@@ -3,7 +3,10 @@
 Three experiment families: convergence studies (empirical finite-n
 exponents against the asymptotic prediction), curve sweeps (all four yield
 curves on an r grid), and a seeded property-check suite covering every
-invariant the numerical modules promise. Results come back as an
+invariant the numerical modules promise. Each check is a generator that
+takes only its rng and yields residuals (positive means violated);
+run_check_suite alone reduces them to a worst residual and judges it
+against the check's tolerance. Results come back as an
 ExperimentRecord carrying metadata plus self-describing rows, serializable
 to CSV (LF, UTF-8, 17 significant digits) or JSON ({"meta": ..., "rows":
 ...}). Identical configuration and seed produce byte-identical files: no
@@ -13,6 +16,7 @@ keys.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -54,7 +58,6 @@ from .rates import (
     r_prime,
 )
 from .spectra import (
-    SATURATED,
     SchmidtSpectrum,
     divergence_from_uniform,
     new_spectrum,
@@ -105,11 +108,6 @@ class ExperimentRecord:
     def to_json_text(self) -> str:
         payload = {"meta": self.meta, "rows": self.rows}
         return json.dumps(payload, indent=2, allow_nan=False) + "\n"
-
-    def write(self, path: str, fmt: str) -> None:
-        text = self.to_json_text() if fmt == "json" else self.to_csv_text()
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
 
 
 def _csv_cell(value) -> str:
@@ -263,28 +261,24 @@ def _random_spectrum(rng, d: int, floor: float = 0.01) -> SchmidtSpectrum:
     return new_spectrum(raw, renormalize=True)
 
 
-def _check_protocol_identity(rng, tol):
-    worst = 0.0
+def _check_protocol_identity(rng):
     for _ in range(60):
         d = int(rng.integers(2, 17))
         p = _random_spectrum(rng, d)
         for size in range(1, d + 1):
             plan = solve_plan(p, size)
             direct = optimal_probability(p, size)
-            worst = max(worst, abs(direct - plan.success_prob))
-            worst = max(worst, abs(plan.success_prob - plan.threshold * size))
-    return worst, worst <= tol
+            yield abs(direct - plan.success_prob)
+            yield abs(plan.success_prob - plan.threshold * size)
 
 
-def _check_plan_monotonicity(rng, tol):
-    worst = 0.0
+def _check_plan_monotonicity(rng):
     for _ in range(40):
         d = int(rng.integers(2, 13))
         p = _random_spectrum(rng, d)
         probs = [optimal_probability(p, size) for size in range(1, d + 1)]
         for a, b in zip(probs, probs[1:]):
-            worst = max(worst, b - a)
-    return worst, worst <= tol
+            yield b - a
 
 
 def _type_information(counts, q: SchmidtSpectrum):
@@ -297,12 +291,10 @@ def _type_information(counts, q: SchmidtSpectrum):
     return -(t * log_t).sum(axis=1), (t * (log_t - q.log2)).sum(axis=1)
 
 
-def _check_type_sandwiches(rng, tol):
-    worst = 0.0
+def _check_type_sandwiches(rng):
     for d in (2, 3):
         for n in (5, 12, 25):
-            if count_types(n, d) > (n + 1) ** d:
-                return float("inf"), False
+            yield float(count_types(n, d) - (n + 1) ** d)
             rows = type_matrix(n, d)
             size = log_type_class_size(rows)
             slack = d * math.log2(n + 1)
@@ -310,58 +302,46 @@ def _check_type_sandwiches(rng, tol):
                 q = _random_spectrum(rng, d)
                 h, div = _type_information(rows, q)
                 prob = log_type_class_prob(rows, q)
-                worst = max(worst, np.max(size - n * h), np.max(n * h - slack - size),
+                yield from (np.max(size - n * h), np.max(n * h - slack - size),
                             np.max(prob + n * div), np.max(-n * div - slack - prob))
-    return worst, worst <= tol
 
 
-def _check_type_completeness(rng, tol):
-    worst = 0.0
+def _check_type_completeness(rng):
     for d in (2, 3):
         for n in (6, 17):
             q = _random_spectrum(rng, d)
-            total = logsumexp2(log_type_class_prob(type_matrix(n, d), q))
-            worst = max(worst, abs(total))
-    return worst, worst <= tol
+            yield abs(logsumexp2(log_type_class_prob(type_matrix(n, d), q)))
 
 
-def _check_psi_convexity(rng, tol):
-    worst = 0.0
+def _check_psi_convexity(rng):
     for _ in range(40):
         p = _random_spectrum(rng, int(rng.integers(2, 7)))
         s = np.sort(rng.uniform(0.0, 6.0, size=2))
         mid = 0.5 * (s[0] + s[1])
         psi = [tilted_point(p, t).psi for t in (s[0], s[1], mid)]
-        gap = 0.5 * (psi[0] + psi[1]) - psi[2]
-        worst = max(worst, -gap)
-    return worst, worst <= tol
+        yield -(0.5 * (psi[0] + psi[1]) - psi[2])
 
 
-def _check_tilted_identity(rng, tol):
-    worst = 0.0
+def _check_tilted_identity(rng):
     for _ in range(40):
         p = _random_spectrum(rng, int(rng.integers(2, 7)))
         s = float(rng.uniform(0.0, 5.0))
         h = tilted(p, s)
-        worst = max(worst, abs(tilted_point(p, s).f_value - relative_entropy(h, p)))
-    return worst, worst <= tol
+        yield abs(tilted_point(p, s).f_value - relative_entropy(h, p))
 
 
-def _check_solver_roundtrip(rng, tol):
-    worst = 0.0
+def _check_solver_roundtrip(rng):
     for _ in range(30):
         p = _random_spectrum(rng, int(rng.integers(2, 6)))
         for equation, edge in (("s_plus", p.min_entropy),
                                ("s_minus", divergence_from_uniform(p))):
             r = float(rng.uniform(0.05, 0.95)) * edge
             pt = solve_tilts(p, [r], equation)[0]
-            if pt is not SATURATED:
-                worst = max(worst, abs(tilted_point(p, pt.s).f_value - r))
-    return worst, worst <= tol
+            if pt is not None:
+                yield abs(tilted_point(p, pt.s).f_value - r)
 
 
-def _check_tilted_entropy_identity(rng, tol):
-    worst = 0.0
+def _check_tilted_entropy_identity(rng):
     for _ in range(30):
         p = _random_spectrum(rng, int(rng.integers(2, 6)))
         s = float(rng.uniform(0.0, 4.0))
@@ -369,15 +349,13 @@ def _check_tilted_entropy_identity(rng, tol):
             continue
         pt = tilted_point(p, s)
         combined = (s * pt.f_value + pt.psi) / (1.0 - s)
-        worst = max(worst, abs(pt.entropy - combined))
-    return worst, worst <= tol
+        yield abs(pt.entropy - combined)
 
 
 def _monotone(curve, edge, sign):
     """Check that curve moves with sign over 100 points below edge(p)."""
 
-    def check(rng, tol):
-        worst = 0.0
+    def check(rng):
         for _ in range(10):
             p = _random_spectrum(rng, int(rng.integers(2, 5)))
             if p.is_uniform:
@@ -385,8 +363,7 @@ def _monotone(curve, edge, sign):
             top = edge(p)
             grid = np.linspace(0.01 * top, 0.99 * top, 100)
             vals = [point.yield_bits for point in curve(p, grid)]
-            worst = max([worst] + [sign * (b - a) for a, b in zip(vals, vals[1:])])
-        return worst, worst <= tol
+            yield from (sign * (b - a) for a, b in zip(vals, vals[1:]))
 
     return check
 
@@ -395,21 +372,18 @@ _check_direct_monotone = _monotone(direct_curve, lambda p: p.min_entropy, 1.0)
 _check_converse_monotone = _monotone(converse_curve, divergence_from_uniform, -1.0)
 
 
-def _check_endpoint_limits(rng, tol):
+def _check_endpoint_limits(rng):
     # the r -> 0 gap is sqrt(2 r psi''(1)), so a 1e-4 window at r = 1e-7
     # is only meaningful on spectra with small log-variance; draw near-flat
-    worst = 0.0
     for _ in range(20):
         d = int(rng.integers(2, 5))
         p = new_spectrum(np.ones(d) + 0.25 * rng.uniform(size=d), renormalize=True)
         h = shannon_entropy(p)
-        worst = max(worst, abs(direct_yield(p, 1e-7).yield_bits - h))
-        worst = max(worst, abs(converse_yield(p, 1e-7).yield_bits - h))
-    return worst, worst <= tol
+        yield abs(direct_yield(p, 1e-7).yield_bits - h)
+        yield abs(converse_yield(p, 1e-7).yield_bits - h)
 
 
-def _check_grid_oracle_agreement(rng, tol):
-    worst = 0.0
+def _check_grid_oracle_agreement(rng):
     for _ in range(4):
         p1 = float(rng.uniform(0.55, 0.72))
         p = new_spectrum([p1, 1.0 - p1])
@@ -417,32 +391,28 @@ def _check_grid_oracle_agreement(rng, tol):
         grid = np.linspace(0.1 * top, 1.1 * top, 8)
         gd, gc = brute_force_curves(p, grid, 10_000)
         for i, (d, c) in enumerate(zip(direct_curve(p, grid), converse_curve(p, grid))):
-            worst = max(worst, abs(gd[i] - d.yield_bits))
-            worst = max(worst, abs(gc[i] - c.yield_bits))
-    return worst, worst <= tol
+            yield abs(gd[i] - d.yield_bits)
+            yield abs(gc[i] - c.yield_bits)
 
 
-def _check_exact_identity(rng, tol):
-    worst = 0.0
+def _check_exact_identity(rng):
     for _ in range(10):
         p = _random_spectrum(rng, int(rng.integers(2, 4)))
         n = int(rng.integers(2, 9))
         spec = grouped_spectrum(p, n)
         bits = float(rng.uniform(0.0, spec.total_log_dim))
         log_t, _, log_p, _ = _solve_grouped_threshold(spec, bits)
-        worst = max(worst, abs(log_p - (log_t + bits)))
+        yield abs(log_p - (log_t + bits))
         # at size d**n the threshold is the smallest coefficient: P = (d p_d)**n
         log_top = _solve_grouped_threshold(spec, spec.total_log_dim)[2]
-        worst = max(worst, abs(log_top - n * math.log2(p.dim * p.probs[-1])))
+        yield abs(log_top - n * math.log2(p.dim * p.probs[-1]))
         # single-copy agreement
         for size in range(1, p.dim + 1):
             log_p1, _ = exact_success_prob(p, 1, math.log2(size))
-            worst = max(worst, abs(2.0**log_p1 - optimal_probability(p, size)))
-    return worst, worst <= tol
+            yield abs(2.0**log_p1 - optimal_probability(p, size))
 
 
-def _check_exponent_lower_bound(rng, tol):
-    worst = 0.0
+def _check_exponent_lower_bound(rng):
     p = new_spectrum([0.7, 0.3])
     entropy = shannon_entropy(p)
     top = p.min_entropy
@@ -452,9 +422,7 @@ def _check_exponent_lower_bound(rng, tol):
         floor_val = _discrete_direct_bound(p, n, sample.rate) - p.dim * math.log2(
             n + 1
         ) / n
-        violation = floor_val - sample.failure_exponent
-        worst = max(worst, violation)
-    return worst, worst <= tol
+        yield floor_val - sample.failure_exponent
 
 
 def _discrete_direct_bound(p: SchmidtSpectrum, n: int, rate: float) -> float:
@@ -462,38 +430,34 @@ def _discrete_direct_bound(p: SchmidtSpectrum, n: int, rate: float) -> float:
     return float(np.min(div, initial=np.inf, where=div + h <= rate))
 
 
-def _check_fidelity_bounds(rng, tol):
-    worst = max(0.0, recovery_bound(100, 1.0) - math.sqrt(100))
+def _check_fidelity_bounds(rng):
+    yield recovery_bound(100, 1.0) - math.sqrt(100)
     for _ in range(25):
         d = int(rng.integers(7, 33))
         p = _random_spectrum(rng, d, floor=0.5 / d)
         check8 = verify_recovery_bound(p, int(rng.integers(2, d + 1)))
         if not check8.holds:
-            worst = max(worst, check8.bound - check8.best_sqrt_pl)
+            yield check8.bound - check8.best_sqrt_pl
         near_uniform = new_spectrum(
             np.ones(d) + 0.1 * rng.uniform(size=d), renormalize=True
         )
-        check6 = verify_fidelity_conversion(near_uniform, d)
-        if not check6.all_ok:
-            worst = max(worst, 1.0)
+        if not verify_fidelity_conversion(near_uniform, d).all_ok:
+            yield 1.0
         # flattening a probabilistic scheme keeps its quality at T = L
         prob = float(rng.uniform(0.1, 1.0))
         size = int(rng.integers(1, 8))
-        worst = max(worst, prob - prob_to_fidelity(prob, size, size))
-    return worst, worst <= tol
+        yield prob - prob_to_fidelity(prob, size, size)
 
 
-def _check_nonadditivity(rng, tol):
-    worst = 0.0
+def _check_nonadditivity(rng):
     for _ in range(15):
         rho = _random_spectrum(rng, 2)
         sigma = _random_spectrum(rng, 2)
         r = float(rng.uniform(0.02, 1.0))
-        rep = nonadditivity_report(rho, sigma, r, tolerance=tol)
-        worst = max(worst, abs(rep.e_half_rho - 0.5 * rep.e_rho_rho))
-        worst = max(worst, rep.e_rho + rep.e_sigma - rep.e_joint)
-        worst = max(worst, rep.e_joint - 0.5 * (rep.e_rho_rho + rep.e_sigma_sigma))
-    return worst, worst <= tol
+        rep = nonadditivity_report(rho, sigma, r)
+        yield abs(rep.e_half_rho - 0.5 * rep.e_rho_rho)
+        yield rep.e_rho + rep.e_sigma - rep.e_joint
+        yield rep.e_joint - 0.5 * (rep.e_rho_rho + rep.e_sigma_sigma)
 
 
 CHECKS = [
@@ -519,17 +483,20 @@ CHECKS = [
 def run_check_suite(cfg: ExperimentConfig) -> ExperimentRecord:
     """Execute every module invariant against seeded random spectra.
 
-    One row per property: worst residual, tolerance, and pass flag. A
-    cfg.tolerance, when given, overrides every per-check tolerance (the
-    harness self-test corrupts it to force failures).
+    Each check draws from its own seeded rng and yields residuals, which
+    are violations when positive. The suite alone reduces and judges them:
+    one row per property with the worst residual (0.0 if none is larger),
+    the tolerance, and whether the worst is within it. A cfg.tolerance,
+    when given, overrides every per-check tolerance (the harness self-test
+    corrupts it to force failures).
     """
     rows = []
-    for index, (name, fn, default_tol) in enumerate(CHECKS):
+    for index, (name, check, default_tol) in enumerate(CHECKS):
         tol = cfg.tolerance if cfg.tolerance is not None else default_tol
-        rng = np.random.default_rng([cfg.seed, index])
-        worst, passed = fn(rng, tol)
+        residuals = check(np.random.default_rng([cfg.seed, index]))
+        worst = max(itertools.chain([0.0], residuals))
         rows.append(
-            _row(check=name, worst_residual=worst, tolerance=tol, passed=passed)
+            _row(check=name, worst_residual=worst, tolerance=tol, passed=worst <= tol)
         )
     meta = _base_meta(cfg, "check-suite")
     meta["checks"] = len(rows)

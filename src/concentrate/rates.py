@@ -42,7 +42,6 @@ from .errors import (
     RateOutOfRangeError,
 )
 from .spectra import (
-    SATURATED,
     SchmidtSpectrum,
     _require_positive,
     shannon_entropy,
@@ -84,7 +83,7 @@ def converse_yield(p: SchmidtSpectrum, r: float) -> RateCurvePoint:
 def direct_curve(p: SchmidtSpectrum, r_values) -> list[RateCurvePoint]:
     """direct_yield at every exponent of r_values, the tilts from one solve."""
     return [
-        RateCurvePoint(r, p.min_entropy, REGIME_SATURATED_HIGH) if pt is SATURATED
+        RateCurvePoint(r, p.min_entropy, REGIME_SATURATED_HIGH) if pt is None
         else RateCurvePoint(r, (r + pt.psi) / (1.0 - pt.s), REGIME_INTERIOR, pt.s)
         for r, pt in zip(r_values, solve_tilts(p, r_values, "s_plus"))
     ]
@@ -93,7 +92,7 @@ def direct_curve(p: SchmidtSpectrum, r_values) -> list[RateCurvePoint]:
 def converse_curve(p: SchmidtSpectrum, r_values) -> list[RateCurvePoint]:
     """converse_yield at every exponent of r_values, the tilts from one solve."""
     return [
-        RateCurvePoint(r, math.log2(p.dim), REGIME_SATURATED_LOW) if pt is SATURATED
+        RateCurvePoint(r, math.log2(p.dim), REGIME_SATURATED_LOW) if pt is None
         else RateCurvePoint(r, (pt.s * r + pt.psi) / (1.0 - pt.s), REGIME_INTERIOR, pt.s)
         for r, pt in zip(r_values, solve_tilts(p, r_values, "s_minus"))
     ]

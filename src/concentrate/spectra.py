@@ -16,8 +16,8 @@ and the two inverse maps of F: the solution s > 1 of F(s) = r (exists for
 0 < r < -log2(m_1 p_1)) and the solution 0 < s < 1 (exists for 0 < r < D(u||p)
 with u uniform), found for a whole array of r at once by solve_tilts as the
 TiltedFamilyPoint (s, psi, psi', psi'', F, H(h(s))) of the kernel pass that
-solved it. From -log2 p_1 and D(u||p) on it returns the SATURATED sentinel,
-because the downstream yield curves are still well defined constants there.
+solved it. From -log2 p_1 and D(u||p) on it returns None, because the
+downstream yield curves are still well defined constants there.
 
 Everything is in bits. The tilted family is taken on s >= 0 (other tilts
 raise TiltOutOfRangeError) in its shifted form over D = log2(p / p_1) <= 0
@@ -53,23 +53,6 @@ SUM_TOL = 1e-9
 #: p_i >= p_{i+1} tie if p_i - p_{i+1} <= SNAP_TOL p_i / p_1: absolute at the top
 #: (within 1e-12 of flat is one group), relative below (small logs stay apart)
 SNAP_TOL = 1e-12
-
-
-class Saturated:
-    """Sentinel returned by the tilt solver when the exponent saturates."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "SATURATED"
-
-
-SATURATED = Saturated()
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,8 +255,8 @@ def solve_tilts(p: SchmidtSpectrum, targets, equation: str) -> list:
     """The family point solving one tilted-family equation, for every target at once.
 
     s_plus and s_minus solve F(s) = r on s > 1 and 0 < s < 1 (r finite and
-    positive; SATURATED at or past the branch's saturation point, and for
-    any r on a uniform spectrum), and direct_rate and converse_rate solve
+    positive; None at or past the branch's saturation point, and for any r
+    on a uniform spectrum), and direct_rate and converse_rate solve
     -psi'(s) = rate on s > 1 and H(h(s)) = rate on 0 < s < 1. A solved
     target gets the TiltedFamilyPoint of the kernel row that solved it, which
     equals tilted_point at its tilt bit for bit. Each step reads every
@@ -292,7 +275,7 @@ def solve_tilts(p: SchmidtSpectrum, targets, equation: str) -> list:
     lo, hi = (1.0, _OPEN) if above_one else (0.0, 1.0)
     want = [float(v) for v in targets]
     n = len(want)
-    points, lanes = [SATURATED] * n, list(range(n))
+    points, lanes = [None] * n, list(range(n))
     top = p.min_entropy
     x = [2.0 if above_one else 0.5] * n
     if equation in ("s_plus", "s_minus"):

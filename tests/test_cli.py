@@ -24,12 +24,16 @@ def test_parse_n_list_forms():
     assert _parse_n_list("10..50..20") == (10, 30, 50)
     with pytest.raises(ValueError):
         _parse_n_list("10..50")
+    with pytest.raises(ValueError, match="step must be >= 1"):
+        _parse_n_list("10..50..0")
 
 
 def test_parse_r_grid():
     grid = _parse_r_grid("0.1:0.5:5")
     assert len(grid) == 5
     assert grid[0] == pytest.approx(0.1) and grid[-1] == pytest.approx(0.5)
+    with pytest.raises(ValueError, match="steps must be >= 1"):
+        _parse_r_grid("0.1:0.5:0")
 
 
 def test_info_command(capsys):
@@ -177,10 +181,18 @@ def test_malformed_values_exit_2(capsys):
         ["info", "--spectrum", "zero,one"],
         ["info", "--spectrum-file", "/nonexistent/spec.txt"],
         ["sweep", "--spectrum", "0.75,0.25", "--r-grid", "0.1-0.5-5"],
+        ["converge", "--spectrum", "0.75,0.25", "--rate", "0.6", "--n-list", "10..50..0"],
+        ["sweep", "--spectrum", "0.75,0.25", "--r-grid", "0.1:0.5:0"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+
+def test_converge_zero_copies_is_usage_error(capsys):
+    assert _exits_2(["converge", "--spectrum", "0.75,0.25", "--rate", "0.6",
+                     "--n-list", "0,5"])
+    assert "need n >= 1, got 0" in capsys.readouterr().err
 
 
 def test_converge_type_guard_flag(capsys):
@@ -309,6 +321,9 @@ FIDELITY_MODE_MISTAKES = {
     "size with fid": (["--fid", "1.0", "--size", "7"], "--size"),
     "size with verify": (["--verify", "bound", "--spectrum", "0.5,0.3,0.2", "--size", "9"],
                          "--size"),
+    "fid above one": (["--fid", "1.5"], "fidelity must be in (0, 1], got 1.5"),
+    "prob zero": (["--prob", "0", "--size", "2"],
+                  "success probability must be in (0, 1], got 0.0"),
 }
 
 
@@ -317,6 +332,22 @@ def test_fidelity_mode_mistake_is_usage_error(capsys, mode):
     flags, named = FIDELITY_MODE_MISTAKES[mode]
     assert _exits_2(["fidelity", *flags, "--target-size", "4"])
     assert named in capsys.readouterr().err
+
+
+FIDELITY_SIZE_ERRORS = {
+    "prob size zero": (["--prob", "0.5", "--size", "0", "--target-size", "4"],
+                       "size must be >= 1, got 0"),
+    "bound target one": (["--verify", "bound", "--spectrum", "0.5,0.3,0.2",
+                          "--target-size", "1"], "bound needs T >= 2 (ln T vanishes at 1)"),
+}
+
+
+@pytest.mark.parametrize("case", FIDELITY_SIZE_ERRORS)
+def test_fidelity_size_out_of_range_is_domain_error(capsys, case):
+    flags, message = FIDELITY_SIZE_ERRORS[case]
+    code, out, err = run_cli(capsys, "fidelity", *flags, "--format", "json")
+    assert code == 1 and message in err
+    assert json.loads(out) == {"error": {"type": "SizeOutOfRangeError", "message": message}}
 
 
 #: a valid call of every subcommand, without the optional shared flags

@@ -183,6 +183,17 @@ def test_convergence_requires_increasing_n():
         run_convergence(ExperimentConfig(spectrum=P34, rate=0.6, n_list=(20, 10)))
 
 
+@pytest.mark.parametrize("run,needs", [
+    (run_sweep, "sweep needs a spectrum and a non-empty r grid"),
+    (run_convergence, "convergence needs spectrum, rate, and n_list"),
+    (run_nonadditivity, "nonadditivity needs a spectrum and an exponent r"),
+])
+def test_experiment_refuses_a_config_without_its_fields(run, needs):
+    for cfg in (ExperimentConfig(), ExperimentConfig(spectrum=P34)):
+        with pytest.raises(ValueError, match=needs):
+            run(cfg)
+
+
 def test_nonadditivity_record():
     record = run_nonadditivity(ExperimentConfig(spectrum=P34, r=0.2))
     row = record.rows[0]

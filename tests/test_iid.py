@@ -107,6 +107,11 @@ def test_logsumexp2_edge_cases():
     assert logsumexp2([3.0, -inf]) == 3.0
 
 
+def test_log2_sub_is_minus_inf_unless_a_exceeds_b():
+    assert log2_sub(1.0, 1.0) == -math.inf
+    assert log2_sub(1.0, 2.0) == -math.inf
+
+
 def _lexicographic_types(n, d):
     """Every composition of n into d parts, lexicographically descending."""
     heads = itertools.product(range(n, -1, -1), repeat=d - 1)

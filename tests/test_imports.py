@@ -2,9 +2,11 @@
 nor imported), every domain error it defines is raised somewhere, the
 simplex-grid oracle stays independent of the tilted family, only spectra
 names the tilted-family kernel, and ties are decided by one rule, in one
-place. The n-copy path builds no counts matrix."""
+place. The n-copy path builds no counts matrix, and the check suite judges
+its residuals in one place."""
 
 import ast
+import inspect
 import os
 import pathlib
 import subprocess
@@ -88,7 +90,7 @@ def test_only_spectra_names_the_kernel():
 
 TILTED_FAMILY = {
     "_family", "solve_tilts", "psi", "f_value", "tilted", "tilted_point",
-    "SATURATED", "direct_curve", "converse_curve",
+    "direct_curve", "converse_curve",
 }
 
 
@@ -160,3 +162,29 @@ def test_n_copy_path_builds_no_counts_matrix():
                  for name in _module_constants(f)}
     assert "finite.BLOCK" in constants
     assert not [c for c in constants if c.endswith("FIRST_CHUNK")]
+
+
+def test_check_suite_judges_once():
+    # every check is a generator of residuals that reads only its rng; the
+    # suite alone reduces them and compares against a tolerance
+    from concentrate import harness
+
+    for name, check, _ in harness.CHECKS:
+        assert inspect.isgeneratorfunction(check), name
+        assert list(inspect.signature(check).parameters) == ["rng"], name
+    tree = ast.parse((ROOT / "src" / "concentrate" / "harness.py").read_text())
+    judging = sorted(
+        node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+        and any(isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE))
+                and "tol" in set(_names(compare))
+                for compare in ast.walk(node) if isinstance(compare, ast.Compare)
+                for op in compare.ops)
+    )
+    # run_convergence judges its rows against the convergence window instead
+    assert judging == ["run_check_suite", "run_convergence"]
+    assert not hasattr(harness.ExperimentRecord, "write")
+    left = sorted(
+        str(f.relative_to(ROOT)) for f in (ROOT / "src").rglob("*.py")
+        if {"Saturated", "SATURATED"} & set(_names(ast.parse(f.read_text())))
+    )
+    assert left == []

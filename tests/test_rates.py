@@ -299,6 +299,13 @@ def test_grid_oracle_rejects_large_dimension():
         brute_force_curves(new_spectrum([0.4, 0.3, 0.2, 0.1]), [0.1], 100)
 
 
+def test_grid_oracle_product_state_and_empty_grid():
+    direct, converse = brute_force_curves(new_spectrum([1.0]), [0.1, 2.0], 100)
+    assert direct.tolist() == [0.0, 0.0] and converse.tolist() == [0.0, 0.0]
+    with pytest.raises(ValueError, match="grid_steps must be >= 1"):
+        brute_force_curves(P34, [0.1], 0)
+
+
 # --- non-additivity ---------------------------------------------------------
 
 

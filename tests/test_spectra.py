@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from concentrate import (
-    SATURATED,
     DimensionMismatchError,
     EmptySpectrumError,
     NegativeEntryError,
@@ -160,8 +159,8 @@ def test_spectrum_within_1e12_of_flat_is_one_group(values):
     assert p.is_uniform and p.mults.tolist() == [float(len(values))]
     top = math.log2(len(values))
     for r in (1e-6, 0.5, 3.0):
-        assert solve_tilts(p, [r], "s_plus") == [SATURATED]
-        assert solve_tilts(p, [r], "s_minus") == [SATURATED]
+        assert solve_tilts(p, [r], "s_plus") == [None]
+        assert solve_tilts(p, [r], "s_minus") == [None]
         assert rates.direct_yield(p, r).yield_bits == p.min_entropy
         assert rates.converse_yield(p, r).yield_bits == top
 
@@ -281,8 +280,8 @@ def test_tensor_examples():
 def test_solve_s_plus_examples():
     p = new_spectrum([0.75, 0.25])
     # the boundary -log2 p_1 is included
-    assert solve_tilts(p, [-float(p.log2[0]), 0.4151, 5.0], "s_plus") == [SATURATED] * 3
-    assert solve_tilts(new_spectrum([0.5, 0.5]), [0.1], "s_plus")[0] is SATURATED
+    assert solve_tilts(p, [-float(p.log2[0]), 0.4151, 5.0], "s_plus") == [None] * 3
+    assert solve_tilts(new_spectrum([0.5, 0.5]), [0.1], "s_plus")[0] is None
     point = solve_tilts(p, [0.1], "s_plus")[0]
     assert point.s > 1.0
     assert tilted_point(p, point.s).f_value == pytest.approx(0.1, abs=1e-12)
@@ -293,8 +292,8 @@ def test_solve_s_plus_examples():
 
 def test_solve_s_minus_examples():
     p = new_spectrum([0.75, 0.25])
-    assert solve_tilts(p, [divergence_from_uniform(p), 0.207519], "s_minus") == [SATURATED] * 2
-    assert solve_tilts(new_spectrum([0.5, 0.5]), [0.01], "s_minus")[0] is SATURATED
+    assert solve_tilts(p, [divergence_from_uniform(p), 0.207519], "s_minus") == [None] * 2
+    assert solve_tilts(new_spectrum([0.5, 0.5]), [0.01], "s_minus")[0] is None
     point = solve_tilts(p, [0.05], "s_minus")[0]
     assert 0.0 < point.s < 1.0
     assert tilted_point(p, point.s).f_value == pytest.approx(0.05, abs=1e-12)
@@ -348,7 +347,7 @@ def test_solver_roundtrip_random():
         for equation, edge in (("s_plus", top), ("s_minus", c)):
             r = float(rng.uniform(0.05, 0.95) * edge)
             point = solve_tilts(p, [r], equation)[0]
-            if point is not SATURATED:
+            if point is not None:
                 assert tilted_point(p, point.s).f_value == pytest.approx(r, abs=1e-10)
 
 
@@ -638,7 +637,7 @@ def test_one_kernel_pass_per_engine_step_and_curve(monkeypatch):
     sizes = [len(c) for c in calls[1:]]
     assert sizes[0] == 3 and sizes == sorted(sizes, reverse=True)
     assert {pt.s for pt in points[:3]} <= {t for c in calls for t in c}
-    assert points[3:] == [SATURATED, SATURATED]
+    assert points[3:] == [None, None]
     # the rate equations have no starting curvature
     calls.clear()
     s = solve_tilts(p, [1.0], "direct_rate")[0].s
@@ -655,7 +654,7 @@ def test_one_kernel_pass_per_engine_step_and_curve(monkeypatch):
         points = curve(p, r)
         assert calls == solve_passes
         assert [pt.s_star for pt in points] == [
-            None if t is SATURATED else t.s for t in solved
+            None if t is None else t.s for t in solved
         ]
     # r' and the line past it: one pass at s = 1/2
     calls.clear()
