@@ -41,8 +41,7 @@ from .iid import (
 from .method_of_types import (
     DEFAULT_TYPE_GUARD,
     count_types,
-    log_type_class_prob,
-    log_type_class_size,
+    lattice_logs,
     type_matrix,
 )
 from .numerics import logsumexp2
@@ -284,7 +283,7 @@ def _check_plan_monotonicity(rng):
 def _type_information(counts, q: SchmidtSpectrum):
     """H(t) and D(t||q) of each counts row, from xlog2x sums of t = counts / n.
 
-    An independent route: neither is read off the library's log_sequence_prob.
+    An independent route: neither is read off the sequence logs of lattice_logs.
     """
     t = counts / counts.sum(axis=1, keepdims=True)
     log_t = np.log2(t, out=np.zeros_like(t), where=t > 0)
@@ -296,12 +295,12 @@ def _check_type_sandwiches(rng):
         for n in (5, 12, 25):
             yield float(count_types(n, d) - (n + 1) ** d)
             rows = type_matrix(n, d)
-            size = log_type_class_size(rows)
             slack = d * math.log2(n + 1)
             for _ in range(5):
                 q = _random_spectrum(rng, d)
                 h, div = _type_information(rows, q)
-                prob = log_type_class_prob(rows, q)
+                seq, size = lattice_logs(n, q.log2)
+                prob = size + seq
                 yield from (np.max(size - n * h), np.max(n * h - slack - size),
                             np.max(prob + n * div), np.max(-n * div - slack - prob))
 
@@ -309,8 +308,8 @@ def _check_type_sandwiches(rng):
 def _check_type_completeness(rng):
     for d in (2, 3):
         for n in (6, 17):
-            q = _random_spectrum(rng, d)
-            yield abs(logsumexp2(log_type_class_prob(type_matrix(n, d), q)))
+            seq, size = lattice_logs(n, _random_spectrum(rng, d).log2)
+            yield abs(logsumexp2(size + seq))
 
 
 def _check_psi_convexity(rng):

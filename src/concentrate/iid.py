@@ -73,8 +73,6 @@ def grouped_spectrum(
     p: SchmidtSpectrum, n: int, max_types: int = DEFAULT_TYPE_GUARD
 ) -> GroupedSpectrum:
     """Group the coefficients of the n-copy product state by value."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
     log_probs, log_mults = lattice_logs(n, p.log2[p.starts], max_types, p.mults)
     order = np.argsort(log_probs)[::-1]
     log_probs = log_probs[order]

@@ -9,17 +9,19 @@ exact n-copy computation in this package:
     log2 |T_q|                in [n H(q) - d log2(n+1), n H(q)]
     log2 Pr[T_q under p**n]   in [-n D(q||p) - d log2(n+1), -n D(q||p)]
 
-log_type_class_size, log_sequence_prob and log_type_class_prob take one row
-or many and return one value or an (m,) array; a negative count raises
-NegativeEntryError. Every function works one column at a time, adding columns
-left to right, so no row's class size or sequence probability depends on the
-rows that come with it. lattice_logs gives the first two for every type of
-the lattice, bit for bit, without the (m, d) counts: the n-copy path's
-builder, which peaks at about five arrays of m values.
-Multinomials read ln c! from one process-wide table,
-grown on demand to the largest n seen and never recomputed:
-math.log(math.factorial(c)) up to c = 170, correctly rounded, and
-math.lgamma(c + 1) above, within 2 ulp to c = 20000. All logs are base 2.
+One walk yields the lattice a column at a time and alone checks n, d and
+the type guard. type_matrix stacks its columns into the (m, d) counts;
+lattice_logs, the n-copy path's builder, keeps only each type's log2
+sequence probability and class size, peaking at about five arrays of m
+values. log_type_class_size, log_sequence_prob and log_type_class_prob take
+one row or many and return one value or an (m,) array; a negative count
+raises NegativeEntryError. No code in the package calls them: they are the
+counts-route reference that lattice_logs equals bit for bit. Every function
+adds columns left to right, so no row's value depends on the rows with it.
+Multinomials read ln c! from one process-wide table, grown on demand to the
+largest n seen and never recomputed: math.log(math.factorial(c)) up to
+c = 170, correctly rounded, and math.lgamma(c + 1) above, within 2 ulp to
+c = 20000. All logs are base 2.
 """
 
 from __future__ import annotations
@@ -44,70 +46,69 @@ def count_types(n: int, d: int) -> int:
     return math.comb(n + d - 1, d - 1)
 
 
-def type_matrix(n: int, d: int, max_count: int = DEFAULT_TYPE_GUARD) -> np.ndarray:
-    """All types as an int64 (count, d) array with contiguous columns, rows
-    lexicographically descending. Column by column, a prefix leaving rest
-    takes counts rest, ..., 0; a count leaving r spans the C(r + k, k) rows
-    that fill the k + 1 columns after it."""
-    if n < 1 or d < 1:
-        raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
+def _walk(n: int, d: int, max_count: int):
+    """Check n, d and the guard, then yield the type count, then each
+    column's (sizes, counts) in row order: the rows so far repeat by sizes,
+    rest + 1 for a prefix leaving rest. The last column yields sizes None.
+    The checks run at the first next(): take the count before allocating."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    if d < 1:
+        raise ValueError(f"need d >= 1, got {d}")
     count = count_types(n, d)
     if count > max_count:
         raise TooManyTypesError(
             f"{count} types for (n={n}, d={d}) exceeds guard {max_count}"
         )
-    cols = np.empty((d, count), dtype=np.int64)
+    yield count
     rest = np.array([n], dtype=np.int64)
-    for j in range(d - 1):
-        sizes = rest + 1
-        starts = np.cumsum(sizes) - sizes
-        offset = np.arange(int(sizes.sum()), dtype=np.int64) - np.repeat(starts, sizes)
-        span = 1
-        for i in range(1, d - 1 - j):
-            span = span * (offset + i) // i
-        cols[j] = np.repeat(np.repeat(rest, sizes) - offset, span)
-        rest = offset
-    cols[d - 1] = rest
-    return cols.T
-
-
-def lattice_logs(n: int, log_q, max_count: int = DEFAULT_TYPE_GUARD, mults=None):
-    """(log_sequence_prob, log_type_class_size) of every type under finite
-    log2 q, in type_matrix's row order, bit for bit, with no counts matrix.
-
-    The columns are walked as type_matrix walks them, but each prefix keeps
-    only its running sum of c log2 q_j and of ln c!, repeated down to its
-    children. A column standing for m tied symbols (mults[j] = m) counts
-    m**c sequences for c of them: its ln c! becomes ln c! - c ln m.
-    """
-    log_q = np.asarray(log_q, dtype=float)
-    d = log_q.size
-    if n < 1 or d < 1:
-        raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
-    count = count_types(n, d)
-    if count > max_count:
-        raise TooManyTypesError(
-            f"{count} types for (n={n}, d={d}) exceeds guard {max_count}"
-        )
-    table = _ln_factorials(n)[: n + 1]
-    tables = [table if m == 1 else table - np.arange(n + 1) * math.log(m)
-              for m in ([1] * d if mults is None else mults)]
-    rest = np.array([n], dtype=np.int64)
-    logs, ln_classes, terms = np.zeros(1), np.zeros(1), np.empty(count)
-    for j in range(d - 1):
+    for _ in range(d - 1):
         sizes = rest + 1
         starts = np.cumsum(sizes) - sizes
         offset = np.arange(int(sizes.sum()), dtype=np.int64)
         offset -= np.repeat(starts, sizes)
         counts = np.repeat(rest, sizes)
         counts -= offset
-        logs = np.repeat(logs, sizes)
-        logs += np.multiply(counts, log_q[j], out=terms[: counts.size])
-        ln_classes = np.repeat(ln_classes, sizes)
-        ln_classes += np.take(tables[j], counts, out=terms[: counts.size], mode="clip")
+        yield sizes, counts
         rest = offset
-    logs += np.multiply(rest, log_q[d - 1], out=terms)
-    ln_classes += np.take(tables[d - 1], rest, out=terms, mode="clip")
+    yield None, rest
+
+
+def type_matrix(n: int, d: int, max_count: int = DEFAULT_TYPE_GUARD) -> np.ndarray:
+    """All types as an int64 (count, d) array with contiguous columns, rows
+    lexicographically descending: the walk's columns, stacked."""
+    walk = _walk(n, d, max_count)
+    next(walk)
+    cols = []
+    for sizes, counts in walk:
+        if sizes is not None:
+            cols = [np.repeat(col, sizes) for col in cols]
+        cols.append(counts)
+    return np.stack(cols).T
+
+
+def lattice_logs(n: int, log_q, max_count: int = DEFAULT_TYPE_GUARD, mults=None):
+    """(log_sequence_prob, log_type_class_size) of every type under finite
+    log2 q, in type_matrix's row order, bit for bit, with no counts matrix.
+
+    Each prefix of the walk keeps only its running sum of c log2 q_j and of
+    ln c!, repeated down to its children by the walk's sizes. A column
+    standing for m tied symbols (mults[j] = m) counts m**c sequences for c
+    of them: its ln c! becomes ln c! - c ln m.
+    """
+    log_q = np.asarray(log_q, dtype=float)
+    walk = _walk(n, log_q.size, max_count)
+    count = next(walk)
+    table = _ln_factorials(n)[: n + 1]
+    tables = [table if m == 1 else table - np.arange(n + 1) * math.log(m)
+              for m in ([1] * log_q.size if mults is None else mults)]
+    logs, ln_classes, terms = np.zeros(1), np.zeros(1), np.empty(count)
+    for j, (sizes, counts) in enumerate(walk):
+        if sizes is not None:
+            logs = np.repeat(logs, sizes)
+            ln_classes = np.repeat(ln_classes, sizes)
+        logs += np.multiply(counts, log_q[j], out=terms[: counts.size])
+        ln_classes += np.take(tables[j], counts, out=terms[: counts.size], mode="clip")
     np.subtract(table[n], ln_classes, out=ln_classes)
     ln_classes /= LN2
     return logs, ln_classes

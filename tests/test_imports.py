@@ -2,8 +2,8 @@
 nor imported), every domain error it defines is raised somewhere, the
 simplex-grid oracle stays independent of the tilted family, only spectra
 names the tilted-family kernel, and ties are decided by one rule, in one
-place. The n-copy path builds no counts matrix, and the check suite judges
-its residuals in one place."""
+place. The n-copy path builds no counts matrix, one walk builds the type
+lattice, and the check suite judges its residuals in one place."""
 
 import ast
 import inspect
@@ -162,6 +162,24 @@ def test_n_copy_path_builds_no_counts_matrix():
                  for name in _module_constants(f)}
     assert "finite.BLOCK" in constants
     assert not [c for c in constants if c.endswith("FIRST_CHUNK")]
+
+
+def test_one_lattice_walk():
+    # type_matrix and lattice_logs read the lattice from one walker, which
+    # alone checks n, d and the guard; the type checks run lattice_logs
+    tree = ast.parse((ROOT / "src" / "concentrate" / "method_of_types.py").read_text())
+    assert list(_names(tree)).count("cumsum") == 1
+    assert "cumsum" in set(_names(_function("method_of_types", "_walk")))
+    for consumer in ("type_matrix", "lattice_logs"):
+        assert "_walk" in set(_names(_function("method_of_types", consumer))), consumer
+    raised = [name for f in (ROOT / "src").rglob("*.py") for name in _raised_names(f)]
+    assert raised.count("TooManyTypesError") == 1
+    grouped = _function("iid", "grouped_spectrum")
+    assert not [node for node in ast.walk(grouped) if isinstance(node, ast.Raise)]
+    for check in ("_check_type_sandwiches", "_check_type_completeness"):
+        names = set(_names(_function("harness", check)))
+        assert "lattice_logs" in names, check
+        assert sorted(names & {"log_type_class_size", "log_type_class_prob"}) == [], check
 
 
 def test_check_suite_judges_once():

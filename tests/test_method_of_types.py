@@ -80,20 +80,23 @@ def test_lattice_logs_equal_the_row_functions_on_type_matrix():
             assert np.max(np.abs(tied - want)) <= 1e-12, (d, n)
 
 
-def test_lattice_logs_guard_allocates_nothing():
+@pytest.mark.parametrize("build", [
+    lambda n, d, **kw: lattice_logs(n, np.log2(np.full(d, 1.0 / d)), **kw),
+    lambda n, d, **kw: type_matrix(n, d, **kw),
+], ids=["lattice_logs", "type_matrix"])
+def test_lattice_logs_guard_allocates_nothing(build):
     # 5e11 types: the guard raises before the ln c! table or any array is made
-    log_q = np.log2([0.5, 0.25, 0.25])
-    lattice_logs(3, log_q)
+    build(3, 3)
     tracemalloc.start()
     try:
         with pytest.raises(TooManyTypesError):
-            lattice_logs(10**6, log_q)
+            build(10**6, 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024, peak
     with pytest.raises(TooManyTypesError):
-        lattice_logs(100, np.zeros(8), max_count=10_000)
+        build(100, 8, max_count=10_000)
 
 
 def _product_reference(n, d):
@@ -129,10 +132,12 @@ def test_type_matrix_lattice_invariants():
 
 
 def test_type_matrix_argument_errors_and_guard():
-    with pytest.raises(ValueError):
-        type_matrix(0, 3)
-    with pytest.raises(ValueError):
-        type_matrix(3, 0)
+    # both builders refuse n < 1 and d < 1 in their shared walker
+    log_q = np.log2([0.5, 0.25, 0.25])
+    for call in (lambda: type_matrix(0, 3), lambda: type_matrix(3, 0),
+                 lambda: lattice_logs(0, log_q), lambda: lattice_logs(3, [])):
+        with pytest.raises(ValueError):
+            call()
     # about 1.7e11 types: the guard must fire before anything is allocated
     with pytest.raises(TooManyTypesError):
         type_matrix(10_000, 4, max_count=10**6)
