@@ -109,8 +109,6 @@ def verify_recovery_bound(p: SchmidtSpectrum, target_size: int) -> RecoveryBound
     maximum wins; its index is the first entry of its group.
     """
     fid = best_fidelity_to_target(p, target_size)
-    if target_size < 2:
-        raise SizeOutOfRangeError("bound needs T >= 2 (ln T vanishes at 1)")
     bound = recovery_bound(target_size, fid)
     probs, starts = p.probs, p.starts
     count = np.append(starts[1:], p.dim)

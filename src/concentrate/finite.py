@@ -15,11 +15,12 @@ above group k and T_k the mass from it on, the breakpoint B_k = A_k + T_k/p_k
 is the size whose threshold sits on p_k. It never decreases in k, so the
 first k with B_k >= L has k groups above t and t = T_k / (L - A_k).
 _breakpoint_search runs this in log2 space for solve_plan and for iid's
-n-copy groups. For L <= floor(1/p_1) it lands on k = 0 and t = 1/L >= p_1,
-which keeps P = t*L = 1 exact without a special case. Past BLOCK groups it
-works in blocks: one shifted sum per block of counts and of masses gives
-B_k at each block start, and the element-wise log-space chains run only
-inside the one or two blocks that hold k.
+n-copy types; types that share a value have equal breakpoints, so the first
+wins, as at any tie within TIE_BITS. For L <= floor(1/p_1) it lands on
+k = 0 and t = 1/L >= p_1, which keeps P = t*L = 1 exact without a special
+case. Past BLOCK groups it works in blocks: one shifted sum per block of
+counts and of masses gives B_k at each block start, and the element-wise
+log-space chains run only inside the one or two blocks that hold k.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .errors import SizeOutOfRangeError
 from .numerics import LN2, log2_sub, logsumexp2, tolerant_floor
 from .spectra import SchmidtSpectrum, new_spectrum
 
-#: log2 allowance on t at a tie t = p_k (the smallest k wins); iid merges by it
+#: log2 allowance on t at a tie t = p_k (the smallest k wins), iid's shared type values too
 TIE_BITS = 1e-12
 #: groups per block of the breakpoint search's shifted sums
 BLOCK = 512
@@ -44,21 +45,19 @@ class ConcentrationPlan:
     """A solved truncation protocol for one (spectrum, L) pair.
 
     cut_index is 1-based: coefficients with index < cut_index sit strictly
-    above the threshold and get damped; the rest are untouched.
+    above the threshold and get damped; the rest are untouched. failure_prob
+    is the damped mass sum_{i < cut_index} (p_i - t), 0.0 when none is.
     """
 
     target_size: int
     threshold: float
     cut_index: int
     success_prob: float
+    failure_prob: float
     measurement_coeffs: np.ndarray
 
     def __post_init__(self):
         self.measurement_coeffs.setflags(write=False)
-
-    @property
-    def failure_prob(self) -> float:
-        return 1.0 - self.success_prob
 
 
 def _check_size(p: SchmidtSpectrum, target_size: int) -> None:
@@ -104,7 +103,7 @@ def _first_hit(base, log_tail, log_probs, reach):
 
 
 def _breakpoint_search(log_probs, log_mults, log2_size: float, top: float):
-    """The module doc's rule on groups of descending log2 values and log2
+    """The module doc's rule on groups of non-increasing log2 values and log2
     counts whose total is 2**top. Returns (k, log2 T_k, log2 (L - A_k)); a
     tie within TIE_BITS of t goes to the smaller k."""
     lp, lm = log_probs, log_mults
@@ -172,6 +171,7 @@ def solve_plan(p: SchmidtSpectrum, target_size: int) -> ConcentrationPlan:
         threshold=float(t),
         cut_index=a + 1,
         success_prob=float(min(t * L, 1.0)),
+        failure_prob=float(np.sum(probs[:a] - t)),
         measurement_coeffs=np.minimum(1.0, np.sqrt(t / probs)),
     )
 

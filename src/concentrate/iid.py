@@ -1,16 +1,19 @@
 """Exact n-copy quantities: grouped product spectra and success exponents.
 
 The n-fold product of a spectrum has d**n coefficients but only polynomially
-many distinct values. grouped_spectrum collapses it to (log2 value, log2
-count) pairs: lattice_logs (method_of_types) gives every type's log2 value
+many types. grouped_spectrum collapses it to (log2 value, log2 count) pairs,
+one per type: lattice_logs (method_of_types) gives every type's log2 value
 and log2 class size over the d' distinct values (m tied entries add counts
-log2 m to a type's count) with no counts matrix, and one argsort and merge
-follow. exact_success_prob runs the threshold protocol's breakpoint search
-(finite) on the groups in log space. Every size up to d**n has an answer;
-at d**n, log2 P = n log2(d p_d). d = 2 reaches n of several thousand without
-underflow. On one core of a shared host, d = 3 at n = 2000 (about 2M types)
-takes 0.21 s of CPU and a peak RSS of 107 MiB, and d = 4 at n = 400 (10.8M
-types) 1.4 s and 449 MiB.
+log2 m to a type's count) with no counts matrix, and one argsort orders
+them. Types share a value only when ratios of log p are rational, as in a
+geometric spectrum; they stay separate, and the breakpoint search settles
+such a tie at the threshold as it settles any other. exact_success_prob
+runs the threshold protocol's breakpoint search (finite) on the groups in
+log space. Every size up to d**n has an answer; at d**n, log2 P =
+n log2(d p_d). d = 2 reaches n of several thousand without underflow. On
+one core of a shared host, d = 3 at n = 2000 (about 2M types) takes 0.21 s
+of CPU and a peak RSS of 107 MiB, and d = 4 at n = 400 (10.8M types) 1.4 s
+and 449 MiB.
 
 While P >= 1/2, 1 - P is the exact sum of per-group excess mass above the
 threshold, accurate when P is within 1e-300 of one; whichever of P and
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RateOutOfRangeError, SizeOutOfRangeError
-from .finite import TIE_BITS, _breakpoint_search
+from .finite import _breakpoint_search
 from .method_of_types import DEFAULT_TYPE_GUARD, lattice_logs
 from .numerics import LN2, logsumexp2
 from .spectra import SchmidtSpectrum, shannon_entropy
@@ -33,11 +36,11 @@ from .spectra import SchmidtSpectrum, shannon_entropy
 
 @dataclass(frozen=True, eq=False)
 class GroupedSpectrum:
-    """Distinct coefficient values of an n-copy product state.
+    """Coefficient values of an n-copy product state, one entry per type.
 
-    log_probs is strictly decreasing; log_mults counts how many product
-    coefficients share each value (also a log2). The pairing satisfies
-    logsumexp2(log_probs + log_mults) == 0 up to roundoff.
+    log_probs is non-increasing (types of a geometric spectrum can share a
+    value); log_mults counts each type's product coefficients (also a log2).
+    The pairing satisfies logsumexp2(log_probs + log_mults) == 0 up to roundoff.
     """
 
     log_probs: np.ndarray
@@ -58,27 +61,13 @@ class GroupedSpectrum:
         return logsumexp2(self.log_probs + self.log_mults)
 
 
-def _merge_groups(log_probs, log_mults):
-    """Collapse runs of equal (within TIE_BITS) descending log-probs."""
-    first = np.empty(log_probs.size, dtype=bool)
-    first[0] = True
-    np.greater(log_probs[:-1] - log_probs[1:], TIE_BITS, out=first[1:])
-    if first.all():
-        return log_probs, log_mults
-    starts = np.flatnonzero(first)
-    return log_probs[starts], np.logaddexp2.reduceat(log_mults, starts)
-
-
 def grouped_spectrum(
     p: SchmidtSpectrum, n: int, max_types: int = DEFAULT_TYPE_GUARD
 ) -> GroupedSpectrum:
-    """Group the coefficients of the n-copy product state by value."""
+    """The n-copy product state's coefficients, one entry per type, largest first."""
     log_probs, log_mults = lattice_logs(n, p.log2[p.starts], max_types, p.mults)
     order = np.argsort(log_probs)[::-1]
-    log_probs = log_probs[order]
-    log_mults = log_mults[order]
-    log_probs, log_mults = _merge_groups(log_probs, log_mults)
-    return GroupedSpectrum(log_probs, log_mults, n, n * math.log2(p.dim))
+    return GroupedSpectrum(log_probs[order], log_mults[order], n, n * math.log2(p.dim))
 
 
 def _solve_grouped_threshold(spec: GroupedSpectrum, log2_size: float):

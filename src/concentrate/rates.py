@@ -17,7 +17,8 @@ grid of exponents takes one batched solve (direct_curve, converse_curve) of
 a few O(d) steps, which returns psi with every tilt, and each point equals
 its single-point value bit for bit.
 E saturates at -log2 p_1 once r >= -log2 p_1 and E* saturates at log2 d
-once r >= D(u||p).
+once r >= D(u||p); an interior value that rounds past its plateau is clamped
+on it, so neither curve leaves [-log2 p_1, log2 d].
 
 Along the converse branch dE*/dr = s/(1-s), which is one at s = 1/2, so the
 slope-one point is r' = F(1/2) in closed form. Past it the fidelity-converse
@@ -81,19 +82,23 @@ def converse_yield(p: SchmidtSpectrum, r: float) -> RateCurvePoint:
 
 
 def direct_curve(p: SchmidtSpectrum, r_values) -> list[RateCurvePoint]:
-    """direct_yield at every exponent of r_values, the tilts from one solve."""
+    """direct_yield at each exponent of r_values: one tilt solve, clamped on the plateau."""
+    floor = p.min_entropy
     return [
-        RateCurvePoint(r, p.min_entropy, REGIME_SATURATED_HIGH) if pt is None
-        else RateCurvePoint(r, (r + pt.psi) / (1.0 - pt.s), REGIME_INTERIOR, pt.s)
+        RateCurvePoint(r, floor, REGIME_SATURATED_HIGH) if pt is None
+        else RateCurvePoint(r, max((r + pt.psi) / (1.0 - pt.s), floor),
+                            REGIME_INTERIOR, pt.s)
         for r, pt in zip(r_values, solve_tilts(p, r_values, "s_plus"))
     ]
 
 
 def converse_curve(p: SchmidtSpectrum, r_values) -> list[RateCurvePoint]:
-    """converse_yield at every exponent of r_values, the tilts from one solve."""
+    """converse_yield at each exponent of r_values: one tilt solve, clamped on the plateau."""
+    top = math.log2(p.dim)
     return [
-        RateCurvePoint(r, math.log2(p.dim), REGIME_SATURATED_LOW) if pt is None
-        else RateCurvePoint(r, (pt.s * r + pt.psi) / (1.0 - pt.s), REGIME_INTERIOR, pt.s)
+        RateCurvePoint(r, top, REGIME_SATURATED_LOW) if pt is None
+        else RateCurvePoint(r, min((pt.s * r + pt.psi) / (1.0 - pt.s), top),
+                            REGIME_INTERIOR, pt.s)
         for r, pt in zip(r_values, solve_tilts(p, r_values, "s_minus"))
     ]
 

@@ -338,7 +338,7 @@ FIDELITY_SIZE_ERRORS = {
     "prob size zero": (["--prob", "0.5", "--size", "0", "--target-size", "4"],
                        "size must be >= 1, got 0"),
     "bound target one": (["--verify", "bound", "--spectrum", "0.5,0.3,0.2",
-                          "--target-size", "1"], "bound needs T >= 2 (ln T vanishes at 1)"),
+                          "--target-size", "1"], "need T >= 2, got 1"),
 }
 
 

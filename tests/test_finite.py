@@ -1,5 +1,7 @@
 """Single-copy concentration: optimal probability and the threshold plan."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -55,6 +57,22 @@ def test_solve_plan_deterministic_branch_keeps_identity():
     assert plan.success_prob == 1.0
     assert plan.threshold * plan.target_size == pytest.approx(1.0, abs=1e-12)
     assert np.all(plan.measurement_coeffs == 1.0)
+
+
+def test_failure_prob_is_the_damped_mass_without_cancellation():
+    # near-flat spectra put P within about 1e-7 of one, where 1 - P keeps
+    # only half its digits; the damped mass sum_{i < cut} (p_i - t) keeps all
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        d = int(rng.integers(3, 12))
+        p = new_spectrum(1.0 + rng.uniform(-1e-7, 1e-7, size=d), renormalize=True)
+        plan = solve_plan(p, d)
+        t = Fraction(plan.threshold)
+        exact = sum(Fraction(x) - t for x in p.probs[: plan.cut_index - 1].tolist())
+        assert exact > 0 and abs(Fraction(plan.failure_prob) - exact) <= 1e-15 * exact
+        assert plan.failure_prob == pytest.approx(1.0 - plan.success_prob, rel=1e-6)
+    # nothing damped: no failure at all
+    assert solve_plan(new_spectrum([0.5, 0.3, 0.2]), 2).failure_prob == 0.0
 
 
 def test_measurement_coeffs_follow_threshold():

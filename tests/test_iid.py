@@ -38,7 +38,7 @@ from concentrate import (
 )
 from concentrate import iid
 from concentrate.finite import BLOCK, TIE_BITS, _breakpoint_search
-from concentrate.iid import _merge_groups, _solve_grouped_threshold
+from concentrate.iid import _solve_grouped_threshold
 from concentrate.numerics import LN2, log2_sub, logsumexp2
 from concentrate.spectra import SNAP_TOL
 from conftest import ln_factorial, random_spectrum
@@ -121,8 +121,8 @@ def _lexicographic_types(n, d):
 
 def _sorted_lattice_groups(p, n):
     """The grouped spectrum built the direct way: each type's log probability
-    (columns added left to right) and whole-row log multinomial, one argsort,
-    then the merge."""
+    (columns added left to right) and whole-row log multinomial, then one
+    argsort."""
     counts = _lexicographic_types(n, p.dim)
     table = np.array([ln_factorial(c) for c in range(n + 1)])
     log_probs = counts[:, 0] * p.log2[0]
@@ -130,11 +130,11 @@ def _sorted_lattice_groups(p, n):
         log_probs = log_probs + counts[:, j] * p.log2[j]
     log_mults = (table[n] - table[counts].sum(axis=-1)) / LN2
     order = np.argsort(log_probs)[::-1]
-    return _merge_groups(log_probs[order], log_mults[order])
+    return log_probs[order], log_mults[order]
 
 
-#: a geometric spectrum, tie-free with merging types, then a dyadic and a
-#: plain spectrum with ties
+#: a geometric spectrum, tie-free with types that share a value, then a
+#: dyadic and a plain spectrum with ties
 PINNED_SPECTRA = {
     3: ([4 / 7, 2 / 7, 1 / 7], [0.5, 0.25, 0.25], [0.4, 0.4, 0.2]),
     4: ([8 / 15, 4 / 15, 2 / 15, 1 / 15], [0.5, 0.25, 0.125, 0.125], [0.3, 0.3, 0.2, 0.2]),
@@ -147,9 +147,9 @@ PINNED_SPECTRA = {
     "d, n_list", [(3, (1, 2, 7, 23, 40)), (4, (1, 5, 12, 20)), (5, (1, 6, 14))]
 )
 def test_grouped_spectrum_equals_sorted_lattice_construction(d, n_list):
-    # random and geometric (types merge) spectra bit for bit; a tied
-    # spectrum's lattice runs over its distinct values, so its groups are
-    # checked against the exact integer groups instead
+    # random and geometric (types share values) spectra bit for bit, one
+    # entry per type; a tied spectrum's lattice runs over its distinct
+    # values, so its groups are checked against the exact integer groups
     rng = np.random.default_rng(100 + d)
     geometric, *tied = PINNED_SPECTRA[d]
     spectra = [random_spectrum(rng, d), new_spectrum(geometric, renormalize=True)]
@@ -159,9 +159,9 @@ def test_grouped_spectrum_equals_sorted_lattice_construction(d, n_list):
             log_probs, log_mults = _sorted_lattice_groups(p, n)
             assert np.array_equal(spec.log_probs, log_probs), (p.probs, n)
             assert np.array_equal(spec.log_mults, log_mults), (p.probs, n)
-    assert grouped_spectrum(spectra[1], n_list[-1]).group_count < len(
-        _lexicographic_types(n_list[-1], d)
-    )
+            assert spec.group_count == len(_lexicographic_types(n, d))
+    # the geometric lattice has types within TIE_BITS of each other
+    assert np.any(-np.diff(grouped_spectrum(spectra[1], n_list[-1]).log_probs) <= TIE_BITS)
     for p in map(new_spectrum, tied):
         for n in n_list:
             _assert_groups_exact(grouped_spectrum(p, n), ExactProduct(p, n))
@@ -414,12 +414,23 @@ def _assert_matches_exact(spec, exact, bits):
 
 
 def _assert_groups_exact(spec, exact):
-    """The groups are the exact product's distinct values and their counts,
-    within 1e-10 bits."""
-    assert spec.group_count == len(exact.values)
-    log_probs = [math.log2(v) - exact.shift for v in exact.values]
-    assert np.max(np.abs(spec.log_probs - log_probs)) <= 1e-10
-    assert np.max(np.abs(spec.log_mults - np.log2(exact.counts))) <= 1e-10
+    """Every entry (a type) lies within 1e-10 bits of one of the exact
+    product's distinct values, and the entries above each gap between those
+    values count, within 1e-10 bits, the exact coefficients above it. Values
+    closer than roundoff (1e-13 bits) are not told apart."""
+    log_values = np.array([math.log2(v) - exact.shift for v in exact.values])
+    lp = spec.log_probs
+    hi = np.minimum(np.searchsorted(-log_values, -lp), log_values.size - 1)
+    lo = np.maximum(hi - 1, 0)
+    nearest = np.minimum(np.abs(log_values[hi] - lp), np.abs(log_values[lo] - lp))
+    assert np.max(nearest) <= 1e-10
+    gaps = np.flatnonzero(-np.diff(log_values) > 1e-13)
+    mids = 0.5 * (log_values[gaps] + log_values[gaps + 1])
+    log_above = np.logaddexp2.accumulate(spec.log_mults)
+    # the last entry above each midpoint, and after it the whole count
+    through = np.append(np.searchsorted(-lp, -mids) - 1, lp.size - 1)
+    want = [math.log2(exact.above[i + 1]) for i in gaps] + [math.log2(exact.above[-1])]
+    assert np.max(np.abs(log_above[through] - want)) <= 1e-10
 
 
 def _group_sizes(spec, groups):
@@ -568,6 +579,35 @@ def test_scan_matches_exact_oracle(d, n_max):
         for bits in sizes:
             if bits >= 0.0:
                 _assert_matches_exact(spec, exact, min(bits, top))
+
+
+#: geometric spectra: tie-free, but types share a value (within TIE_BITS)
+GEOMETRIC_SPECTRA = [
+    ([4 / 7, 2 / 7, 1 / 7], (2, 9, 20)),
+    ([9 / 13, 3 / 13, 1 / 13], (4, 16)),
+    ([8 / 15, 4 / 15, 2 / 15, 1 / 15], (3, 10)),
+    ([16 / 31, 8 / 31, 4 / 31, 2 / 31, 1 / 31], (6,)),
+    ([0.5, 0.25, 0.125, 0.0625, 0.0625], (5, 12)),
+]
+
+
+@pytest.mark.parametrize("probs, n_list", GEOMETRIC_SPECTRA)
+def test_types_that_share_a_value_match_the_exact_product(probs, n_list):
+    # one entry per type, the search settling ties at the threshold; sizes
+    # 0, d**n, random sizes and on-group sizes, among them the shared values
+    rng = np.random.default_rng(len(probs) + len(n_list))
+    p = new_spectrum(probs, renormalize=True)
+    for n in n_list:
+        spec = grouped_spectrum(p, n)
+        exact = ExactProduct(p, n)
+        _assert_groups_exact(spec, exact)
+        shared = np.flatnonzero(-np.diff(spec.log_probs) <= TIE_BITS)
+        assert shared.size > 0, n
+        picks = rng.choice(shared, size=3)
+        groups = [*picks, *(picks + 1), *rng.integers(0, spec.group_count, size=3)]
+        sizes = [0.0, spec.total_log_dim, *rng.uniform(0.0, spec.total_log_dim, size=4)]
+        for bits in sizes + _group_sizes(spec, groups):
+            _assert_matches_exact(spec, exact, min(max(bits, 0.0), spec.total_log_dim))
 
 
 def test_closed_form_at_the_largest_size():
@@ -838,8 +878,8 @@ def test_exponent_sweep_rejects_boundary_rates():
 
 
 def test_ties_in_product_spectrum_merge_correctly():
-    # dyadic coefficients make distinct types share sequence probabilities;
-    # the merged groups must still reproduce the materialized product
+    # tied entries make distinct types share sequence probabilities; the
+    # lattice over the distinct values must still reproduce the product
     p = new_spectrum([0.5, 0.25, 0.25])
     n = 3
     spec = grouped_spectrum(p, n)

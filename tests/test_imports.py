@@ -2,8 +2,9 @@
 nor imported), every domain error it defines is raised somewhere, the
 simplex-grid oracle stays independent of the tilted family, only spectra
 names the tilted-family kernel, and ties are decided by one rule, in one
-place. The n-copy path builds no counts matrix, one walk builds the type
-lattice, and the check suite judges its residuals in one place."""
+place: n-copy types that share a value are left to the threshold search.
+The n-copy path builds no counts matrix, one walk builds the type lattice,
+and the check suite judges its residuals in one place."""
 
 import ast
 import inspect
@@ -121,14 +122,24 @@ def _function(module, name):
 
 
 def test_one_tie_rule_in_p_and_one_log2_allowance():
-    # ties are decided once, in new_spectrum (p-space), and the n-copy
-    # threshold search and group merge share one log2 allowance
+    # ties are decided once, in new_spectrum (p-space), and once in log2
+    # space, by the threshold search's allowance: n-copy types that share a
+    # value are not merged, the search settles them at the threshold
     found = sorted(
         f"{f.stem}.{name}" for f in (ROOT / "src").rglob("*.py")
         for name in _module_constants(f)
         if any(word in name for word in ("TIE", "SNAP", "MERGE"))
     )
     assert found == ["finite.TIE_BITS", "spectra.SNAP_TOL"]
+    iid_names = set(_names(ast.parse((ROOT / "src" / "concentrate" / "iid.py").read_text())))
+    assert sorted(iid_names & {"TIE_BITS", "reduceat"}) == []
+    naming = sorted(f.stem for f in (ROOT / "src").rglob("*.py")
+                    if "TIE_BITS" in set(_names(ast.parse(f.read_text()))))
+    assert naming == ["finite"]
+    finite = ast.parse((ROOT / "src" / "concentrate" / "finite.py").read_text())
+    readers = sorted(n.name for n in finite.body if isinstance(n, ast.FunctionDef)
+                     and "TIE_BITS" in set(_names(n)))
+    assert readers == ["_first_hit"]
     # inverse_direct reads the top multiplicity; it counts no ties itself
     inverse = _function("rates", "inverse_direct")
     assert "mults" in set(_names(inverse))

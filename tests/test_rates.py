@@ -11,7 +11,9 @@ from concentrate import (
     RateOutOfRangeError,
     SolverError,
     brute_force_curves,
+    converse_curve,
     converse_yield,
+    direct_curve,
     direct_yield,
     divergence_from_uniform,
     fidelity_converse_yield,
@@ -99,6 +101,20 @@ def test_converse_yield_strictly_increasing():
     vals = [converse_yield(P34, r).yield_bits for r in grid]
     assert all(b > a - 1e-12 for a, b in zip(vals, vals[1:]))
     assert all(v >= shannon_entropy(P34) - 1e-12 for v in vals)
+
+
+@pytest.mark.parametrize(
+    "probs", [[0.6, 0.3, 0.1], [0.5, 0.3, 0.2], [0.4, 0.3, 0.2, 0.1], [0.75, 0.25]]
+)
+def test_both_curves_stay_on_their_side_of_the_plateau_below_saturation(probs):
+    # just below each saturation point the interior formula rounds across
+    # the plateau by an ulp; the curves clamp it there
+    p = new_spectrum(probs)
+    below = 1.0 - np.logspace(-16, -4, 61)
+    converse = converse_curve(p, below * divergence_from_uniform(p))
+    assert max(pt.yield_bits for pt in converse) <= math.log2(p.dim)
+    direct = direct_curve(p, below * p.min_entropy)
+    assert min(pt.yield_bits for pt in direct) >= p.min_entropy
 
 
 def test_fidelity_direct_equals_direct():
