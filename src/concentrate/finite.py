@@ -17,8 +17,9 @@ first k with B_k >= L has k groups above t and t = T_k / (L - A_k).
 _breakpoint_search runs this in log2 space for solve_plan and for iid's
 n-copy types; types that share a value have equal breakpoints, so the first
 wins, as at any tie within TIE_BITS. For L <= floor(1/p_1) it lands on
-k = 0 and t = 1/L >= p_1, which keeps P = t*L = 1 exact without a special
-case. Past BLOCK groups it works in blocks: one shifted sum per block of
+k = 0 and t = 1/L >= p_1: nothing is damped, so P = 1 exactly, since P is
+read as 1 minus the damped mass while that mass is below 1/2 (as iid does)
+and as t*L otherwise. Past BLOCK groups it works in blocks: one shifted sum per block of
 counts and of masses gives B_k at each block start, and the element-wise
 log-space chains run only inside the one or two blocks that hold k.
 """
@@ -46,7 +47,8 @@ class ConcentrationPlan:
 
     cut_index is 1-based: coefficients with index < cut_index sit strictly
     above the threshold and get damped; the rest are untouched. failure_prob
-    is the damped mass sum_{i < cut_index} (p_i - t), 0.0 when none is.
+    is the damped mass sum_{i < cut_index} (p_i - t), 0.0 when none is;
+    success_prob is 1 - failure_prob while that is below 1/2, else t * L.
     """
 
     target_size: int
@@ -166,12 +168,13 @@ def solve_plan(p: SchmidtSpectrum, target_size: int) -> ConcentrationPlan:
                            math.log2(p.dim))[0]
     a = int(p.starts[k])
     t = suffix[a] / (L - a)
+    failure = float(np.sum(probs[:a] - t))
     return ConcentrationPlan(
         target_size=L,
         threshold=float(t),
         cut_index=a + 1,
-        success_prob=float(min(t * L, 1.0)),
-        failure_prob=float(np.sum(probs[:a] - t)),
+        success_prob=1.0 - failure if failure < 0.5 else float(min(t * L, 1.0)),
+        failure_prob=failure,
         measurement_coeffs=np.minimum(1.0, np.sqrt(t / probs)),
     )
 

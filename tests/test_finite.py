@@ -57,6 +57,14 @@ def test_solve_plan_deterministic_branch_keeps_identity():
     assert plan.success_prob == 1.0
     assert plan.threshold * plan.target_size == pytest.approx(1.0, abs=1e-12)
     assert np.all(plan.measurement_coeffs == 1.0)
+    # every deterministic size gives P = 1 exactly, also where the float sum
+    # of the entries, and t * L with it, is 1 - 2 ulp
+    rng = np.random.default_rng(29)
+    for _ in range(100):
+        q = new_spectrum(rng.uniform(0.5, 1.5, size=int(rng.integers(4, 60))), renormalize=True)
+        for size in range(1, deterministic_yield(q) + 1):
+            plan = solve_plan(q, size)
+            assert (plan.success_prob, plan.failure_prob) == (1.0, 0.0), (q.probs, size)
 
 
 def test_failure_prob_is_the_damped_mass_without_cancellation():

@@ -413,24 +413,25 @@ def _assert_matches_exact(spec, exact, bits):
     assert log_f == want_f or abs(log_f - want_f) <= 1e-10, (bits, log_f, want_f)
 
 
-def _assert_groups_exact(spec, exact):
-    """Every entry (a type) lies within 1e-10 bits of one of the exact
-    product's distinct values, and the entries above each gap between those
-    values count, within 1e-10 bits, the exact coefficients above it. Values
-    closer than roundoff (1e-13 bits) are not told apart."""
+def _assert_groups_exact(spec, exact, pool_bits=0.0):
+    """Summed over the entries (types) nearest each of the exact product's
+    distinct values, the entries give those values and their counts, within
+    1e-10 bits. Exact values within pool_bits of the one before are pooled
+    first: a float spectrum whose ratios are not powers of two puts types
+    that share a value in theory a roundoff apart."""
     log_values = np.array([math.log2(v) - exact.shift for v in exact.values])
+    keep = np.flatnonzero(np.append(True, -np.diff(log_values) > pool_bits))
+    log_values = log_values[keep]
+    log_counts = np.logaddexp2.reduceat(np.log2(exact.counts), keep)
     lp = spec.log_probs
     hi = np.minimum(np.searchsorted(-log_values, -lp), log_values.size - 1)
     lo = np.maximum(hi - 1, 0)
-    nearest = np.minimum(np.abs(log_values[hi] - lp), np.abs(log_values[lo] - lp))
-    assert np.max(nearest) <= 1e-10
-    gaps = np.flatnonzero(-np.diff(log_values) > 1e-13)
-    mids = 0.5 * (log_values[gaps] + log_values[gaps + 1])
-    log_above = np.logaddexp2.accumulate(spec.log_mults)
-    # the last entry above each midpoint, and after it the whole count
-    through = np.append(np.searchsorted(-lp, -mids) - 1, lp.size - 1)
-    want = [math.log2(exact.above[i + 1]) for i in gaps] + [math.log2(exact.above[-1])]
-    assert np.max(np.abs(log_above[through] - want)) <= 1e-10
+    nearest = np.where(np.abs(log_values[lo] - lp) < np.abs(log_values[hi] - lp), lo, hi)
+    # the entries are non-increasing, so each exact value's entries are a run
+    runs = np.flatnonzero(np.append(True, np.diff(nearest) != 0))
+    assert np.array_equal(nearest[runs], np.arange(log_values.size))
+    assert np.max(np.abs(lp - log_values[nearest])) <= 1e-10
+    assert np.max(np.abs(np.logaddexp2.reduceat(spec.log_mults, runs) - log_counts)) <= 1e-10
 
 
 def _group_sizes(spec, groups):
@@ -559,55 +560,45 @@ def test_scan_prefix_covering_every_group():
         assert log_p == pytest.approx(n * math.log2(p.dim * p.probs[-1]), abs=1e-10)
 
 
-@pytest.mark.parametrize("d, n_max", [(2, 60), (3, 8)])
+#: geometric spectra by dimension, with their n: tie-free, but types share a
+#: value (within TIE_BITS)
+GEOMETRIC_BY_DIM = {
+    3: (([4 / 7, 2 / 7, 1 / 7], 20), ([9 / 13, 3 / 13, 1 / 13], 16)),
+    4: (([8 / 15, 4 / 15, 2 / 15, 1 / 15], 10),),
+    5: (([16 / 31, 8 / 31, 4 / 31, 2 / 31, 1 / 31], 6), ([0.5, 0.25, 0.125, 0.0625, 0.0625], 12)),
+}
+
+
+@pytest.mark.parametrize("d, n_max", [(2, 60), (3, 8), (4, 10), (5, 6)])
 def test_scan_matches_exact_oracle(d, n_max):
     rng = np.random.default_rng(200 + d)
     spectra = [new_spectrum([0.6, 0.4]), new_spectrum([0.75, 0.25])] if d == 2 else [
         new_spectrum([0.5, 0.3, 0.2]), new_spectrum([0.5, 0.25, 0.25])]
     spectra += [random_spectrum(rng, d) for _ in range(8)]
-    for p in spectra:
-        n = int(rng.integers(1, n_max + 1))
+    cases = [(p, None) for p in spectra]
+    cases += [(new_spectrum(q, renormalize=True), n) for q, n in GEOMETRIC_BY_DIM.get(d, ())]
+    for p, n in cases:
+        n = int(rng.integers(1, n_max + 1)) if n is None else n
         spec = grouped_spectrum(p, n)
         exact = ExactProduct(p, n)
+        _assert_groups_exact(spec, exact, pool_bits=1e-13)
         top = spec.total_log_dim
         below = [top - gap for gap in (0.0, 1e-12, 1e-9, 1e-6, 1e-3, 1.0, 10.0)]
-        groups = rng.integers(0, spec.group_count, size=3).tolist()
+        # on-group sizes at types that share a value and at the type after
+        # each, when there are any
+        shared = np.flatnonzero(-np.diff(spec.log_probs) <= TIE_BITS)
+        if shared.size:
+            groups = rng.choice(shared, size=3).tolist()
+            groups += [j + 1 for j in groups]
+        else:
+            groups = rng.integers(0, spec.group_count, size=3).tolist()
         log_above = np.logaddexp2.accumulate(spec.log_mults)
         counts = [float(log_above[j]) + rng.choice([1e-12, 1e-6, 1e-3]) for j in groups]
         sizes = below + _group_sizes(spec, groups) + counts
-        sizes += rng.uniform(0.0, top, size=3).tolist()
+        sizes += rng.uniform(0.0, top, size=3).tolist() + [0.0]
         for bits in sizes:
             if bits >= 0.0:
                 _assert_matches_exact(spec, exact, min(bits, top))
-
-
-#: geometric spectra: tie-free, but types share a value (within TIE_BITS)
-GEOMETRIC_SPECTRA = [
-    ([4 / 7, 2 / 7, 1 / 7], (2, 9, 20)),
-    ([9 / 13, 3 / 13, 1 / 13], (4, 16)),
-    ([8 / 15, 4 / 15, 2 / 15, 1 / 15], (3, 10)),
-    ([16 / 31, 8 / 31, 4 / 31, 2 / 31, 1 / 31], (6,)),
-    ([0.5, 0.25, 0.125, 0.0625, 0.0625], (5, 12)),
-]
-
-
-@pytest.mark.parametrize("probs, n_list", GEOMETRIC_SPECTRA)
-def test_types_that_share_a_value_match_the_exact_product(probs, n_list):
-    # one entry per type, the search settling ties at the threshold; sizes
-    # 0, d**n, random sizes and on-group sizes, among them the shared values
-    rng = np.random.default_rng(len(probs) + len(n_list))
-    p = new_spectrum(probs, renormalize=True)
-    for n in n_list:
-        spec = grouped_spectrum(p, n)
-        exact = ExactProduct(p, n)
-        _assert_groups_exact(spec, exact)
-        shared = np.flatnonzero(-np.diff(spec.log_probs) <= TIE_BITS)
-        assert shared.size > 0, n
-        picks = rng.choice(shared, size=3)
-        groups = [*picks, *(picks + 1), *rng.integers(0, spec.group_count, size=3)]
-        sizes = [0.0, spec.total_log_dim, *rng.uniform(0.0, spec.total_log_dim, size=4)]
-        for bits in sizes + _group_sizes(spec, groups):
-            _assert_matches_exact(spec, exact, min(max(bits, 0.0), spec.total_log_dim))
 
 
 def test_closed_form_at_the_largest_size():
