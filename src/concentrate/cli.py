@@ -133,10 +133,6 @@ def _emit(record: ExperimentRecord, args) -> None:
         sys.stdout.write(text)
 
 
-def _single_row_record(meta: dict, row: dict) -> ExperimentRecord:
-    return ExperimentRecord(meta, list(row.keys()), [row])
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The `concentrate` parser; each subcommand stores its runner as `run`."""
     parser = argparse.ArgumentParser(
@@ -215,7 +211,7 @@ def _cmd_info(args) -> ExperimentRecord:
         "uniform_divergence_bits": divergence_from_uniform(p),
         "deterministic_size": deterministic_yield(p),
     }
-    return _single_row_record({"experiment": "info"}, row)
+    return ExperimentRecord({"experiment": "info"}, [row])
 
 
 def _cmd_finite(args) -> ExperimentRecord:
@@ -228,7 +224,7 @@ def _cmd_finite(args) -> ExperimentRecord:
         "success_prob": plan.success_prob,
         "failure_prob": plan.failure_prob,
     }
-    return _single_row_record({"experiment": "finite"}, row)
+    return ExperimentRecord({"experiment": "finite"}, [row])
 
 
 def _cmd_yield(args) -> ExperimentRecord:
@@ -241,7 +237,7 @@ def _cmd_yield(args) -> ExperimentRecord:
         "regime": point.regime,
         "s_star": point.s_star,
     }
-    return _single_row_record({"experiment": "yield"}, row)
+    return ExperimentRecord({"experiment": "yield"}, [row])
 
 
 def _cmd_fidelity(args) -> ExperimentRecord:
@@ -276,7 +272,7 @@ def _cmd_fidelity(args) -> ExperimentRecord:
                 "best_sqrt_pl": chk.best_sqrt_pl,
                 "passed": chk.holds,
             }
-        return _single_row_record({"experiment": "fidelity-verify"}, row)
+        return ExperimentRecord({"experiment": "fidelity-verify"}, [row])
     if args.prob is not None:
         values = ("prob-to-fidelity", args.size, args.prob, args.target_size,
                   prob_to_fidelity(args.prob, args.size, args.target_size))
@@ -287,7 +283,7 @@ def _cmd_fidelity(args) -> ExperimentRecord:
         values = ("fidelity-to-prob-bound", args.target_size, args.fid, args.target_size,
                   recovery_bound(args.target_size, args.fid))
     row = dict(zip(CONVERSION_COLUMNS, values))
-    return _single_row_record({"experiment": "fidelity"}, row)
+    return ExperimentRecord({"experiment": "fidelity"}, [row])
 
 
 def _cmd_sweep(args) -> ExperimentRecord:

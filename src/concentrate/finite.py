@@ -16,12 +16,13 @@ is the size whose threshold sits on p_k. It never decreases in k, so the
 first k with B_k >= L has k groups above t and t = T_k / (L - A_k).
 _breakpoint_search runs this in log2 space for solve_plan and for iid's
 n-copy types; types that share a value have equal breakpoints, so the first
-wins, as at any tie within TIE_BITS. For L <= floor(1/p_1) it lands on
-k = 0 and t = 1/L >= p_1: nothing is damped, so P = 1 exactly, since P is
-read as 1 minus the damped mass while that mass is below 1/2 (as iid does)
-and as t*L otherwise. Past BLOCK groups it works in blocks: one shifted sum per block of
-counts and of masses gives B_k at each block start, and the element-wise
-log-space chains run only inside the one or two blocks that hold k.
+wins, as at any tie within TIE_BITS. It lands on k = 0 for L up to
+floor(2**TIE_BITS / p_1), deterministic_yield: nothing is damped, so P = 1
+exactly, since P is read as 1 minus the damped mass while that mass is below
+1/2 (as iid does) and as t*L otherwise. Past BLOCK groups it works in
+blocks: one shifted sum per block of counts and of masses gives B_k at each
+block start, and the element-wise log-space chains run only inside the one
+or two blocks that hold k.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SizeOutOfRangeError
-from .numerics import LN2, log2_sub, logsumexp2, tolerant_floor
+from .numerics import LN2, log2_sub, logsumexp2
 from .spectra import SchmidtSpectrum, new_spectrum
 
 #: log2 allowance on t at a tie t = p_k (the smallest k wins), iid's shared type values too
@@ -45,8 +46,8 @@ BLOCK = 512
 class ConcentrationPlan:
     """A solved truncation protocol for one (spectrum, L) pair.
 
-    cut_index is 1-based: coefficients with index < cut_index sit strictly
-    above the threshold and get damped; the rest are untouched. failure_prob
+    cut_index is 1-based: entries before it, above t by over TIE_BITS, are
+    damped by sqrt(t / p_i); the rest pass with coefficient 1. failure_prob
     is the damped mass sum_{i < cut_index} (p_i - t), 0.0 when none is;
     success_prob is 1 - failure_prob while that is below 1/2, else t * L.
     """
@@ -70,8 +71,9 @@ def _check_size(p: SchmidtSpectrum, target_size: int) -> None:
 
 
 def deterministic_yield(p: SchmidtSpectrum) -> int:
-    """Largest size distillable with probability one: floor(1 / p_1)."""
-    return tolerant_floor(1.0 / float(p.probs[0]))
+    """Largest size distillable with probability one: Vidal's floor(1 / p_1),
+    read with TIE_BITS, so the largest L that solve_plan puts at k = 0."""
+    return math.floor(2.0**TIE_BITS / float(p.probs[0]))
 
 
 def optimal_probability(p: SchmidtSpectrum, target_size: int) -> float:
@@ -175,7 +177,7 @@ def solve_plan(p: SchmidtSpectrum, target_size: int) -> ConcentrationPlan:
         cut_index=a + 1,
         success_prob=1.0 - failure if failure < 0.5 else float(min(t * L, 1.0)),
         failure_prob=failure,
-        measurement_coeffs=np.minimum(1.0, np.sqrt(t / probs)),
+        measurement_coeffs=np.append(np.sqrt(t / probs[:a]), np.ones(probs.size - a)),
     )
 
 
@@ -184,8 +186,9 @@ def post_measurement_spectrum(
 ) -> SchmidtSpectrum:
     """Spectrum after a successful truncation outcome.
 
-    Entries are min(t, p_i) / P; the first cut_index - 1 all equal t / P,
-    which is 1/L, so the result concentrates deterministically to size >= L.
+    The first cut_index - 1 entries are clipped to t, over the new sum P:
+    they equal t / P = 1/L, so the result concentrates deterministically to size >= L.
     """
-    clipped = np.minimum(plan.threshold, p.probs)
-    return new_spectrum(clipped / plan.success_prob, renormalize=True)
+    clipped = p.probs.copy()
+    clipped[: plan.cut_index - 1] = plan.threshold
+    return new_spectrum(clipped, renormalize=True)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -46,6 +46,7 @@ from .method_of_types import (
 )
 from .numerics import logsumexp2
 from .rates import (
+    NONADDITIVITY_TOL,
     brute_force_curves,
     converse_curve,
     converse_yield,
@@ -88,11 +89,14 @@ class ExperimentConfig:
 
 @dataclass
 class ExperimentRecord:
-    """Column-ordered rows plus reproducibility metadata."""
+    """Rows plus reproducibility metadata; the columns are the first row's keys."""
 
     meta: dict
-    columns: list[str]
-    rows: list[dict] = field(default_factory=list)
+    rows: list[dict]
+
+    @property
+    def columns(self) -> list[str]:
+        return list(self.rows[0])
 
     @property
     def all_passed(self) -> bool:
@@ -191,7 +195,7 @@ def run_convergence(cfg: ExperimentConfig) -> ExperimentRecord:
         ))
     meta = _base_meta(cfg, "convergence")
     meta.update(regime=regime, rate=cfg.rate, predicted_exponent=predicted, tolerance=tol)
-    return ExperimentRecord(meta, list(rows[0]), rows)
+    return ExperimentRecord(meta, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +232,7 @@ def run_sweep(cfg: ExperimentConfig) -> ExperimentRecord:
     meta.update(entropy=shannon_entropy(p), deterministic_exponent=p.min_entropy,
                 uniform_divergence=divergence_from_uniform(p), r_prime=rp.value,
                 r_prime_degenerate=rp.degenerate)
-    return ExperimentRecord(meta, list(rows[0]), rows)
+    return ExperimentRecord(meta, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -241,13 +245,13 @@ def run_nonadditivity(cfg: ExperimentConfig) -> ExperimentRecord:
     if cfg.spectrum is None or cfg.r is None:
         raise ValueError("nonadditivity needs a spectrum and an exponent r")
     sigma = cfg.sigma if cfg.sigma is not None else cfg.spectrum
-    tol = cfg.tolerance if cfg.tolerance is not None else 1e-9
+    tol = cfg.tolerance if cfg.tolerance is not None else NONADDITIVITY_TOL
     fields = asdict(nonadditivity_report(cfg.spectrum, sigma, cfg.r, tolerance=tol))
     del fields["tolerance"]
     row = _row(**fields, passed=all(v for k, v in fields.items() if k.endswith("_ok")))
     meta = _base_meta(cfg, "nonadditivity")
     meta["tolerance"] = tol
-    return ExperimentRecord(meta, list(row.keys()), [row])
+    return ExperimentRecord(meta, [row])
 
 
 # ---------------------------------------------------------------------------
@@ -499,4 +503,4 @@ def run_check_suite(cfg: ExperimentConfig) -> ExperimentRecord:
         )
     meta = _base_meta(cfg, "check-suite")
     meta["checks"] = len(rows)
-    return ExperimentRecord(meta, list(rows[0]), rows)
+    return ExperimentRecord(meta, rows)

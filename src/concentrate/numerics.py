@@ -2,7 +2,7 @@
 
 All probabilities attached to n-copy objects are carried as log2 values;
 the helpers here implement the few operations on them that numpy does not
-provide directly (stable differences, tolerant floor).
+provide directly (stable differences and shifted sums).
 """
 
 from __future__ import annotations
@@ -12,10 +12,6 @@ import math
 import numpy as np
 
 LN2 = math.log(2.0)
-
-#: absolute slack used when flooring ratios like 1/p1 whose float image can
-#: land a few ulp below an exact integer
-FLOOR_TOL = 1e-12
 
 
 def log2_sub(a: float, b: float) -> float:
@@ -38,8 +34,3 @@ def logsumexp2(values) -> float:
     if not math.isfinite(top):
         return top
     return top + math.log2(np.add.reduce(np.exp2(arr - top)))
-
-
-def tolerant_floor(x: float) -> int:
-    """floor(x) forgiving a FLOOR_TOL shortfall below an exact integer."""
-    return int(math.floor(x + FLOOR_TOL))

@@ -56,6 +56,9 @@ REGIME_SATURATED_LOW = "saturated-low"
 REGIME_SATURATED_HIGH = "saturated-high"
 REGIME_LINEAR = "linear"
 
+#: default slack on nonadditivity_report's verdicts, in bits
+NONADDITIVITY_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class RateCurvePoint:
@@ -154,7 +157,8 @@ def inverse_direct(p: SchmidtSpectrum, rate: float) -> float:
     -psi'(s), strictly decreasing) and returns F(s). At the lower endpoint
     the optimizer escapes to infinity; the limit is the divergence of the
     flat distribution on the m_1 tied maximal coefficients, -log2(m_1 p_1).
-    Near-flat tops raise SolverError (root past the bracket cap).
+    Near-flat tops raise SolverError (root past the bracket cap). An
+    exponent that rounds below zero next to H(p) is clamped at 0.
     """
     floor = p.min_entropy
     entropy = shannon_entropy(p)
@@ -162,20 +166,20 @@ def inverse_direct(p: SchmidtSpectrum, rate: float) -> float:
         raise RateOutOfRangeError(f"rate {rate} outside [{floor}, {entropy})")
     if rate == floor:
         return -math.log2(p.mults[0] * p.probs[0])
-    return solve_tilts(p, [rate], "direct_rate")[0].f_value
+    return max(solve_tilts(p, [rate], "direct_rate")[0].f_value, 0.0)
 
 
 def inverse_converse(p: SchmidtSpectrum, rate: float) -> float:
     """The exponent r with E*(r) = rate, for H(p) < rate < log2 d.
 
     Solves H(h(s)) = rate on 0 < s < 1 and returns F(s); round-trips with
-    converse_yield on the interior.
+    converse_yield on the interior; clamped at 0 like inverse_direct.
     """
     entropy = shannon_entropy(p)
     top = math.log2(p.dim)
     if not (entropy < rate < top):
         raise RateOutOfRangeError(f"rate {rate} outside ({entropy}, {top})")
-    return solve_tilts(p, [rate], "converse_rate")[0].f_value
+    return max(solve_tilts(p, [rate], "converse_rate")[0].f_value, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +302,8 @@ class NonAdditivityReport:
 
 
 def nonadditivity_report(
-    rho: SchmidtSpectrum, sigma: SchmidtSpectrum, r: float, tolerance: float = 1e-9
+    rho: SchmidtSpectrum, sigma: SchmidtSpectrum, r: float,
+    tolerance: float = NONADDITIVITY_TOL,
 ) -> NonAdditivityReport:
     """Evaluate the product-state yield relations at exponent r."""
     _require_positive(r)

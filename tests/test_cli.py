@@ -52,6 +52,20 @@ def test_info_command(capsys):
     assert cells["deterministic_size"] == "1"
 
 
+def test_info_and_finite_agree_on_the_deterministic_size(capsys):
+    # 1/p_1 sits 4.5e-12 below 9, inside the search's 1e-12-bit allowance:
+    # size 9 is reached with certainty, and info says so
+    top = (1.0 + 5e-13) / 9.0
+    spectrum = ",".join(repr(x) for x in [top] + [(1.0 - top) / 11.0] * 11)
+    _, out, _ = run_cli(capsys, "info", "--spectrum", spectrum)
+    header, row = out.strip().split("\n")
+    assert dict(zip(header.split(","), row.split(",")))["deterministic_size"] == "9"
+    _, out, _ = run_cli(capsys, "finite", "--spectrum", spectrum, "--size", "9")
+    header, row = out.strip().split("\n")
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert (cells["cut_index"], cells["success_prob"], cells["failure_prob"]) == ("1", "1", "0")
+
+
 def test_finite_command(capsys):
     code, out, _ = run_cli(
         capsys, "finite", "--spectrum", "0.5,0.3,0.2", "--size", "3"

@@ -186,6 +186,41 @@ def test_tie_heavy_spectra_keep_identities():
             assert deterministic_yield(out) >= size
 
 
+def _assert_plan_follows_its_cut(p, plan):
+    cut = plan.cut_index
+    assert np.all(plan.measurement_coeffs[cut - 1 :] == 1.0), (p.probs, plan)
+    assert np.all(p.probs[: cut - 1] > plan.threshold), (p.probs, plan)
+    assert np.all(plan.measurement_coeffs[: cut - 1] < 1.0), (p.probs, plan)
+
+
+def _near_edge_spectra(rng):
+    """1/p_1 = L (1 - eps) for eps off the allowance 2**TIE_BITS - 1 = 6.93e-13,
+    over 2L entries of random sizes below p_1."""
+    for size in range(2, 301):
+        for eps in (1e-15, 1e-14, 1e-13, 3e-13, 5e-13, 1e-12, 2e-12):
+            top = 1.0 / (size * (1.0 - eps))
+            rest = rng.uniform(0.5, 1.0, size=2 * size)
+            yield new_spectrum(np.append(top, rest * (1.0 - top) / rest.sum()))
+
+
+def test_deterministic_yield_is_the_plans_last_certain_size():
+    # deterministic_yield, solve_plan's cut and P, and the plan's coefficients
+    # decide the k = 0 edge by one allowance
+    rng = np.random.default_rng(23)
+    randoms = (random_spectrum(rng, int(rng.integers(1, 40))) for _ in range(500))
+    for p in (*_near_edge_spectra(rng), *randoms):
+        size = deterministic_yield(p)
+        assert 1 <= size <= p.dim, p.probs
+        plan = solve_plan(p, size)
+        assert plan.cut_index == 1, (p.probs, size)
+        assert (plan.success_prob, plan.failure_prob) == (1.0, 0.0), (p.probs, size)
+        _assert_plan_follows_its_cut(p, plan)
+        if size < p.dim:
+            plan = solve_plan(p, size + 1)
+            assert plan.cut_index > 1, (p.probs, size)
+            _assert_plan_follows_its_cut(p, plan)
+
+
 def test_deterministic_yield_examples():
     assert deterministic_yield(new_spectrum([0.5, 0.5])) == 2
     assert deterministic_yield(new_spectrum([0.75, 0.25])) == 1

@@ -29,7 +29,6 @@ P34 = new_spectrum([0.75, 0.25])
 def test_csv_formatting_contract():
     record = ExperimentRecord(
         meta={},
-        columns=["a", "b", "c", "d"],
         rows=[{"a": 1, "b": 1.0 / 3.0, "c": None, "d": True}],
     )
     text = record.to_csv_text()
@@ -41,7 +40,7 @@ def test_csv_formatting_contract():
 
 def test_csv_floats_round_trip():
     value = math.pi / 7
-    record = ExperimentRecord(meta={}, columns=["x"], rows=[{"x": value}])
+    record = ExperimentRecord(meta={}, rows=[{"x": value}])
     cell = record.to_csv_text().split("\n")[1]
     assert float(cell) == value
 

@@ -124,11 +124,12 @@ def _function(module, name):
 def test_one_tie_rule_in_p_and_one_log2_allowance():
     # ties are decided once, in new_spectrum (p-space), and once in log2
     # space, by the threshold search's allowance: n-copy types that share a
-    # value are not merged, the search settles them at the threshold
+    # value are not merged, the search settles them at the threshold, and
+    # the deterministic size floors 1/p_1 with that same allowance
     found = sorted(
         f"{f.stem}.{name}" for f in (ROOT / "src").rglob("*.py")
         for name in _module_constants(f)
-        if any(word in name for word in ("TIE", "SNAP", "MERGE"))
+        if any(word in name for word in ("TIE", "SNAP", "MERGE", "FLOOR"))
     )
     assert found == ["finite.TIE_BITS", "spectra.SNAP_TOL"]
     iid_names = set(_names(ast.parse((ROOT / "src" / "concentrate" / "iid.py").read_text())))
@@ -139,7 +140,10 @@ def test_one_tie_rule_in_p_and_one_log2_allowance():
     finite = ast.parse((ROOT / "src" / "concentrate" / "finite.py").read_text())
     readers = sorted(n.name for n in finite.body if isinstance(n, ast.FunctionDef)
                      and "TIE_BITS" in set(_names(n)))
-    assert readers == ["_first_hit"]
+    assert readers == ["_first_hit", "deterministic_yield"]
+    numerics = ast.parse((ROOT / "src" / "concentrate" / "numerics.py").read_text())
+    assert "tolerant_floor" not in {n.name for n in numerics.body
+                                    if isinstance(n, ast.FunctionDef)}
     # inverse_direct reads the top multiplicity; it counts no ties itself
     inverse = _function("rates", "inverse_direct")
     assert "mults" in set(_names(inverse))

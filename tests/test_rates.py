@@ -220,6 +220,16 @@ def test_inverse_converse_range_and_endpoints():
     assert inverse_converse(P34, 1.0 - 1e-10) == pytest.approx(c, abs=1e-4)
 
 
+@pytest.mark.parametrize("raw", [[0.6, 0.3, 0.1], [0.75, 0.25], [0.4, 0.3, 0.2, 0.1]])
+def test_inverses_next_to_the_entropy_are_never_negative(raw):
+    # a rate a few ulp from H(p) solves to an exponent that can round below 0
+    p = new_spectrum(raw)
+    entropy = shannon_entropy(p)
+    for delta in 10.0 ** -np.arange(1, 16):
+        assert inverse_direct(p, entropy - delta) >= 0.0, delta
+        assert inverse_converse(p, entropy + delta) >= 0.0, delta
+
+
 def test_inverse_converse_round_trip():
     rng = np.random.default_rng(67)
     for _ in range(20):
