@@ -10,10 +10,13 @@ geometric spectrum; they stay separate, and the breakpoint search settles
 such a tie at the threshold as it settles any other. exact_success_prob
 runs the threshold protocol's breakpoint search (finite) on the groups in
 log space. Every size up to d**n has an answer; at d**n, log2 P =
-n log2(d p_d). d = 2 reaches n of several thousand without underflow. On
-one core of a shared host, d = 3 at n = 2000 (about 2M types) takes 0.21 s
-of CPU and a peak RSS of 107 MiB, and d = 4 at n = 400 (10.8M types) 1.4 s
-and 449 MiB.
+n log2(d p_d). d = 2 reaches n of several thousand without underflow.
+Below n H(p) it builds only the types above 1/(2L) and answers from them
+when P >= 1/2. On one core of a shared host, d = 3 at n = 2000 (about 2M
+types) takes 0.004-0.04 s of CPU and a peak RSS of 32-44 MiB at direct
+rates 30-95% of the way from -log2 p_1 to H(p), and 0.21 s and 107 MiB
+at converse rates; d = 4 at n = 400 (10.8M types) takes 0.01-0.3 s and
+34-132 MiB at direct rates, and 1.4 s and 449 MiB at converse rates.
 
 While P >= 1/2, 1 - P is the exact sum of per-group excess mass above the
 threshold, accurate when P is within 1e-300 of one; whichever of P and
@@ -100,17 +103,40 @@ def exact_success_prob(
 ) -> tuple[float, float]:
     """Optimal n-copy success probability at a target size of log2_size bits.
 
-    Returns (log2 P, log2 (1-P)). The size must satisfy
+    Returns (log2 P, log2 (1-P)) as floats. The size must satisfy
     0 <= log2_size <= n log2 d; it is interpreted as an exact real, so pass
     log2 of an integer when the integer matters (the caller owns rounding).
+
+    Below n H(p), and a bit or more below n log2 d (where the search counts
+    the groups above t, not the size left from the top), only the types
+    above 2**f, f = -log2 L - 1, are built: lattice_logs' floor, whose guard
+    still counts the whole lattice. Those left out enter the search as one
+    group at value 2**f holding their mass, 1 minus the kept mass by log1p.
+    The answer stands iff the kept mass is at most 1/2 and log2 P >= -1:
+    then t = P / L >= 2**f, at or above every value left out, so the groups
+    above t, their count and the mass from t on are the whole lattice's.
+    Otherwise the whole lattice answers.
     """
     top = n * math.log2(p.dim)
     if log2_size < -1e-12 or log2_size > top + 1e-12:
         raise SizeOutOfRangeError(f"log2 size {log2_size} outside [0, {top}]")
-    spec = grouped_spectrum(p, n, max_types)
     log2_size = min(max(log2_size, 0.0), top)
+    if log2_size < n * shannon_entropy(p) and log2_size <= top - 1.0:
+        floor = -log2_size - 1.0
+        log_probs, log_mults = lattice_logs(n, p.log2[p.starts], max_types, p.mults, floor)
+        order = np.argsort(log_probs)[::-1]
+        log_probs, log_mults = log_probs[order], log_mults[order]
+        kept = logsumexp2(log_probs + log_mults)
+        if kept <= -1.0:
+            rest = math.log1p(-(2.0**kept)) / LN2
+            spec = GroupedSpectrum(np.append(log_probs, floor),
+                                   np.append(log_mults, rest - floor), n, top)
+            _, _, log_success, log_failure = _solve_grouped_threshold(spec, log2_size)
+            if log_success >= -1.0:
+                return float(log_success), float(log_failure)
+    spec = grouped_spectrum(p, n, max_types)
     _, _, log_success, log_failure = _solve_grouped_threshold(spec, log2_size)
-    return log_success, log_failure
+    return float(log_success), float(log_failure)
 
 
 @dataclass(frozen=True)

@@ -46,11 +46,12 @@ def count_types(n: int, d: int) -> int:
     return math.comb(n + d - 1, d - 1)
 
 
-def _walk(n: int, d: int, max_count: int):
-    """Check n, d and the guard, then yield the type count, then each
-    column's (sizes, counts) in row order: the rows so far repeat by sizes,
-    rest + 1 for a prefix leaving rest. The last column yields sizes None.
-    The checks run at the first next(): take the count before allocating."""
+def _walk(n: int, d: int, max_count: int, keep=None):
+    """Check n, d and the guard, then yield the full lattice's type count,
+    then each column's (sizes, counts) in row order: the rows so far repeat
+    by sizes, rest + 1 for a prefix leaving rest, or keep(j, rest) of them,
+    the largest counts first. The last column yields sizes None. The checks
+    run at the first next(): take the count before allocating."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if d < 1:
@@ -62,8 +63,8 @@ def _walk(n: int, d: int, max_count: int):
         )
     yield count
     rest = np.array([n], dtype=np.int64)
-    for _ in range(d - 1):
-        sizes = rest + 1
+    for j in range(d - 1):
+        sizes = rest + 1 if keep is None else keep(j, rest)
         starts = np.cumsum(sizes) - sizes
         offset = np.arange(int(sizes.sum()), dtype=np.int64)
         offset -= np.repeat(starts, sizes)
@@ -87,7 +88,8 @@ def type_matrix(n: int, d: int, max_count: int = DEFAULT_TYPE_GUARD) -> np.ndarr
     return np.stack(cols).T
 
 
-def lattice_logs(n: int, log_q, max_count: int = DEFAULT_TYPE_GUARD, mults=None):
+def lattice_logs(n: int, log_q, max_count: int = DEFAULT_TYPE_GUARD, mults=None,
+                 floor: float = -math.inf):
     """(log_sequence_prob, log_type_class_size) of every type under finite
     log2 q, in type_matrix's row order, bit for bit, with no counts matrix.
 
@@ -95,20 +97,41 @@ def lattice_logs(n: int, log_q, max_count: int = DEFAULT_TYPE_GUARD, mults=None)
     ln c!, repeated down to its children by the walk's sizes. A column
     standing for m tied symbols (mults[j] = m) counts m**c sequences for c
     of them: its ln c! becomes ln c! - c ln m.
+
+    With a floor, only the types with log_sequence_prob > floor are built,
+    each entry the full build's, in its row order; log_q must then be
+    decreasing, as a spectrum's distinct values are. A child's best
+    completion puts all that is left on the next symbol, so each prefix
+    keeps its largest counts down to the last whose best completion clears
+    the floor less a margin of 1e-9 (1 + |floor|) bits against roundoff:
+    whole subtrees drop out, and logs > floor decides the rest. The guard
+    still counts the full lattice.
     """
     log_q = np.asarray(log_q, dtype=float)
-    walk = _walk(n, log_q.size, max_count)
-    count = next(walk)
+
+    def keep(j, rest):
+        # a prefix's best completion puts all of rest on symbol j; each
+        # count moved on to symbol j + 1 lowers it by the gap
+        room = logs + rest * log_q[j] - floor + 1e-9 * (1.0 + abs(floor))
+        kept = np.floor(room / (log_q[j] - log_q[j + 1])) + 1.0
+        return np.clip(kept, 0, rest + 1).astype(np.int64)
+
+    walk = _walk(n, log_q.size, max_count, None if floor == -math.inf else keep)
+    next(walk)  # the checks, before any allocation
     table = _ln_factorials(n)[: n + 1]
     tables = [table if m == 1 else table - np.arange(n + 1) * math.log(m)
               for m in ([1] * log_q.size if mults is None else mults)]
-    logs, ln_classes, terms = np.zeros(1), np.zeros(1), np.empty(count)
+    logs, ln_classes, terms = np.zeros(1), np.zeros(1), np.empty(1)
     for j, (sizes, counts) in enumerate(walk):
         if sizes is not None:
             logs = np.repeat(logs, sizes)
             ln_classes = np.repeat(ln_classes, sizes)
-        logs += np.multiply(counts, log_q[j], out=terms[: counts.size])
-        ln_classes += np.take(tables[j], counts, out=terms[: counts.size], mode="clip")
+            terms = np.empty(counts.size)
+        logs += np.multiply(counts, log_q[j], out=terms)
+        ln_classes += np.take(tables[j], counts, out=terms, mode="clip")
+    if floor > -math.inf:
+        above = logs > floor
+        logs, ln_classes = logs[above], ln_classes[above]
     np.subtract(table[n], ln_classes, out=ln_classes)
     ln_classes /= LN2
     return logs, ln_classes

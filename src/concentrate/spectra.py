@@ -93,6 +93,11 @@ class SchmidtSpectrum:
         return _frozen(np.array([shift, m, m * shift, m * shift * shift]))
 
     @cached_property
+    def curvatures(self) -> tuple[float, float]:
+        """psi''(1) and psi''(0), the F solvers' starting slopes: one kernel pass."""
+        return tuple(v[2] for v in _family(self, [1.0, 0.0])[0])
+
+    @cached_property
     def min_entropy(self) -> float:
         """-log2 p_1, written 0.0 - x so that d = 1 gives 0.0 and not -0.0."""
         return 0.0 - float(self.log2[0])
@@ -286,7 +291,7 @@ def solve_tilts(p: SchmidtSpectrum, targets, equation: str) -> list:
         if not lanes:
             return points
         # start from F ~ psi''(1) (s-1)**2 / 2 and, on s_minus, F ~ D(u||p) - psi''(0) s
-        curve, tangent = (v[2] for v in _family(p, [1.0, 0.0])[0])
+        curve, tangent = p.curvatures
         for i in lanes:
             reach = math.sqrt(2.0 * want[i] / curve) if curve > 0.0 else math.inf
             guess = max(1.0 - reach, (end - want[i]) / tangent)

@@ -195,7 +195,7 @@ def test_size_checked_before_the_lattice_is_built(monkeypatch):
     build = iid.lattice_logs
 
     def counting(n, log_q, *args):
-        calls.append((n, len(log_q), *args[:1]))
+        calls.append((n, len(log_q), *args[:1], *args[2:]))
         return build(n, log_q, *args)
 
     monkeypatch.setattr(iid, "lattice_logs", counting)
@@ -205,8 +205,10 @@ def test_size_checked_before_the_lattice_is_built(monkeypatch):
     with pytest.raises(SizeOutOfRangeError):
         exact_success_prob(p, 400, -1.0)
     assert calls == []
+    # a direct size builds only the types above 1/(2L) = 1/4 (none here)
+    # and answers from them
     exact_success_prob(p, 3, 1.0)
-    assert calls == [(3, 4, iid.DEFAULT_TYPE_GUARD)]
+    assert calls == [(3, 4, iid.DEFAULT_TYPE_GUARD, -2.0)]
 
 
 def test_single_copy_agrees_with_plan_solver():
@@ -390,20 +392,34 @@ class BinomialScan:
             masses = [m * v for m, v in zip(counts, values)]
             self.above = [0, *itertools.accumulate(counts)]
             self.tails = [*itertools.accumulate(masses[::-1])][::-1] + [0]
-            self.values = values
+            self.counts, self.values = counts, values
+
+    def _cut(self, size):
+        """The first k with B_k >= L, stepped down over ties as ExactProduct
+        steps, and t = T_k / (L - A_k)."""
+        tie = mpmath.mpf(2) ** -TIE_BITS
+        a, tail, v = self.above, self.tails, self.values
+        k = bisect.bisect_left(
+            range(len(v)), True, key=lambda j: a[j] + tail[j] / v[j] >= size
+        )
+        while k > 0 and tail[k - 1] >= (size - a[k - 1]) * v[k - 1] * tie:
+            k -= 1
+        return k, tail[k] / (size - a[k])
 
     def log_success(self, bits):
         """log2 P at size L = 2**bits, the threshold placed as ExactProduct
         places it."""
         with mpmath.workdps(40):
-            size, tie = mpmath.mpf(2) ** bits, mpmath.mpf(2) ** -TIE_BITS
-            a, tail, v = self.above, self.tails, self.values
-            k = bisect.bisect_left(
-                range(len(v)), True, key=lambda j: a[j] + tail[j] / v[j] >= size
-            )
-            while k > 0 and tail[k - 1] >= (size - a[k - 1]) * v[k - 1] * tie:
-                k -= 1
-            return float(mpmath.log(tail[k] * size / (size - a[k]), 2))
+            size = mpmath.mpf(2) ** bits
+            return float(mpmath.log(self._cut(size)[1] * size, 2))
+
+    def log_failure(self, bits):
+        """log2 (1 - P) at size L = 2**bits: the mass above t less t for
+        each coefficient above it, a sum of positive terms."""
+        with mpmath.workdps(40):
+            k, t = self._cut(mpmath.mpf(2) ** bits)
+            excess = mpmath.fsum(c * (v - t) for c, v in zip(self.counts[:k], self.values))
+            return float(mpmath.log(excess, 2)) if excess > 0 else -math.inf
 
 
 def _assert_matches_exact(spec, exact, bits):
@@ -943,3 +959,146 @@ def test_exponent_sequences_respect_discrete_lower_bound():
                 best = min(best, div)
         allowance = 2 * math.log2(n + 1) / n
         assert sample.failure_exponent >= best - allowance - 1e-9
+
+
+def _direct_sizes(p, n, fractions=(0.1, 0.3, 0.5, 0.7, 0.9)):
+    """log2 of the integer sizes at rates these fractions of the way from
+    -log2 p_1 to H(p), as exponent_sweep rounds them."""
+    entropy = shannon_entropy(p)
+    rates = [p.min_entropy + f * (entropy - p.min_entropy) for f in fractions]
+    return [iid._log2_size_for_rate(n, r, n * math.log2(p.dim)) for r in rates]
+
+
+def _counting_full_route(monkeypatch):
+    """Record each whole-lattice build of exact_success_prob."""
+    calls = []
+    build = iid.grouped_spectrum
+
+    def counting(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(iid, "grouped_spectrum", counting)
+    return calls
+
+
+def _full_route(p, n, bits):
+    """exact_success_prob's answer from the whole lattice."""
+    spec = grouped_spectrum(p, n)
+    return tuple(float(x) for x in _solve_grouped_threshold(spec, bits)[2:])
+
+
+def test_exact_success_prob_returns_floats_on_every_branch():
+    # k = 0; P < 1/2; P >= 1/2 from the types above 1/(2L) and from the
+    # whole lattice (over half the mass above 1/(2L)); the count from the
+    # top at d**n, P < 1/2
+    first, skewed = new_spectrum([0.6, 0.3, 0.1]), new_spectrum([0.9, 0.1])
+    cases = [(first, 3, 0.0, lambda lp: lp == 0.0),
+             (first, 20, 20 * math.log2(3) - 2.0, lambda lp: lp < -1.0),
+             (first, 40, 40.0, lambda lp: lp >= -1.0),
+             (skewed, 3, 1.0, lambda lp: lp >= -1.0),
+             (first, 3, 3 * math.log2(3), lambda lp: lp < -1.0)]
+    for p, n, bits, branch in cases:
+        got = exact_success_prob(p, n, bits)
+        assert [type(x) for x in got] == [float, float], (n, bits)
+        assert branch(got[0]), (n, bits, got)
+    sample = exponent_sweep(first, 1.5, [20])[0]
+    assert type(sample.success_exponent) is float
+
+
+@pytest.mark.parametrize("d, n_list", [(2, (60, 200)), (3, (30, 45)), (4, (16, 24))])
+def test_direct_cut_matches_exact_product(d, n_list, monkeypatch):
+    # direct sizes answered from the types above 1/(2L), against the exact
+    # integer product, both log2 P and log2 (1 - P)
+    rng = np.random.default_rng(500 + d)
+    full = _counting_full_route(monkeypatch)
+    answered = 0
+    for p in [random_spectrum(rng, d) for _ in range(3)]:
+        for n in n_list:
+            exact, top = ExactProduct(p, n), n * math.log2(d)
+            for bits in _direct_sizes(p, n):
+                full.clear()
+                log_p, log_f = exact_success_prob(p, n, bits)
+                answered += not full
+                want_p, want_f = exact.log_success(bits, top)
+                assert abs(log_p - want_p) <= 1e-10, (n, bits, log_p, want_p)
+                assert log_f == want_f or abs(log_f - want_f) <= 1e-10, (n, bits, log_f, want_f)
+    assert answered >= 25, answered
+
+
+def test_direct_cut_matches_binomial_scan(monkeypatch):
+    # d = 2 at n in the thousands, answered from the types above 1/(2L),
+    # against the 40-digit scan
+    full = _counting_full_route(monkeypatch)
+    for probs, n in (([0.75, 0.25], 1000), ([0.6, 0.4], 2500), ([0.9, 0.1], 4000)):
+        p = new_spectrum(probs)
+        oracle = BinomialScan(p, n)
+        for bits in _direct_sizes(p, n, (0.2, 0.5, 0.8, 0.95)):
+            log_p, log_f = exact_success_prob(p, n, bits)
+            assert full == [], (n, bits)
+            assert abs(log_p - oracle.log_success(bits)) <= 1e-9, (n, bits)
+            assert abs(log_f - oracle.log_failure(bits)) <= 1e-9, (n, bits)
+
+
+def test_direct_cut_falls_back_to_the_whole_lattice(monkeypatch):
+    # P < 1/2 below the entropy at small n (the types above 1/(2L) hold
+    # over half the mass), a larger kept mass, and a size within a bit of
+    # d**n, which tries no cut: the whole lattice answers, exactly as
+    # without the cut
+    floors = []
+    build = iid.lattice_logs
+
+    def counting(*args):
+        floors.append(args[4] if len(args) > 4 else None)
+        return build(*args)
+
+    monkeypatch.setattr(iid, "lattice_logs", counting)
+    cases = [([0.95, 0.05], 4, 1.0, [-2.0, None]), ([0.9, 0.1], 3, 1.0, [-2.0, None]),
+             ([0.55, 0.45], 10, 9.5, [None])]
+    for probs, n, bits, tried in cases:
+        p = new_spectrum(probs)
+        assert bits < n * shannon_entropy(p)
+        floors.clear()
+        got = exact_success_prob(p, n, bits)
+        assert floors == tried, probs
+        assert got == _full_route(p, n, bits), probs
+    assert exact_success_prob(new_spectrum([0.95, 0.05]), 4, 1.0)[0] < -1.0
+
+
+def test_direct_cut_builds_only_the_types_above_the_floor(monkeypatch):
+    # the shares of the lattice above 1/(2L) at L = 2**(n R), as measured
+    # when the cut was designed, in percent to the digits measured
+    built = []
+    build = iid.lattice_logs
+
+    def counting(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(iid, "lattice_logs", counting)
+    cases = [([0.6, 0.3, 0.1], 2000, ((0.8, 0.160, 3), (1.0, 2.70, 2), (1.25, 10.2, 1))),
+             ([0.5, 0.25, 0.15, 0.1], 200, ((1.2, 0.248, 3), (1.5, 3.34, 2), (1.7, 8.89, 2)))]
+    for probs, n, shares in cases:
+        p = new_spectrum(probs)
+        total = count_types(n, p.dim)
+        for rate, share, digits in shares:
+            built.clear()
+            exact_success_prob(p, n, n * rate)
+            assert len(built) == 1, (probs, rate)
+            kept = 100 * built[0][0].size / total
+            assert kept < share + 0.5 * 10.0**-digits, (probs, rate, kept)
+
+
+def test_direct_cut_peaks_under_one_result_array():
+    # d = 4, n = 200 at R = 1.7, 94% of the way to H(p), where 8.9% of the
+    # types lie above 1/(2L): the whole lattice's 1.37M types would take
+    # 10.5 MiB a result array
+    p = new_spectrum([0.5, 0.25, 0.15, 0.1])
+    exact_success_prob(p, 5, 5.0)
+    tracemalloc.start()
+    try:
+        exact_success_prob(p, 200, 200 * 1.7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * count_types(200, 4), peak

@@ -80,10 +80,46 @@ def test_lattice_logs_equal_the_row_functions_on_type_matrix():
             assert np.max(np.abs(tied - want)) <= 1e-12, (d, n)
 
 
+def _floor_cases(rng, d):
+    """(log_q, mults) to build the lattice over: a random spectrum's values,
+    a spectrum with a tied pair (its distinct values and multiplicities),
+    and decreasing values two of which are 1e-11 bits apart."""
+    p = random_spectrum(rng, d)
+    cases = [(p.log2, None)]
+    if d >= 2:
+        tied = new_spectrum(np.append(p.probs[:-1], p.probs[-2]), renormalize=True)
+        cases.append((tied.log2[tied.starts], tied.mults))
+        near = np.sort(np.log2(rng.dirichlet(np.ones(d))))[::-1]
+        near[1] = near[0] - 1e-11
+        cases.append((near, None))
+    return cases
+
+
+@pytest.mark.parametrize("d, n", [(1, 40), (2, 300), (3, 60), (4, 24), (5, 14), (6, 10)])
+def test_floor_build_is_the_full_build_filtered(d, n):
+    # the entries above the floor, bit for bit in row order, with the floor
+    # on a type's value, one float either side of it, and 1e-12 bits either
+    # side; above every type and below every type
+    rng = np.random.default_rng(400 + d)
+    for log_q, mults in _floor_cases(rng, d):
+        full = lattice_logs(n, log_q, mults=mults)
+        values = rng.choice(full[0], size=4).tolist()
+        floors = [0.0, float(np.min(full[0])) - 1.0]
+        for v in values:
+            floors += [v, math.nextafter(v, math.inf), math.nextafter(v, -math.inf),
+                       v + 1e-12, v - 1e-12]
+        for floor in floors:
+            above = full[0] > floor
+            cut = lattice_logs(n, log_q, mults=mults, floor=floor)
+            assert np.array_equal(cut[0], full[0][above]), (d, n, floor)
+            assert np.array_equal(cut[1], full[1][above]), (d, n, floor)
+
+
 @pytest.mark.parametrize("build", [
     lambda n, d, **kw: lattice_logs(n, np.log2(np.full(d, 1.0 / d)), **kw),
+    lambda n, d, **kw: lattice_logs(n, -np.arange(1.0, d + 1), floor=-2.0 * n, **kw),
     lambda n, d, **kw: type_matrix(n, d, **kw),
-], ids=["lattice_logs", "type_matrix"])
+], ids=["lattice_logs", "lattice_logs_floor", "type_matrix"])
 def test_lattice_logs_guard_allocates_nothing(build):
     # 5e11 types: the guard raises before the ln c! table or any array is made
     build(3, 3)

@@ -621,6 +621,18 @@ def test_tilted_family_reads_one_kernel(d, monkeypatch):
         assert point.entropy == pytest.approx(shannon_entropy(tilted(p, s)), abs=1e-12)
 
 
+def test_starting_curvatures_are_one_kernel_pass_per_spectrum(monkeypatch):
+    # psi''(1) and psi''(0) are kept on the spectrum, as powers is: an s_plus
+    # and an s_minus solve share one [1, 0] pass, with its bits
+    p = new_spectrum([0.5, 0.3, 0.15, 0.05])
+    want = tuple(row[2] for row in spectra._family(p, [1.0, 0.0])[0])
+    calls = _counting_kernel(monkeypatch)
+    solve_tilts(p, [0.4], "s_plus")
+    solve_tilts(p, [0.4], "s_minus")
+    assert calls.count([1.0, 0.0]) == 1
+    assert p.curvatures == want
+
+
 def test_one_kernel_pass_per_engine_step_and_curve(monkeypatch):
     p = new_spectrum([0.5, 0.3, 0.15, 0.05])
     calls = _counting_kernel(monkeypatch)
@@ -630,11 +642,12 @@ def test_one_kernel_pass_per_engine_step_and_curve(monkeypatch):
     assert calls[0] == [1.0, 0.0]
     assert all(len(c) == 1 for c in calls[1:]) and calls[-1] == [s]
     assert 2 <= len(calls) <= 1 + spectra.MAX_ITER
-    # a batch: each step passes exactly the tilts still unsolved
+    # a batch: the spectrum keeps its starting curvatures, so each pass is a
+    # step, and passes exactly the tilts still unsolved
     calls.clear()
     r = [0.01, 0.2, 0.6, 1.2, 5.0]  # the last two at or past -log2 p_1 = 1
     points = solve_tilts(p, r, "s_plus")
-    sizes = [len(c) for c in calls[1:]]
+    sizes = [len(c) for c in calls]
     assert sizes[0] == 3 and sizes == sorted(sizes, reverse=True)
     assert {pt.s for pt in points[:3]} <= {t for c in calls for t in c}
     assert points[3:] == [None, None]
