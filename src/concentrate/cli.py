@@ -121,7 +121,7 @@ def _parse_r_grid(text: str) -> tuple[float, ...]:
     lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    return tuple(float(x) for x in np.linspace(lo, hi, steps))
+    return tuple(np.linspace(lo, hi, steps).tolist())
 
 
 def _emit(record: ExperimentRecord, args) -> None:

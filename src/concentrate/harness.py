@@ -6,12 +6,14 @@ curves on an r grid), and a seeded property-check suite covering every
 invariant the numerical modules promise. Each check is a generator that
 takes only its rng and yields residuals (positive means violated);
 run_check_suite alone reduces them to a worst residual and judges it
-against the check's tolerance. Results come back as an
-ExperimentRecord carrying metadata plus self-describing rows, serializable
-to CSV (LF, UTF-8, 17 significant digits) or JSON ({"meta": ..., "rows":
-...}). Identical configuration and seed produce byte-identical files: no
-wall-clock data is ever written, and rows come out in the order of their
-keys.
+against the check's tolerance. Results come back as an ExperimentRecord:
+metadata plus self-describing rows, written as CSV (LF, UTF-8) or JSON
+({"meta": ..., "rows": ...}). A CSV cell takes its formatter from one
+table keyed by its exact type: %.17g for float, str for int and str,
+true/false for bool, empty for None. Any other value, and any value json
+cannot write, first passes one normalizer that turns a numpy scalar into
+its .item(). Identical configuration and seed produce byte-identical
+files: no wall-clock data is written, and rows keep the order of their keys.
 """
 
 from __future__ import annotations
@@ -103,43 +105,45 @@ class ExperimentRecord:
         return all(row.get("passed", True) for row in self.rows)
 
     def to_csv_text(self) -> str:
-        lines = [",".join(self.columns)]
-        for row in self.rows:
-            lines.append(",".join(_csv_cell(row.get(c)) for c in self.columns))
-        return "\n".join(lines) + "\n"
+        columns = self.columns
+        lines = (",".join([_csv_cell(row.get(c)) for c in columns]) for row in self.rows)
+        return "\n".join([",".join(columns), *lines]) + "\n"
 
     def to_json_text(self) -> str:
         payload = {"meta": self.meta, "rows": self.rows}
-        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+        return json.dumps(payload, indent=2, allow_nan=False, default=_json_value) + "\n"
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    return str(value)
+#: the CSV formatter of each native cell type, keyed by exact type (bool is not int)
+_CELL_TEXT = {float: "%.17g".__mod__, int: str, str: str, type(None): lambda _: "",
+              bool: {True: "true", False: "false"}.__getitem__}
 
 
 def _native(value):
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    return value
+    """A numpy scalar as its Python value (.item()); anything else as it is."""
+    native = type(value) in _CELL_TEXT or not isinstance(value, np.generic)
+    return value if native else value.item()
+
+
+def _csv_cell(value) -> str:
+    if type(value) not in _CELL_TEXT:
+        value = _native(value)
+    return _CELL_TEXT.get(type(value), str)(value)
+
+
+def _json_value(value):
+    """json.dumps' default: called only for values json cannot write itself."""
+    if (native := _native(value)) is value:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return native
 
 
 def _row(**kwargs) -> dict:
     return {k: _native(v) for k, v in kwargs.items()}
 
 
-def _base_meta(cfg: ExperimentConfig, experiment: str) -> dict:
+def _base_meta(cfg: ExperimentConfig, experiment: str, **extra) -> dict:
+    """The metadata every experiment writes, then the experiment's own extra keys."""
     meta = {
         "experiment": experiment,
         "library_version": __version__,
@@ -147,11 +151,10 @@ def _base_meta(cfg: ExperimentConfig, experiment: str) -> dict:
         "seed": cfg.seed,
         "log_base": 2,
     }
-    if cfg.spectrum is not None:
-        meta["spectrum"] = [float(x) for x in cfg.spectrum.probs]
-    if cfg.sigma is not None:
-        meta["sigma"] = [float(x) for x in cfg.sigma.probs]
-    return meta
+    for key in ("spectrum", "sigma"):
+        if (q := getattr(cfg, key)) is not None:
+            meta[key] = q.probs.tolist()
+    return meta | extra
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +196,8 @@ def run_convergence(cfg: ExperimentConfig) -> ExperimentRecord:
             finite_size_allowance=p.dim * math.log2(n + 1) / n,
             within_tolerance=(residual is not None and abs(residual) <= tol),
         ))
-    meta = _base_meta(cfg, "convergence")
-    meta.update(regime=regime, rate=cfg.rate, predicted_exponent=predicted, tolerance=tol)
+    meta = _base_meta(cfg, "convergence", regime=regime, rate=cfg.rate,
+                      predicted_exponent=predicted, tolerance=tol)
     return ExperimentRecord(meta, rows)
 
 
@@ -228,10 +231,10 @@ def run_sweep(cfg: ExperimentConfig) -> ExperimentRecord:
             s_plus=d.s_star,
             s_minus=c.s_star,
         ))
-    meta = _base_meta(cfg, "sweep")
-    meta.update(entropy=shannon_entropy(p), deterministic_exponent=p.min_entropy,
-                uniform_divergence=divergence_from_uniform(p), r_prime=rp.value,
-                r_prime_degenerate=rp.degenerate)
+    meta = _base_meta(cfg, "sweep", entropy=shannon_entropy(p),
+                      deterministic_exponent=p.min_entropy,
+                      uniform_divergence=divergence_from_uniform(p), r_prime=rp.value,
+                      r_prime_degenerate=rp.degenerate)
     return ExperimentRecord(meta, rows)
 
 
@@ -249,9 +252,7 @@ def run_nonadditivity(cfg: ExperimentConfig) -> ExperimentRecord:
     fields = asdict(nonadditivity_report(cfg.spectrum, sigma, cfg.r, tolerance=tol))
     del fields["tolerance"]
     row = _row(**fields, passed=all(v for k, v in fields.items() if k.endswith("_ok")))
-    meta = _base_meta(cfg, "nonadditivity")
-    meta["tolerance"] = tol
-    return ExperimentRecord(meta, [row])
+    return ExperimentRecord(_base_meta(cfg, "nonadditivity", tolerance=tol), [row])
 
 
 # ---------------------------------------------------------------------------
@@ -501,6 +502,4 @@ def run_check_suite(cfg: ExperimentConfig) -> ExperimentRecord:
         rows.append(
             _row(check=name, worst_residual=worst, tolerance=tol, passed=worst <= tol)
         )
-    meta = _base_meta(cfg, "check-suite")
-    meta["checks"] = len(rows)
-    return ExperimentRecord(meta, rows)
+    return ExperimentRecord(_base_meta(cfg, "check-suite", checks=len(rows)), rows)

@@ -5,6 +5,7 @@ import math
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from concentrate import cli, new_spectrum, tilted_point
@@ -32,6 +33,8 @@ def test_parse_r_grid():
     grid = _parse_r_grid("0.1:0.5:5")
     assert len(grid) == 5
     assert grid[0] == pytest.approx(0.1) and grid[-1] == pytest.approx(0.5)
+    assert grid == tuple(float(x) for x in np.linspace(0.1, 0.5, 5))
+    assert all(type(x) is float for x in grid)
     with pytest.raises(ValueError, match="steps must be >= 1"):
         _parse_r_grid("0.1:0.5:0")
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from concentrate import (
     run_sweep,
     shannon_entropy,
 )
-from concentrate import rates, spectra
+from concentrate import cli, harness, rates, spectra
 from concentrate.harness import DEFAULT_CONVERGENCE_TOL
 
 P34 = new_spectrum([0.75, 0.25])
@@ -36,6 +37,130 @@ def test_csv_formatting_contract():
     assert lines[0] == "a,b,c,d"
     assert lines[1] == "1,0.33333333333333331,,true"
     assert text.endswith("\n") and "\r" not in text
+
+
+@pytest.mark.parametrize("value,cell,parsed", [
+    (1.0 / 3.0, "0.33333333333333331", 1.0 / 3.0),
+    (-0.0, "-0", -0.0),
+    (math.inf, "inf", ValueError),
+    (-12, "-12", -12),
+    (True, "true", True),
+    (False, "false", False),
+    ("interior", "interior", "interior"),
+    (None, "", None),
+    (np.float64(0.1), "0.10000000000000001", 0.1),
+    (np.float32(0.1), "0.10000000149011612", 0.10000000149011612),
+    (np.int64(-7), "-7", -7),
+    (np.bool_(True), "true", True),
+    (np.bool_(False), "false", False),
+    (np.str_("linear"), "linear", "linear"),
+    (Fraction(1, 3), "1/3", TypeError),
+], ids=["float", "negative-zero", "inf", "int", "true", "false", "str", "none",
+        "np.float64", "np.float32", "np.int64", "np.bool_-true", "np.bool_-false", "np.str_",
+        "other"])
+def test_cell_type_contract(value, cell, parsed):
+    # numpy scalars serialize as the Python value they hold, in both formats
+    record = ExperimentRecord(meta={}, rows=[{"a": value}])
+    assert record.to_csv_text() == f"a\n{cell}\n"
+    if isinstance(parsed, type):
+        with pytest.raises(parsed):
+            record.to_json_text()
+        return
+    got = json.loads(record.to_json_text())["rows"][0]["a"]
+    assert type(got) is type(parsed) and got == parsed
+    if isinstance(parsed, float):
+        assert math.copysign(1.0, got) == math.copysign(1.0, parsed)
+
+
+def _old_csv_cell(value) -> str:
+    """The CSV cell formatter before exact-type dispatch: the oracle."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return format(float(value), ".17g")
+    return str(value)
+
+
+def _old_native(value):
+    """The row normalizer before exact-type dispatch: the oracle."""
+    if isinstance(value, (np.floating,)):
+        return float(value)
+    if isinstance(value, (np.integer,)):
+        return int(value)
+    if isinstance(value, (np.bool_,)):
+        return bool(value)
+    return value
+
+
+def _old_texts(record):
+    columns = list(record.rows[0])
+    lines = [",".join(columns)]
+    for row in record.rows:
+        lines.append(",".join(_old_csv_cell(row.get(c)) for c in columns))
+    payload = {"meta": record.meta, "rows": record.rows}
+    return "\n".join(lines) + "\n", json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
+def _sweep_config(d):
+    rng = np.random.default_rng(d)
+    p = new_spectrum(rng.dirichlet(np.ones(d)) + 1e-3, renormalize=True)
+    top = 1.2 * max(p.min_entropy, spectra.divergence_from_uniform(p))
+    return ExperimentConfig(spectrum=p, r_grid=tuple(np.linspace(0.01, top, 12)))
+
+
+P631 = new_spectrum([0.6, 0.3, 0.1])
+HARNESS_RUNS = {
+    "sweep-d2": (run_sweep, _sweep_config(2)),
+    "sweep-d16": (run_sweep, _sweep_config(16)),
+    "sweep-d1024": (run_sweep, _sweep_config(1024)),
+    "converge-direct": (run_convergence,
+                        ExperimentConfig(spectrum=P631, rate=1.0, n_list=(2, 50, 200))),
+    "converge-converse": (run_convergence,
+                          ExperimentConfig(spectrum=P631, rate=1.45, n_list=(2, 50, 200))),
+    # past 52 bits the size is 2**(n R) unrounded; at n = 60 it lies 6e-13 bits above
+    # 1 / p_1**60, inside the tie allowance, so P = 1 and the exponent is undefined
+    "converge-undefined-exponent": (run_convergence, ExperimentConfig(
+        spectrum=new_spectrum([0.5, 0.3, 0.2]), rate=1.0 + 1e-14, n_list=(2, 60))),
+    "nonadd": (run_nonadditivity,
+               ExperimentConfig(spectrum=P631, sigma=new_spectrum([0.7, 0.3]), r=0.4)),
+    "check": (run_check_suite, ExperimentConfig(seed=3)),
+}
+
+
+@pytest.mark.parametrize("name", HARNESS_RUNS)
+def test_harness_records_serialize_as_before(name, monkeypatch):
+    run, cfg = HARNESS_RUNS[name]
+    record = run(cfg)
+    with monkeypatch.context() as m:
+        m.setattr(harness, "_row", lambda **kw: {k: _old_native(v) for k, v in kw.items()})
+        before = _old_texts(run(cfg))
+    assert (record.to_csv_text(), record.to_json_text()) == before
+    for key in ("spectrum", "sigma"):
+        q = getattr(cfg, key)
+        if q is not None:
+            floats = [float(x) for x in q.probs]
+            assert record.meta[key] == floats
+            assert all(type(x) is float for x in record.meta[key])
+    if name == "converge-undefined-exponent":
+        assert record.rows[-1]["exponent"] is None
+
+
+@pytest.mark.parametrize("argv", [
+    ["info", "--spectrum", "0.5,0.3,0.2"],
+    ["finite", "--spectrum", "0.5,0.3,0.2", "--size", "2"],
+    ["finite", "--spectrum", "0.5,0.5", "--size", "2"],
+    ["fidelity", "--verify", "construction", "--spectrum", "0.4,0.3,0.2,0.1",
+     "--target-size", "4"],
+    ["fidelity", "--verify", "bound", "--spectrum", "0.4,0.3,0.2,0.1", "--target-size", "3"],
+], ids=lambda argv: "-".join(argv[:3:2]))
+def test_cli_records_serialize_as_before(argv):
+    args = cli.PARSER.parse_args(argv)
+    record = args.run(args)
+    assert (record.to_csv_text(), record.to_json_text()) == _old_texts(record)
 
 
 def test_csv_floats_round_trip():
