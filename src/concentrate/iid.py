@@ -12,11 +12,14 @@ runs the threshold protocol's breakpoint search (finite) on the groups in
 log space. Every size up to d**n has an answer; at d**n, log2 P =
 n log2(d p_d). d = 2 reaches n of several thousand without underflow.
 Below n H(p) it builds only the types above 1/(2L) and answers from them
-when P >= 1/2. On one core of a shared host, d = 3 at n = 2000 (about 2M
-types) takes 0.004-0.04 s of CPU and a peak RSS of 32-44 MiB at direct
-rates 30-95% of the way from -log2 p_1 to H(p), and 0.21 s and 107 MiB
-at converse rates; d = 4 at n = 400 (10.8M types) takes 0.01-0.3 s and
-34-132 MiB at direct rates, and 1.4 s and 449 MiB at converse rates.
+when P >= 1/2; above n H(p), only those in a band around the threshold,
+the rest entering the search as two exact sums. On one core of a shared
+host, d = 3 at n = 2000 (about 2M types) takes 0.004-0.04 s of CPU and a
+peak RSS of 32-44 MiB at direct rates 30-95% of the way from -log2 p_1 to
+H(p), and 0.10-0.16 s and 106-117 MiB at converse rates 20-80% of the way
+from H(p) to log2 d (over three values every type is still built); d = 4
+at n = 400 (10.8M types) takes 0.01-0.3 s and 34-132 MiB at direct rates,
+and 0.04-0.08 s and 50-62 MiB at converse rates.
 
 While P >= 1/2, 1 - P is the exact sum of per-group excess mass above the
 threshold, accurate when P is within 1e-300 of one; whichever of P and
@@ -34,7 +37,7 @@ from .errors import RateOutOfRangeError, SizeOutOfRangeError
 from .finite import _breakpoint_search
 from .method_of_types import DEFAULT_TYPE_GUARD, lattice_logs
 from .numerics import LN2, logsumexp2
-from .spectra import SchmidtSpectrum, shannon_entropy
+from .spectra import SchmidtSpectrum, shannon_entropy, solve_tilts
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,44 +102,102 @@ def _solve_grouped_threshold(spec: GroupedSpectrum, log2_size: float):
 
 
 def exact_success_prob(
-    p: SchmidtSpectrum, n: int, log2_size: float, max_types: int = DEFAULT_TYPE_GUARD
+    p: SchmidtSpectrum, n: int, log2_size: float, max_types: int = DEFAULT_TYPE_GUARD,
+    tilt=None,
 ) -> tuple[float, float]:
     """Optimal n-copy success probability at a target size of log2_size bits.
 
     Returns (log2 P, log2 (1-P)) as floats. The size must satisfy
     0 <= log2_size <= n log2 d; it is interpreted as an exact real, so pass
     log2 of an integer when the integer matters (the caller owns rounding).
+    tilt, a converse_rate point of solve_tilts at any rate, sets the band's
+    ceiling above n H(p); without one it is solved at log2_size / n there.
 
-    Below n H(p), and a bit or more below n log2 d (where the search counts
-    the groups above t, not the size left from the top), only the types
-    above 2**f, f = -log2 L - 1, are built: lattice_logs' floor, whose guard
-    still counts the whole lattice. Those left out enter the search as one
-    group at value 2**f holding their mass, 1 minus the kept mass by log1p.
-    The answer stands iff the kept mass is at most 1/2 and log2 P >= -1:
-    then t = P / L >= 2**f, at or above every value left out, so the groups
-    above t, their count and the mass from t on are the whole lattice's.
-    Otherwise the whole lattice answers.
+    A bit or more below n log2 d (where the search counts the groups above
+    t, not the size left from the top), only the types with log2 values in
+    a band (f, c] around log2 t are built, by lattice_logs, whose guard
+    still counts the whole lattice, and one argsort orders them.
+
+    - Below n H(p), f = -log2 L - 1 and c = +inf. The types left out enter
+      the search as one group at value 2**f holding their mass, 1 minus the
+      kept mass by log1p, so the band is tried only while that is at most 1/2.
+    - Above n H(p), c is _ceiling's, a bit or more above t by Hoelder's
+      bound on P, and f = c - _band_width. The types above c enter first as
+      one group of their count A at value M/A, M their mass; those at or
+      below f enter last as one group at 2**f holding their mass. Both are
+      lattice_logs' sums, never a rest: t is tiny and the mass above it
+      close to 1 here.
+
+    The answer stands iff f + 1e-9 < log2 t < c - 1e-9: then the groups
+    above t, their count, their excess (M - t A for the first group) and
+    the mass from t on are the whole lattice's. Otherwise the whole lattice
+    answers.
     """
     top = n * math.log2(p.dim)
     if log2_size < -1e-12 or log2_size > top + 1e-12:
         raise SizeOutOfRangeError(f"log2 size {log2_size} outside [0, {top}]")
     log2_size = min(max(log2_size, 0.0), top)
-    if log2_size < n * shannon_entropy(p) and log2_size <= top - 1.0:
-        floor = -log2_size - 1.0
-        log_probs, log_mults = lattice_logs(n, p.log2[p.starts], max_types, p.mults, floor)
-        order = np.argsort(log_probs)[::-1]
-        log_probs, log_mults = log_probs[order], log_mults[order]
-        kept = logsumexp2(log_probs + log_mults)
-        if kept <= -1.0:
-            rest = math.log1p(-(2.0**kept)) / LN2
-            spec = GroupedSpectrum(np.append(log_probs, floor),
-                                   np.append(log_mults, rest - floor), n, top)
-            _, _, log_success, log_failure = _solve_grouped_threshold(spec, log2_size)
-            if log_success >= -1.0:
-                return float(log_success), float(log_failure)
+    entropy_bits = n * shannon_entropy(p)
+    if log2_size <= top - 1.0 and log2_size != entropy_bits:
+        if log2_size < entropy_bits:
+            floor, ceiling = -log2_size - 1.0, math.inf
+        else:
+            if tilt is None:
+                tilt = solve_tilts(p, [log2_size / n], "converse_rate")[0]
+            ceiling = _ceiling(n, log2_size, tilt)
+            floor = ceiling - _band_width(n, tilt)
+        answer = _band_answer(p, n, log2_size, max_types, floor, ceiling)
+        if answer is not None:
+            return answer
     spec = grouped_spectrum(p, n, max_types)
     _, _, log_success, log_failure = _solve_grouped_threshold(spec, log2_size)
     return float(log_success), float(log_failure)
+
+
+def _ceiling(n: int, log2_size: float, tilt) -> float:
+    """c: one bit above Hoelder's bound on log2 t = log2 (P / L) at the tilt
+    0 < s < 1. sum min(lambda, t) <= sum lambda**s t**(1-s) = t**(1-s) Z(s)**n
+    gives log2 P <= (n psi(s) - (1 - s) log2 L) / s, -n E* at the
+    converse_rate tilt of the rate log2 L / n and above it at any other."""
+    s = tilt.s
+    return (n * tilt.psi - (1.0 - s) * log2_size) / s - log2_size + 1.0
+
+
+def _band_width(n: int, tilt) -> float:
+    """Bits from the ceiling down to the floor. The Hoelder sum exceeds
+    sum min(lambda, t) by about the saddle's width, sqrt(n), and the bound
+    divides its log by s. On 995 random converse calls (d = 2-5, n up to
+    3000, spectra with entries far below 1e-3 among them) log2 t lay at most
+    1 + (0.5 log2(n + 1) + 0.99) / s bits below the bound; a width of
+    2 + d log2(n + 1) missed 14 of them and held 2.6 times the types."""
+    return 2.0 + (0.5 * math.log2(n + 1) + 2.0) / tilt.s
+
+
+def _band_answer(p, n, log2_size, max_types, floor, ceiling):
+    """exact_success_prob from the types in (floor, ceiling], or None if t
+    lies outside the band."""
+    built = lattice_logs(n, p.log2[p.starts], max_types, p.mults, floor, ceiling)
+    order = np.argsort(built[0])[::-1]
+    log_probs, log_mults = built[0][order], built[1][order]
+    if ceiling < math.inf:
+        log_count, log_mass, below = built[2]
+    else:
+        # below n H(p) the rest is 1 minus the kept mass, by log1p
+        log_count = log_mass = -math.inf
+        kept = logsumexp2(log_probs + log_mults)
+        if kept > -1.0:
+            return None
+        below = math.log1p(-(2.0**kept)) / LN2
+    if log_count > -math.inf:
+        log_probs = np.insert(log_probs, 0, log_mass - log_count)
+        log_mults = np.insert(log_mults, 0, log_count)
+    if below > -math.inf:
+        log_probs, log_mults = np.append(log_probs, floor), np.append(log_mults, below - floor)
+    spec = GroupedSpectrum(log_probs, log_mults, n, n * math.log2(p.dim))
+    log_t, _, log_success, log_failure = _solve_grouped_threshold(spec, log2_size)
+    if floor + 1e-9 < log_t < ceiling - 1e-9:
+        return float(log_success), float(log_failure)
+    return None
 
 
 @dataclass(frozen=True)
@@ -188,11 +249,12 @@ def exponent_sweep(
     failure exponent is the quantity of interest, or in the converse regime
     (H(p), log2 d), where the success exponent decays instead.
     """
-    _regime(p, rate)
+    converse = _regime(p, rate) == "converse"
+    tilt = solve_tilts(p, [rate], "converse_rate")[0] if converse else None
     samples = []
     for n in n_list:
         bits = _log2_size_for_rate(n, rate, n * math.log2(p.dim))
-        log_success, log_failure = exact_success_prob(p, n, bits, max_types)
+        log_success, log_failure = exact_success_prob(p, n, bits, max_types, tilt)
         samples.append(
             ExponentSample(
                 n=int(n),

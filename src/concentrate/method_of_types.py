@@ -31,7 +31,7 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatchError, NegativeEntryError, TooManyTypesError
-from .numerics import LN2
+from .numerics import LN2, log2_cumsum, logsumexp2
 from .spectra import _as_prob_vector
 
 #: refuse enumerations beyond this many compositions (resource policy)
@@ -49,9 +49,11 @@ def count_types(n: int, d: int) -> int:
 def _walk(n: int, d: int, max_count: int, keep=None):
     """Check n, d and the guard, then yield the full lattice's type count,
     then each column's (sizes, counts) in row order: the rows so far repeat
-    by sizes, rest + 1 for a prefix leaving rest, or keep(j, rest) of them,
-    the largest counts first. The last column yields sizes None. The checks
-    run at the first next(): take the count before allocating."""
+    by sizes, and a prefix leaving rest has the children with counts
+    rest - first down to rest - first - sizes + 1, where keep(j, rest) gives
+    (first, sizes), or (0, rest + 1) without keep: all of them, the largest
+    counts first. The last column yields sizes None. The checks run at the
+    first next(): take the count before allocating."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if d < 1:
@@ -64,8 +66,8 @@ def _walk(n: int, d: int, max_count: int, keep=None):
     yield count
     rest = np.array([n], dtype=np.int64)
     for j in range(d - 1):
-        sizes = rest + 1 if keep is None else keep(j, rest)
-        starts = np.cumsum(sizes) - sizes
+        first, sizes = (0, rest + 1) if keep is None else keep(j, rest)
+        starts = np.cumsum(sizes) - sizes - first
         offset = np.arange(int(sizes.sum()), dtype=np.int64)
         offset -= np.repeat(starts, sizes)
         counts = np.repeat(rest, sizes)
@@ -89,7 +91,7 @@ def type_matrix(n: int, d: int, max_count: int = DEFAULT_TYPE_GUARD) -> np.ndarr
 
 
 def lattice_logs(n: int, log_q, max_count: int = DEFAULT_TYPE_GUARD, mults=None,
-                 floor: float = -math.inf):
+                 floor: float = -math.inf, ceiling: float = math.inf):
     """(log_sequence_prob, log_type_class_size) of every type under finite
     log2 q, in type_matrix's row order, bit for bit, with no counts matrix.
 
@@ -106,21 +108,66 @@ def lattice_logs(n: int, log_q, max_count: int = DEFAULT_TYPE_GUARD, mults=None,
     the floor less a margin of 1e-9 (1 + |floor|) bits against roundoff:
     whole subtrees drop out, and logs > floor decides the rest. The guard
     still counts the full lattice.
+
+    With a ceiling too, the entries are those with floor < log_sequence_prob
+    <= ceiling, and a third item sums what lies outside that band, exactly:
+    (log2 count and log2 mass of the types above the ceiling, log2 mass of
+    those at or below the floor), each -inf for none. No subtree drops out.
+    Over four or more values, a chain -- the leaves of a prefix that leaves
+    rho for the last two values, falling by their gap -- builds only its
+    leaves within the margin of the band; the leaves before and after enter
+    from per-call tables of partial sums over C(rho, i) x**(rho - i) y**i,
+    with (x, y) the last two values' multiplicities, then their masses.
+    Over three or fewer the tables would be as large as the lattice, so
+    every type is built. Built types outside the band join the sums.
     """
     log_q = np.asarray(log_q, dtype=float)
+    d = log_q.size
+    folded = [np.empty(0)] * 3
 
     def keep(j, rest):
         # a prefix's best completion puts all of rest on symbol j; each
         # count moved on to symbol j + 1 lowers it by the gap
-        room = logs + rest * log_q[j] - floor + 1e-9 * (1.0 + abs(floor))
-        kept = np.floor(room / (log_q[j] - log_q[j + 1])) + 1.0
-        return np.clip(kept, 0, rest + 1).astype(np.int64)
+        gap = log_q[j] - log_q[j + 1]
+        best = logs + rest * log_q[j]
+        kept = np.floor((best - floor + 1e-9 * (1.0 + abs(floor))) / gap) + 1.0
+        if ceiling == math.inf:
+            return 0, np.clip(kept, 0, rest + 1).astype(np.int64)
+        if j < d - 2:
+            return 0, rest + 1
+        # a chain's leaf i lies at best - i gap: those before first lie
+        # above the ceiling by over the margin, those from end on below the floor
+        first = np.ceil((best - ceiling - 1e-9 * (1.0 + abs(ceiling))) / gap)
+        first = np.clip(first, 0, rest + 1).astype(np.int64)
+        end = np.clip(kept, first, rest + 1).astype(np.int64)
+        prefix = (table[n] - ln_classes - table[rest]) / LN2
+        row = rest * (n + 2)
+        folded[:] = (prefix + np.take(count_above, row + first),
+                     prefix + logs + np.take(mass_above, row + first),
+                     prefix + logs + np.take(mass_below, row + rest + 1 - end))
+        return first, end - first
 
-    walk = _walk(n, log_q.size, max_count, None if floor == -math.inf else keep)
+    chains = ceiling < math.inf and d >= 4
+    pruned = chains or (ceiling == math.inf and floor > -math.inf)
+    walk = _walk(n, d, max_count, keep if pruned else None)
     next(walk)  # the checks, before any allocation
     table = _ln_factorials(n)[: n + 1]
     tables = [table if m == 1 else table - np.arange(n + 1) * math.log(m)
-              for m in ([1] * log_q.size if mults is None else mults)]
+              for m in ([1] * d if mults is None else mults)]
+    if chains:
+        # [rho, k]: log2 of the sum of the chain's leaf terms over i < k, with
+        # i copies of value d - 1 and rho - i of d - 2 (over rho - i < k for
+        # mass_below, read at rho - k + 1 for the leaves from k on)
+        rho, i = np.arange(n + 1)[:, None], np.arange(n + 1)
+        lead = np.maximum(rho - i, 0)
+        leaf_counts = (table[rho] - tables[d - 2][lead] - tables[d - 1][i]) / LN2
+        leaf_counts[i > rho] = -np.inf
+        leaf_masses = leaf_counts + (lead * log_q[d - 2] + i * log_q[d - 1])
+        edge = np.full((n + 1, 1), -np.inf)
+        count_above, mass_above, mass_below = (
+            np.hstack((edge, log2_cumsum(leaves))) for leaves in (
+                leaf_counts, leaf_masses,
+                np.take_along_axis(leaf_masses, np.where(i <= rho, rho - i, i), axis=1)))
     logs, ln_classes, terms = np.zeros(1), np.zeros(1), np.empty(1)
     for j, (sizes, counts) in enumerate(walk):
         if sizes is not None:
@@ -129,6 +176,17 @@ def lattice_logs(n: int, log_q, max_count: int = DEFAULT_TYPE_GUARD, mults=None,
             terms = np.empty(counts.size)
         logs += np.multiply(counts, log_q[j], out=terms)
         ln_classes += np.take(tables[j], counts, out=terms, mode="clip")
+    del counts  # the last column's, as large as the result
+    if ceiling < math.inf:
+        np.subtract(table[n], ln_classes, out=ln_classes)
+        ln_classes /= LN2
+        above, below = logs > ceiling, logs <= floor
+        mass = np.add(logs, ln_classes, out=terms)
+        sums = tuple(float(np.logaddexp2(logsumexp2(chained), logsumexp2(built[out])))
+                     for chained, built, out in zip(folded, (ln_classes, mass, mass),
+                                                    (above, above, below)))
+        inside = ~np.logical_or(above, below, out=above)
+        return logs[inside], ln_classes[inside], sums
     if floor > -math.inf:
         above = logs > floor
         logs, ln_classes = logs[above], ln_classes[above]

@@ -195,7 +195,7 @@ def test_size_checked_before_the_lattice_is_built(monkeypatch):
     build = iid.lattice_logs
 
     def counting(n, log_q, *args):
-        calls.append((n, len(log_q), *args[:1], *args[2:]))
+        calls.append((n, len(log_q), *args[:1], *args[2:3]))
         return build(n, log_q, *args)
 
     monkeypatch.setattr(iid, "lattice_logs", counting)
@@ -1102,3 +1102,139 @@ def test_direct_cut_peaks_under_one_result_array():
     finally:
         tracemalloc.stop()
     assert peak < 8 * count_types(200, 4), peak
+
+
+def _converse_sizes(p, n, fractions=(0.1, 0.3, 0.5, 0.7, 0.9)):
+    """log2 of the integer sizes at rates these fractions of the way from
+    H(p) to log2 d, as exponent_sweep rounds them."""
+    entropy, top = shannon_entropy(p), math.log2(p.dim)
+    rates = [entropy + f * (top - entropy) for f in fractions]
+    return [iid._log2_size_for_rate(n, r, n * top) for r in rates]
+
+
+@st.composite
+def _band_cases(draw):
+    """A spectrum over d = 2-5 -- random, with a tied pair (mults > 1) or
+    with two values 1e-11 bits apart -- and an n that keeps the lattice
+    below about 300k types."""
+    d = draw(st.integers(2, 5))
+    kind = draw(st.sampled_from(["random", "tied", "near"]))
+    rng = np.random.default_rng(draw(st.integers(0, 10**6)))
+    raw = np.sort(rng.dirichlet(np.ones(d)) + 0.02)[::-1]
+    j = draw(st.integers(0, d - 2))
+    if kind == "tied":
+        raw[j + 1] = raw[j]
+    elif kind == "near":
+        raw[j + 1] = raw[j] * 2.0**-1e-11
+    p = new_spectrum(raw, renormalize=True)
+    assert p.starts.size == (d - 1 if kind == "tied" else d)
+    return p, draw(st.integers(1, {2: 120, 3: 120, 4: 80, 5: 30}[d]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_band_cases(), st.lists(st.floats(0.02, 0.98), min_size=1, max_size=3))
+def test_band_route_matches_the_whole_lattice(case, fractions):
+    # converse and direct sizes: the band (or, below n H(p), the floor)
+    # answers as the whole lattice does, within 1e-10 bits in log2 P and
+    # log2 (1 - P)
+    p, n = case
+    for bits in _converse_sizes(p, n, fractions) + _direct_sizes(p, n, fractions):
+        got, want = exact_success_prob(p, n, bits), _full_route(p, n, bits)
+        for x, y in zip(got, want):
+            assert x == y or abs(x - y) <= 1e-10, (n, bits, got, want)
+
+
+@pytest.mark.parametrize("d, n_list", [(2, (60, 200)), (3, (30, 45)), (4, (16, 24))])
+def test_converse_band_matches_exact_product(d, n_list, monkeypatch):
+    # converse sizes answered from the band, against the exact integer
+    # product, both log2 P and log2 (1 - P); every size a bit or more below
+    # d**n answers from the band
+    rng = np.random.default_rng(800 + d)
+    full = _counting_full_route(monkeypatch)
+    tried = answered = 0
+    for p in [random_spectrum(rng, d) for _ in range(3)]:
+        for n in n_list:
+            exact, top = ExactProduct(p, n), n * math.log2(d)
+            for bits in _converse_sizes(p, n):
+                full.clear()
+                log_p, log_f = exact_success_prob(p, n, bits)
+                tried += bits <= top - 1.0
+                answered += not full
+                want_p, want_f = exact.log_success(bits, top)
+                assert abs(log_p - want_p) <= 1e-10, (n, bits, log_p, want_p)
+                assert log_f == want_f or abs(log_f - want_f) <= 1e-10, (n, bits, log_f, want_f)
+    assert answered == tried >= 15, (answered, tried)
+
+
+def test_converse_band_falls_back_to_the_whole_lattice(monkeypatch):
+    # with no width the band is empty and t, a bit or more below the
+    # ceiling, lies below it: the whole lattice answers, exactly as without
+    # the band
+    full = _counting_full_route(monkeypatch)
+    monkeypatch.setattr(iid, "_band_width", lambda n, tilt: 0.0)
+    for probs, n in (([0.6, 0.3, 0.1], 40), ([0.5, 0.25, 0.15, 0.1], 20), ([0.7, 0.3], 300)):
+        p = new_spectrum(probs)
+        for bits in _converse_sizes(p, n):
+            full.clear()
+            assert exact_success_prob(p, n, bits) == _full_route(p, n, bits), (probs, bits)
+            assert len(full) == 1, (probs, bits)
+
+
+def test_converse_band_builds_only_the_types_near_the_threshold(monkeypatch):
+    # the shares of the lattice inside the band at rates 20% and 80% of the
+    # way from H(p) to log2 d (ROADMAP item 15's table), as measured when
+    # the band was designed, in percent to the digits measured; every call
+    # answers from the band
+    built = []
+    build = iid.lattice_logs
+
+    def counting(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(iid, "lattice_logs", counting)
+    full = _counting_full_route(monkeypatch)
+    cases = [([0.6, 0.3, 0.1], 2000, ((1.353, 0.255, 3), (1.527, 0.722, 3))),
+             ([0.5, 0.25, 0.15, 0.1], 400, ((1.794, 1.10, 2), (1.949, 3.34, 2)))]
+    for probs, n, shares in cases:
+        p = new_spectrum(probs)
+        total = count_types(n, p.dim)
+        for rate, share, digits in shares:
+            built.clear()
+            exact_success_prob(p, n, n * rate)
+            assert len(built) == 1 and full == [], (probs, rate)
+            kept = 100 * built[0][0].size / total
+            assert kept < share + 0.5 * 10.0**-digits, (probs, rate, kept)
+
+
+def test_converse_band_peaks_under_100_mib():
+    # d = 4, n = 400 (10.8M types) at R = 1.949, 80% of the way from H(p)
+    # to log2 d: the whole lattice peaked at 415 MiB traced
+    p = new_spectrum([0.5, 0.25, 0.15, 0.1])
+    exact_success_prob(p, 5, 5 * 1.949)
+    tracemalloc.start()
+    try:
+        exact_success_prob(p, 400, 400 * 1.949)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2**20, peak / 2**20
+
+
+def test_exponent_sweep_solves_one_tilt_per_converse_job(monkeypatch):
+    # the ceiling's tilt is solved once, at the job's rate, for every n;
+    # direct jobs solve none
+    calls = []
+    solve = iid.solve_tilts
+
+    def counting(*args):
+        calls.append(args[1:])
+        return solve(*args)
+
+    monkeypatch.setattr(iid, "solve_tilts", counting)
+    p = new_spectrum([0.6, 0.3, 0.1])
+    exponent_sweep(p, 1.45, [20, 40, 80])
+    assert calls == [([1.45], "converse_rate")]
+    calls.clear()
+    exponent_sweep(p, 1.0, [20, 40, 80])
+    assert calls == []

@@ -115,11 +115,77 @@ def test_floor_build_is_the_full_build_filtered(d, n):
             assert np.array_equal(cut[1], full[1][above]), (d, n, floor)
 
 
+@pytest.mark.parametrize("d, n", [(1, 40), (2, 300), (3, 80), (4, 24), (5, 14), (6, 10)])
+def test_band_build_is_the_full_build_split(d, n):
+    # the entries in (floor, ceiling], bit for bit in row order, and the
+    # exact sums of the rest: the count and mass above the ceiling and the
+    # mass at or below the floor equal logsumexp2 of the full build's
+    # entries there. Bounds on type values, one float either side and 1e-12
+    # bits either side; bands holding every type, none, or one end. Over
+    # four or more values the chains' sums add the terms in another order
+    # and rounding than the entries; at these n the entries' own rounding
+    # stays below the tolerance (see the 50-digit test for larger n)
+    rng = np.random.default_rng(600 + d)
+    for log_q, mults in _floor_cases(rng, d):
+        full = lattice_logs(n, log_q, mults=mults)
+        lowest, highest = float(np.min(full[0])), float(np.max(full[0]))
+        bands = [(lowest - 1.0, highest), (lowest - 1.0, lowest - 0.5),
+                 (highest + 0.5, highest + 1.0), (-math.inf, 0.5 * (lowest + highest))]
+        for v, w in rng.choice(full[0], size=(4, 2)).tolist():
+            for shift in (0.0, 1e-12, -1e-12):
+                bands.append((min(v, w) + shift, max(v, w) - shift))
+            bands.append((math.nextafter(min(v, w), -math.inf), math.nextafter(max(v, w), math.inf)))
+        for floor, ceiling in bands:
+            logs, sizes, sums = lattice_logs(n, log_q, mults=mults, floor=floor,
+                                             ceiling=ceiling)
+            inside = (full[0] > floor) & (full[0] <= ceiling)
+            assert np.array_equal(logs, full[0][inside]), (d, n, floor, ceiling)
+            assert np.array_equal(sizes, full[1][inside]), (d, n, floor, ceiling)
+            above, below = full[0] > ceiling, full[0] <= floor
+            masses = full[0] + full[1]
+            wanted = (logsumexp2(full[1][above]), logsumexp2(masses[above]),
+                      logsumexp2(masses[below]))
+            for got, want in zip(sums, wanted):
+                assert (got == want == -math.inf
+                        or abs(got - want) <= 2e-15 * max(1.0, abs(want))), (
+                    d, n, floor, ceiling, got, want)
+
+
+@pytest.mark.parametrize("d, n", [(4, 40), (5, 20)])
+def test_band_sums_against_50_digits(d, n):
+    # at larger n each entry carries a rounding of a few ulp of its ~100-bit
+    # terms, so the full build's sums drift from the exact ones as well: the
+    # chains' sums are within 5e-14 bits of 50-digit sums over the exact
+    # class sizes (the full build's sums were up to 3.1e-14 off on such draws)
+    rng = np.random.default_rng(700 + d)
+    p = random_spectrum(rng, d)
+    rows = type_matrix(n, d)
+    full = lattice_logs(n, p.log2)
+    with mpmath.workdps(50):
+        q = [mpmath.mpf(2) ** mpmath.mpf(v) for v in p.log2.tolist()]
+        sizes = [math.factorial(n) // math.prod(math.factorial(c) for c in row)
+                 for row in rows.tolist()]
+        masses = [size * mpmath.fprod(qj**c for qj, c in zip(q, row))
+                  for size, row in zip(sizes, rows.tolist())]
+        for floor, ceiling in np.sort(rng.choice(full[0], size=(3, 2)), axis=1).tolist():
+            _, _, sums = lattice_logs(n, p.log2, floor=floor, ceiling=ceiling)
+            above, below = full[0] > ceiling, full[0] <= floor
+            wanted = (sum(s for s, a in zip(sizes, above) if a),
+                      mpmath.fsum(m for m, a in zip(masses, above) if a),
+                      mpmath.fsum(m for m, b in zip(masses, below) if b))
+            for got, want in zip(sums, wanted):
+                want = float(mpmath.log(want, 2)) if want else -math.inf
+                assert (got == want == -math.inf
+                        or abs(got - want) <= 5e-14 * max(1.0, abs(want))), (d, got, want)
+
+
 @pytest.mark.parametrize("build", [
     lambda n, d, **kw: lattice_logs(n, np.log2(np.full(d, 1.0 / d)), **kw),
     lambda n, d, **kw: lattice_logs(n, -np.arange(1.0, d + 1), floor=-2.0 * n, **kw),
+    lambda n, d, **kw: lattice_logs(n, -np.arange(1.0, d + 1), floor=-2.0 * n,
+                                    ceiling=-1.5 * n, **kw),
     lambda n, d, **kw: type_matrix(n, d, **kw),
-], ids=["lattice_logs", "lattice_logs_floor", "type_matrix"])
+], ids=["lattice_logs", "lattice_logs_floor", "lattice_logs_band", "type_matrix"])
 def test_lattice_logs_guard_allocates_nothing(build):
     # 5e11 types: the guard raises before the ln c! table or any array is made
     build(3, 3)
