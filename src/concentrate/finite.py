@@ -19,10 +19,12 @@ n-copy types; types that share a value have equal breakpoints, so the first
 wins, as at any tie within TIE_BITS. It lands on k = 0 for L up to
 floor(2**TIE_BITS / p_1), deterministic_yield: nothing is damped, so P = 1
 exactly, since P is read as 1 minus the damped mass while that mass is below
-1/2 (as iid does) and as t*L otherwise. Past BLOCK groups it works in
-blocks: one shifted sum per block of counts and of masses gives B_k at each
-block start, and the element-wise log-space chains run only inside the one
-or two blocks that hold k.
+1/2 (as iid does) and as t*L otherwise. At every size it works in blocks
+of BLOCK groups: one shifted sum per block of counts and of masses gives
+B_k at each block start, and the element-wise log-space chains run only
+inside the one or two blocks that hold k. Within a bit of the top it reads
+the count from the end, as it reads T_k: L - A_k is C_k - R there, with C_k
+the count from group k on and R = 2**top - L, so nothing cancels.
 """
 
 from __future__ import annotations
@@ -99,11 +101,16 @@ def _block_logsums(values, buffer):
     return np.append(sums, logsumexp2(values[full:])) if full < values.size else sums
 
 
-def _first_hit(base, log_tail, log_probs, reach):
-    """The first k with B_k >= L, the allowance on T_k / p_k (so on t)
-    included; None if there is none."""
+def _first_hit(base, reach, log_tail, log_probs):
+    """The first k with B_k >= L, as base + T_k / p_k >= reach, the allowance
+    on T_k / p_k (so on t) included; None if there is none."""
     hits = np.logaddexp2(base, log_tail - log_probs + TIE_BITS) >= reach
     return int(np.argmax(hits)) if hits.any() else None
+
+
+def _chain(seed, values):
+    """log2 of the running sums of 2**values after 2**seed, seed first."""
+    return np.logaddexp2.accumulate(np.append(seed, values))
 
 
 def _breakpoint_search(log_probs, log_mults, log2_size: float, top: float):
@@ -111,52 +118,53 @@ def _breakpoint_search(log_probs, log_mults, log2_size: float, top: float):
     counts whose total is 2**top. Returns (k, log2 T_k, log2 (L - A_k)); a
     tie within TIE_BITS of t goes to the smaller k."""
     lp, lm = log_probs, log_mults
-    if log2_size > top - 1.0:
-        # A_k rounds towards L: take L - A_k = C_k - R, with C_k the count
-        # from group k on and R = 2**top - L (d**n - L for n copies)
+    near = log2_size > top - 1.0
+    if near:
         rest = -math.expm1((log2_size - top) * LN2)  # R / 2**top
         log_rest = top + math.log2(rest) if rest > 0.0 else -math.inf
-        log_count = np.logaddexp2.accumulate(lm[::-1])[::-1]
-        admitted = int(np.count_nonzero(log_count > log_rest))  # A_k < L
-        log_tail = np.logaddexp2.accumulate((lm + lp)[::-1])[::-1][:admitted]
-        # R + T_k / p_k >= C_k; a miss is roundoff
-        k = _first_hit(log_rest, log_tail, lp[:admitted], log_count[:admitted])
-        k = admitted - 1 if k is None else k
-        return k, log_tail[k], log2_sub(log_count[k], log_rest)
-    # Blocks of BLOCK groups: the count above each block's start and the mass
-    # from each block's start on come from shifted block sums. The first
-    # block start with B_k >= L points at the block before it and its own;
-    # with none, k is in the block holding the last A_k < L.
-    above, tail_past, blocks = (-math.inf,), (-math.inf,), [0]
+
+    def sides(count):
+        # B_k >= L as base + T_k / p_k >= reach, group k admitted while
+        # base < reach: A_k against L, or near the top R against C_k
+        return (log_rest, count) if near else (count, log2_size)
+
+    # count[b] is A before block b, or C from block b on; tail[b] is T from
+    # block b on. The first block start with B_k >= L points at the block
+    # before it and its own; with none, k is in the last admitted block.
+    count = tail = (-math.inf, -math.inf)
+    blocks = [0]
     if lm.size > BLOCK:
         buffer = lm + lp
-        tail = np.logaddexp2.accumulate(_block_logsums(buffer, buffer)[::-1])[::-1]
-        above = np.logaddexp2.accumulate(np.append(-np.inf, _block_logsums(lm, buffer)[:-1]))
-        last = int(np.count_nonzero(above < log2_size)) - 1
-        first = _first_hit(above[: last + 1], tail[: last + 1],
-                           lp[: (last + 1) * BLOCK : BLOCK], log2_size)
+        tail = _chain(-np.inf, _block_logsums(buffer, buffer)[::-1])[::-1]
+        sums = _block_logsums(lm, buffer)
+        count = _chain(-np.inf, sums[::-1])[::-1] if near else _chain(-np.inf, sums)
+        last = int(np.count_nonzero(np.less(*sides(count[:-1])))) - 1
+        first = _first_hit(*sides(count[: last + 1]), tail[: last + 1],
+                           lp[: (last + 1) * BLOCK : BLOCK])
         blocks = [last] if first is None else range(max(first - 1, 0), first + 1)
-        tail_past = np.append(tail[1:], -np.inf)
     for b in blocks:
-        # in a block, the count above k chains on from the block's start while
-        # below L, and the mass from k on chains back from the groups past
-        # those, which take one shifted sum with the blocks after
+        # in a block the count chains on from the neighbouring block sum, and
+        # the mass from k on chains back from the groups past the admitted
+        # ones, which take one shifted sum with the blocks after
         start = b * BLOCK
         block_lm, block_lp = lm[start : start + BLOCK], lp[start : start + BLOCK]
         mass = block_lm + block_lp
-        log_above = np.concatenate(([above[b]], block_lm[:-1]))
-        np.logaddexp2.accumulate(log_above, out=log_above)
-        admitted = int(np.searchsorted(log_above, log2_size))
-        log_above = log_above[:admitted]
+        if near:
+            block_count = _chain(count[b + 1], block_lm[::-1])[:0:-1]
+        else:
+            block_count = _chain(count[b], block_lm[:-1])
+        admitted = int(np.count_nonzero(np.less(*sides(block_count))))
+        block_count = block_count[:admitted]
         seed = logsumexp2(mass[admitted:])
-        if tail_past[b] > -math.inf:
-            seed = np.logaddexp2(seed, tail_past[b])
-        log_tail = np.logaddexp2.accumulate(np.append(seed, mass[:admitted][::-1]))[:0:-1]
-        k = _first_hit(log_above, log_tail, block_lp[:admitted], log2_size)
+        if tail[b + 1] > -math.inf:
+            seed = np.logaddexp2(seed, tail[b + 1])
+        log_tail = _chain(seed, mass[:admitted][::-1])[:0:-1]
+        k = _first_hit(*sides(block_count), log_tail, block_lp[:admitted])
         if k is not None:
             break
     k = admitted - 1 if k is None else k  # a miss is roundoff
-    return start + k, log_tail[k], log2_sub(log2_size, log_above[k])
+    base, reach = sides(block_count[k])
+    return start + k, log_tail[k], log2_sub(reach, base)
 
 
 def solve_plan(p: SchmidtSpectrum, target_size: int) -> ConcentrationPlan:

@@ -176,9 +176,14 @@ def run_convergence(cfg: ExperimentConfig) -> ExperimentRecord:
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be strictly increasing")
     regime = _regime(p, cfg.rate)
-    predicted = (inverse_direct if regime == "direct" else inverse_converse)(p, cfg.rate)
+    if regime == "direct":
+        tilt, predicted = None, inverse_direct(p, cfg.rate)
+    else:
+        # one tilt for the prediction and for every n's band ceiling
+        tilt = solve_tilts(p, [cfg.rate], "converse_rate")[0]
+        predicted = inverse_converse(p, cfg.rate, tilt)
     tol = cfg.tolerance if cfg.tolerance is not None else DEFAULT_CONVERGENCE_TOL
-    samples = exponent_sweep(p, cfg.rate, n_list, max_types=cfg.max_types)
+    samples = exponent_sweep(p, cfg.rate, n_list, max_types=cfg.max_types, tilt=tilt)
     rows = []
     for sample in samples:
         n = sample.n

@@ -188,12 +188,12 @@ def _band_answer(p, n, log2_size, max_types, floor, ceiling):
         if kept > -1.0:
             return None
         below = math.log1p(-(2.0**kept)) / LN2
-    if log_count > -math.inf:
-        log_probs = np.insert(log_probs, 0, log_mass - log_count)
-        log_mults = np.insert(log_mults, 0, log_count)
-    if below > -math.inf:
-        log_probs, log_mults = np.append(log_probs, floor), np.append(log_mults, below - floor)
-    spec = GroupedSpectrum(log_probs, log_mults, n, n * math.log2(p.dim))
+    # the types above the band lead as one group, those below it close as one
+    above = ([log_mass - log_count], [log_count]) if log_count > -math.inf else ([], [])
+    under = ([floor], [below - floor]) if below > -math.inf else ([], [])
+    spec = GroupedSpectrum(np.concatenate((above[0], log_probs, under[0])),
+                           np.concatenate((above[1], log_mults, under[1])),
+                           n, n * math.log2(p.dim))
     log_t, _, log_success, log_failure = _solve_grouped_threshold(spec, log2_size)
     if floor + 1e-9 < log_t < ceiling - 1e-9:
         return float(log_success), float(log_failure)
@@ -242,15 +242,18 @@ def exponent_sweep(
     rate: float,
     n_list,
     max_types: int = DEFAULT_TYPE_GUARD,
+    tilt=None,
 ) -> list[ExponentSample]:
     """Empirical exponents of the optimal protocol at a fixed per-copy rate.
 
     The rate must lie in the direct regime (-log2 p_1, H(p)), where the
     failure exponent is the quantity of interest, or in the converse regime
-    (H(p), log2 d), where the success exponent decays instead.
+    (H(p), log2 d), where the success exponent decays instead. There, tilt
+    is the converse_rate point of solve_tilts at the rate, solved once for
+    every n when not given.
     """
-    converse = _regime(p, rate) == "converse"
-    tilt = solve_tilts(p, [rate], "converse_rate")[0] if converse else None
+    if _regime(p, rate) == "converse" and tilt is None:
+        tilt = solve_tilts(p, [rate], "converse_rate")[0]
     samples = []
     for n in n_list:
         bits = _log2_size_for_rate(n, rate, n * math.log2(p.dim))

@@ -169,17 +169,20 @@ def inverse_direct(p: SchmidtSpectrum, rate: float) -> float:
     return max(solve_tilts(p, [rate], "direct_rate")[0].f_value, 0.0)
 
 
-def inverse_converse(p: SchmidtSpectrum, rate: float) -> float:
+def inverse_converse(p: SchmidtSpectrum, rate: float, tilt=None) -> float:
     """The exponent r with E*(r) = rate, for H(p) < rate < log2 d.
 
     Solves H(h(s)) = rate on 0 < s < 1 and returns F(s); round-trips with
-    converse_yield on the interior; clamped at 0 like inverse_direct.
+    converse_yield on the interior; clamped at 0 like inverse_direct. tilt,
+    the converse_rate point of solve_tilts at this rate, skips the solve.
     """
     entropy = shannon_entropy(p)
     top = math.log2(p.dim)
     if not (entropy < rate < top):
         raise RateOutOfRangeError(f"rate {rate} outside ({entropy}, {top})")
-    return max(solve_tilts(p, [rate], "converse_rate")[0].f_value, 0.0)
+    if tilt is None:
+        tilt = solve_tilts(p, [rate], "converse_rate")[0]
+    return max(tilt.f_value, 0.0)
 
 
 # ---------------------------------------------------------------------------

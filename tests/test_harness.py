@@ -21,7 +21,7 @@ from concentrate import (
     run_sweep,
     shannon_entropy,
 )
-from concentrate import cli, harness, rates, spectra
+from concentrate import cli, harness, iid, rates, spectra
 from concentrate.harness import DEFAULT_CONVERGENCE_TOL
 
 P34 = new_spectrum([0.75, 0.25])
@@ -351,3 +351,22 @@ def test_check_suite_deterministic_text():
     b = run_check_suite(ExperimentConfig(seed=5)).to_csv_text()
     assert a == b
 
+
+
+def test_run_convergence_solves_one_tilt_per_converse_job(monkeypatch):
+    # the predicted exponent and every n's band ceiling read one converse_rate
+    # point; a direct job solves its own equation once and no converse one
+    calls = []
+    solve = spectra.solve_tilts
+
+    def counting(*args):
+        calls.append(args[1:])
+        return solve(*args)
+
+    for module in (harness, iid, rates):
+        monkeypatch.setattr(module, "solve_tilts", counting)
+    run_convergence(ExperimentConfig(spectrum=P631, rate=1.45, n_list=(2, 50, 200)))
+    assert calls == [([1.45], "converse_rate")]
+    calls.clear()
+    run_convergence(ExperimentConfig(spectrum=P631, rate=1.0, n_list=(2, 50, 200)))
+    assert calls == [([1.0], "direct_rate")]

@@ -36,7 +36,7 @@ from concentrate import (
     solve_plan,
     verify_recovery_bound,
 )
-from concentrate import iid
+from concentrate import finite, iid
 from concentrate.finite import BLOCK, TIE_BITS, _breakpoint_search
 from concentrate.iid import _solve_grouped_threshold
 from concentrate.numerics import LN2, log2_sub, logsumexp2
@@ -765,6 +765,107 @@ def test_blocked_search_sums_against_40_digits(probs, n):
             for got, want in ((log_tail, want_tail), (log_room, want_room)):
                 error = abs(mpmath.mpf(got) - want)
                 assert error <= 2e-15 * max(1.0, abs(want)), (rate, float(want), float(error))
+
+
+class _ChainLengths:
+    """numpy for finite, with logaddexp2.accumulate recording each input's length."""
+
+    def __init__(self):
+        self.lengths = []
+        self.logaddexp2 = self
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def __call__(self, *args, **kwargs):
+        return np.logaddexp2(*args, **kwargs)
+
+    def accumulate(self, values, *args, **kwargs):
+        self.lengths.append(np.size(values))
+        return np.logaddexp2.accumulate(values, *args, **kwargs)
+
+
+def test_breakpoint_search_chains_within_blocks(monkeypatch):
+    # 20,825 groups (41 blocks): within a bit of the top, at it and below
+    # it, no logaddexp2 chain runs over more than a block and its seed
+    spec = grouped_spectrum(new_spectrum([0.297, 0.288, 0.212, 0.203]), 48)
+    lp, lm, top = spec.log_probs, spec.log_mults, spec.total_log_dim
+    assert 20_000 < spec.group_count < BLOCK * BLOCK
+    sizes = [top - 1.5, top - 1.0 + 1e-9, top - 0.576, top - 0.01, top]
+    want = [_breakpoint_search(lp, lm, bits, top) for bits in sizes]
+    chains = _ChainLengths()
+    monkeypatch.setattr(finite, "np", chains)
+    for bits, expected in zip(sizes, want):
+        chains.lengths.clear()
+        assert _breakpoint_search(lp, lm, bits, top) == expected
+        assert 0 < max(chains.lengths) <= BLOCK + 1, (top - bits, max(chains.lengths))
+
+
+class DigitsLattice:
+    """The n-copy product of probs in 50 digits over exact class sizes,
+    largest value first, with the count above and the masses above and from
+    each type on: built once per lattice, then read at any size."""
+
+    def __init__(self, probs, n):
+        with mpmath.workdps(50):
+            powers = [[mpmath.mpf(q) ** c for c in range(n + 1)] for q in probs]
+            types = []
+            for counts in itertools.product(range(n + 1), repeat=len(probs) - 1):
+                if sum(counts) <= n:
+                    counts = (*counts, n - sum(counts))
+                    size = math.factorial(n)
+                    for c in counts:
+                        size //= math.factorial(c)
+                    types.append((math.prod(w[c] for w, c in zip(powers, counts)), size))
+            types.sort(key=lambda t: t[0], reverse=True)
+            self.values = [v for v, _ in types]
+            self.above = list(itertools.accumulate((c for _, c in types), initial=0))
+            self.mass_above = list(itertools.accumulate(
+                (v * c for v, c in types), initial=mpmath.mpf(0)))
+        self.count = len(types)
+
+    def tail(self, k):
+        return self.mass_above[-1] - self.mass_above[k]
+
+    def log2_breakpoint(self, k):
+        with mpmath.workdps(50):
+            return mpmath.log(self.above[k] + self.tail(k) / self.values[k], 2)
+
+    def log2_probs(self, log2_size):
+        """(log2 P, log2 (1 - P)) at the size 2**log2_size, an exact real."""
+        with mpmath.workdps(50):
+            size = mpmath.mpf(2) ** mpmath.mpf(log2_size)
+            k = bisect.bisect_left(range(self.count), True, key=lambda j: (
+                self.above[j] + self.tail(j) / self.values[j] >= size))
+            t = self.tail(k) / (size - self.above[k])
+            failure = self.mass_above[k] - t * self.above[k]
+            log_failure = mpmath.log(failure, 2) if failure > 0 else -mpmath.inf
+            return mpmath.log(self.tail(k) + t * self.above[k], 2), log_failure
+
+
+@pytest.mark.parametrize(
+    "probs, n", [([0.297, 0.288, 0.212, 0.203], 37), ([0.36, 0.33, 0.31], 120)]
+)
+def test_near_top_against_50_digits(probs, n):
+    # near-uniform lattices of more than BLOCK types, from the old branch
+    # boundary (a bit below the top) to 0.01 bits below it, and at block
+    # starts' breakpoints within a bit of the top: log2 P and log2 (1 - P)
+    # within 1e-12 bits. Closer to the top than about 1e-3 bits the float
+    # top, n log2 d, sets the error instead. The count chains round at
+    # ulp(n log2 d) per step, which a small 1 - P magnifies: on
+    # [0.35, 0.33, 0.32] at n = 120, a bit below the top, log2 (1 - P) is
+    # 1.8e-12 bits off
+    p = new_spectrum(probs)
+    ref = DigitsLattice(p.probs.tolist(), n)
+    assert ref.count == count_types(n, len(probs)) > BLOCK
+    top = n * math.log2(len(probs))
+    sizes = [top - gap for gap in (1.0 + 1e-9, 1.0 - 1e-9, 0.7, 0.3, 0.01)]
+    edges = [float(ref.log2_breakpoint(k)) for k in range(BLOCK, ref.count, BLOCK)]
+    sizes += [bits for bits in edges if top - 1.0 < bits < top - 1e-3]
+    assert len(sizes) > 8
+    for bits in sizes:
+        for value, exact in zip(exact_success_prob(p, n, bits), ref.log2_probs(bits)):
+            assert abs(value - exact) <= 1e-12, (top - bits, value, float(exact))
 
 
 def test_grouped_spectrum_peaks_within_six_result_arrays():

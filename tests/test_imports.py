@@ -155,13 +155,14 @@ def test_groups_are_found_once_in_new_spectrum():
     spectrum = _function("spectra", "SchmidtSpectrum")
     methods = {n.name for n in spectrum.body if isinstance(n, ast.FunctionDef)}
     assert "starts" not in methods and "mults" in methods
-    # searchsorted is named once, in finite's count-above prefix
+    # searchsorted is named nowhere: the breakpoint search counts the groups
+    # it admits by one comparison, on either side of the top
     named = {
         f.stem: hits for f in sorted((ROOT / "src").rglob("*.py"))
         if (hits := list(_names(ast.parse(f.read_text()))).count("searchsorted"))
     }
-    assert named == {"finite": 1}
-    assert "searchsorted" in set(_names(_function("finite", "_breakpoint_search")))
+    assert named == {}
+    assert "count_nonzero" in set(_names(_function("finite", "_breakpoint_search")))
     assert "starts" in set(_names(_function("fidelity", "verify_recovery_bound")))
 
 
