@@ -50,9 +50,6 @@ from .finite import (
 from .method_of_types import (
     count_types,
     lattice_logs,
-    log_sequence_prob,
-    log_type_class_prob,
-    log_type_class_size,
     type_matrix,
 )
 from .iid import (

@@ -13,15 +13,12 @@ One walk yields the lattice a column at a time and alone checks n, d and
 the type guard. type_matrix stacks its columns into the (m, d) counts;
 lattice_logs, the n-copy path's builder, keeps only each type's log2
 sequence probability and class size, peaking at about five arrays of m
-values. log_type_class_size, log_sequence_prob and log_type_class_prob take
-one row or many and return one value or an (m,) array; a negative count
-raises NegativeEntryError. No code in the package calls them: they are the
-counts-route reference that lattice_logs equals bit for bit. Every function
-adds columns left to right, so no row's value depends on the rows with it.
-Multinomials read ln c! from one process-wide table, grown on demand to the
-largest n seen and never recomputed: math.log(math.factorial(c)) up to
-c = 170, correctly rounded, and math.lgamma(c + 1) above, within 2 ulp to
-c = 20000. All logs are base 2.
+values. It adds each type's terms column by column, left to right, so a
+type's logs are those of its counts row summed in that order, whatever
+types come with it. Multinomials read ln c! from one process-wide table,
+grown on demand to the largest n seen and never recomputed:
+math.log(math.factorial(c)) up to c = 170, correctly rounded, and
+math.lgamma(c + 1) above, within 2 ulp to c = 20000. All logs are base 2.
 """
 
 from __future__ import annotations
@@ -30,9 +27,8 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NegativeEntryError, TooManyTypesError
+from .errors import TooManyTypesError
 from .numerics import LN2, log2_cumsum, logsumexp2
-from .spectra import _as_prob_vector
 
 #: refuse enumerations beyond this many compositions (resource policy)
 DEFAULT_TYPE_GUARD = 10**8
@@ -92,15 +88,15 @@ def type_matrix(n: int, d: int, max_count: int = DEFAULT_TYPE_GUARD) -> np.ndarr
 
 def lattice_logs(n: int, log_q, max_count: int = DEFAULT_TYPE_GUARD, mults=None,
                  floor: float = -math.inf, ceiling: float = math.inf):
-    """(log_sequence_prob, log_type_class_size) of every type under finite
-    log2 q, in type_matrix's row order, bit for bit, with no counts matrix.
+    """(log2 sequence probability, log2 class size) of every type under
+    finite log2 q, in type_matrix's row order, with no counts matrix.
 
     Each prefix of the walk keeps only its running sum of c log2 q_j and of
     ln c!, repeated down to its children by the walk's sizes. A column
     standing for m tied symbols (mults[j] = m) counts m**c sequences for c
     of them: its ln c! becomes ln c! - c ln m.
 
-    With a floor, only the types with log_sequence_prob > floor are built,
+    With a floor, only the types whose first log exceeds floor are built,
     each entry the full build's, in its row order; log_q must then be
     decreasing, as a spectrum's distinct values are. A child's best
     completion puts all that is left on the next symbol, so each prefix
@@ -109,11 +105,11 @@ def lattice_logs(n: int, log_q, max_count: int = DEFAULT_TYPE_GUARD, mults=None,
     whole subtrees drop out, and logs > floor decides the rest. The guard
     still counts the full lattice.
 
-    With a ceiling too, the entries are those with floor < log_sequence_prob
-    <= ceiling, and a third item sums what lies outside that band, exactly:
-    (log2 count and log2 mass of the types above the ceiling, log2 mass of
-    those at or below the floor), each -inf for none. No subtree drops out.
-    Over four or more values, a chain -- the leaves of a prefix that leaves
+    With a ceiling too, the entries are those whose first log lies in
+    (floor, ceiling], and a third item sums what lies outside that band,
+    exactly: (log2 count and log2 mass of the types above the ceiling, log2
+    mass of those at or below the floor), each -inf for none. No subtree
+    drops out. Over four or more values, a chain -- the leaves of a prefix that leaves
     rho for the last two values, falling by their gap -- builds only its
     leaves within the margin of the band; the leaves before and after enter
     from per-call tables of partial sums over C(rho, i) x**(rho - i) y**i,
@@ -205,56 +201,3 @@ def _ln_factorials(n: int) -> np.ndarray:
         # a racing thread may store a shorter table: its entries are the same
         table = _LN_FACTORIAL = np.concatenate((table, grown))
     return table
-
-
-def _as_counts(counts) -> np.ndarray:
-    """One counts row or many as int64, refusing any negative count."""
-    counts = np.asarray(counts, dtype=np.int64)
-    if np.min(counts, initial=0) < 0:
-        raise NegativeEntryError(f"negative count in {counts!r}")
-    return counts
-
-
-def _one_or_many(values):
-    """A float for a one-row call, the (m,) array for many rows."""
-    return float(values) if np.ndim(values) == 0 else values
-
-
-def log_type_class_size(counts):
-    """log2 multinomial n! / prod(counts_i!) of a counts row, or of each row
-    of an (m, d) array; rows may differ in n. Every ln c! comes from one
-    table, correctly rounded to c = 170 and within 2 ulp above, and the
-    columns add up left to right, so a row's value never depends on the
-    rows that come with it."""
-    counts = _as_counts(counts)
-    n = sum(counts[..., j] for j in range(counts.shape[-1]))
-    table = _ln_factorials(int(np.max(n, initial=0)))
-    classes = sum(table[counts[..., j]] for j in range(counts.shape[-1]))
-    return _one_or_many((table[n] - classes) / LN2)
-
-
-def log_sequence_prob(counts, q):
-    """log2 probability of any one sequence with these counts under q drawn
-    i.i.d.: sum_j counts_j log2 q_j, added up in place one column at a time,
-    which equals -n (H(t) + D(t||q)) for the type t.
-
-    -inf for a row that uses a symbol q excludes. q is a SchmidtSpectrum or
-    a probability vector as wide as the counts.
-    """
-    counts = _as_counts(counts)
-    qv = _as_prob_vector(q)
-    if qv.size != counts.shape[-1]:
-        raise DimensionMismatchError(f"{counts.shape[-1]} counts, {qv.size} q entries")
-    excluded = qv == 0.0
-    log_q = np.log2(qv, out=np.zeros_like(qv), where=~excluded)
-    logs = counts[..., 0] * log_q[0]
-    for j in range(1, qv.size):
-        logs += counts[..., j] * log_q[j]
-    if excluded.any():
-        logs = np.where(counts[..., excluded].any(axis=-1), -np.inf, logs)
-    return _one_or_many(logs)
-
-
-def log_type_class_prob(counts, q):
-    """log2 probability of the whole type class under q**n, per row."""
-    return log_type_class_size(counts) + log_sequence_prob(counts, q)

@@ -1,10 +1,8 @@
-"""Shared generators for randomized tests, and the ln c! reference.
+"""Shared generators for randomized tests.
 
 Every test draws through a locally seeded numpy Generator so the suite is
 reproducible run to run; nothing here touches global RNG state.
 """
-
-import math
 
 import numpy as np
 
@@ -35,8 +33,3 @@ def near_uniform_spectrum(rng, d, wobble=0.15):
     """Almost-flat spectrum, as needed by the fidelity constructions."""
     raw = np.ones(d) + wobble * rng.uniform(size=d)
     return new_spectrum(raw, renormalize=True)
-
-
-def ln_factorial(c):
-    """ln c! by the package's table rule, one scalar at a time."""
-    return math.log(math.factorial(c)) if c <= 170 else math.lgamma(c + 1)

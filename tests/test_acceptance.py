@@ -32,7 +32,7 @@ from concentrate import (
     verify_fidelity_conversion,
     verify_recovery_bound,
 )
-from concentrate.method_of_types import count_types, log_type_class_size, type_matrix
+from concentrate.method_of_types import count_types, lattice_logs, type_matrix
 from conftest import gentle_spectrum, near_uniform_spectrum, random_spectrum
 
 P34 = new_spectrum([0.75, 0.25])
@@ -194,7 +194,7 @@ def test_07_type_counting_sandwiches():
             with np.errstate(divide="ignore", invalid="ignore"):
                 xlog = np.where(frac > 0, frac * np.log2(np.where(frac > 0, frac, 1)), 0.0)
             h_vec = -xlog.sum(axis=1)
-            size_vec = log_type_class_size(counts)
+            size_vec = lattice_logs(n, np.zeros(d))[1]
             slack = d * math.log2(n + 1)
             if np.any(size_vec > n * h_vec + slack_eps):
                 violations += 1

@@ -8,15 +8,9 @@ threshold scan also run in exact integers (ExactProduct), which checks the
 scan where floats cancel: at d**n, just below it and on group values.
 """
 
-import bisect
-import collections
-import itertools
 import math
 import tracemalloc
-from decimal import Decimal, localcontext
-from fractions import Fraction
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -41,15 +35,16 @@ from concentrate.finite import BLOCK, TIE_BITS, _breakpoint_search
 from concentrate.iid import _solve_grouped_threshold
 from concentrate.numerics import LN2, log2_sub, logsumexp2
 from concentrate.spectra import SNAP_TOL
-from conftest import ln_factorial, random_spectrum
-
-
-def full_product_spectrum(p, n):
-    """Every coefficient of the n-copy state, materialized."""
-    values = [
-        math.prod(combo) for combo in itertools.product(p.probs.tolist(), repeat=n)
-    ]
-    return new_spectrum(values, renormalize=True)
+from conftest import random_spectrum
+from reference import (
+    ExactProduct,
+    Lattice,
+    compositions,
+    full_product_spectrum,
+    log2_sum,
+    log_sequence_prob,
+    log_type_class_size,
+)
 
 
 def test_grouped_flat_spectrum_merges_to_one_group():
@@ -88,9 +83,7 @@ def test_logsumexp2_of_lattice_masses_against_40_digits(probs, n):
     assert mass.size > 5000
     for frac in (0.0, 0.02, 0.2):
         tail = mass[int(frac * mass.size):]
-        with mpmath.workdps(40):
-            want = mpmath.log(mpmath.fsum(mpmath.mpf(2) ** mpmath.mpf(v) for v in tail), 2)
-        assert abs(logsumexp2(tail) - float(want)) <= 2e-15, frac
+        assert abs(logsumexp2(tail) - log2_sum(tail, dps=40)) <= 2e-15, frac
 
 
 def test_logsumexp2_edge_cases():
@@ -112,23 +105,11 @@ def test_log2_sub_is_minus_inf_unless_a_exceeds_b():
     assert log2_sub(1.0, 2.0) == -math.inf
 
 
-def _lexicographic_types(n, d):
-    """Every composition of n into d parts, lexicographically descending."""
-    heads = itertools.product(range(n, -1, -1), repeat=d - 1)
-    rows = [head + (n - sum(head),) for head in heads if sum(head) <= n]
-    return np.array(rows, dtype=np.int64)
-
-
 def _sorted_lattice_groups(p, n):
-    """The grouped spectrum built the direct way: each type's log probability
-    (columns added left to right) and whole-row log multinomial, then one
-    argsort."""
-    counts = _lexicographic_types(n, p.dim)
-    table = np.array([ln_factorial(c) for c in range(n + 1)])
-    log_probs = counts[:, 0] * p.log2[0]
-    for j in range(1, p.dim):
-        log_probs = log_probs + counts[:, j] * p.log2[j]
-    log_mults = (table[n] - table[counts].sum(axis=-1)) / LN2
+    """The grouped spectrum built the direct way: the counts route on every
+    composition, then one argsort."""
+    counts = compositions(n, p.dim)
+    log_probs, log_mults = log_sequence_prob(counts, p.log2), log_type_class_size(counts)
     order = np.argsort(log_probs)[::-1]
     return log_probs[order], log_mults[order]
 
@@ -159,7 +140,7 @@ def test_grouped_spectrum_equals_sorted_lattice_construction(d, n_list):
             log_probs, log_mults = _sorted_lattice_groups(p, n)
             assert np.array_equal(spec.log_probs, log_probs), (p.probs, n)
             assert np.array_equal(spec.log_mults, log_mults), (p.probs, n)
-            assert spec.group_count == len(_lexicographic_types(n, d))
+            assert spec.group_count == len(compositions(n, d))
     # the geometric lattice has types within TIE_BITS of each other
     assert np.any(-np.diff(grouped_spectrum(spectra[1], n_list[-1]).log_probs) <= TIE_BITS)
     for p in map(new_spectrum, tied):
@@ -313,115 +294,6 @@ def _reference_threshold(spec, log2_size):
     raise SolverError("reference scan found no threshold")
 
 
-def _pow2(x):
-    """2**x for a Fraction x, to 40 digits, as a Fraction."""
-    with localcontext() as ctx:
-        ctx.prec = 40
-        return Fraction(Decimal(2) ** (Decimal(x.numerator) / Decimal(x.denominator)))
-
-
-TIE = _pow2(Fraction(TIE_BITS))
-
-
-class ExactProduct:
-    """The n-copy product state in exact integers.
-
-    Floats are dyadic: p_i = a_i / 2**e with integer a_i, so each product
-    coefficient is an integer value over 2**(n e). Groups are the distinct
-    values, largest first, with their multinomial counts.
-    """
-
-    def __init__(self, p, n):
-        probs = [Fraction(q) for q in p.probs.tolist()]
-        denominator = max(q.denominator for q in probs)
-        self.shift = n * (denominator.bit_length() - 1)
-        # powers[i][c] = a_i**c, factorials[c] = c!
-        powers = [[*itertools.accumulate([int(q * denominator)] * n, initial=1,
-                                          func=lambda x, y: x * y)] for q in probs]
-        factorials = [*itertools.accumulate(range(1, n + 1), initial=1,
-                                            func=lambda x, y: x * y)]
-        counts = collections.Counter()
-        for row in _lexicographic_types(n, p.dim).tolist():
-            value = math.prod([column[c] for column, c in zip(powers, row)])
-            counts[value] += factorials[n] // math.prod([factorials[c] for c in row])
-        self.values = sorted(counts, reverse=True)
-        self.counts = [counts[v] for v in self.values]
-        masses = [m * v for m, v in zip(self.counts, self.values)]
-        self.above = [0, *itertools.accumulate(self.counts)]  # A_k; A_G = d**n
-        self.tails = [*itertools.accumulate(masses[::-1])][::-1] + [0]  # T_k
-
-    def log_success(self, bits, top):
-        """(log2 P, log2 (1 - P)) at size L = d**n 2**(bits - top).
-
-        B_k = A_k + T_k / v_k never decreases, so bisect for the first
-        B_k >= L; then, as the scan does at a tie, step down while
-        t = T_k / (L - A_k) stays within TIE_BITS of v_k at the k below.
-        """
-        size = self.above[-1] * _pow2(Fraction(bits) - Fraction(top))
-        ln, ld = size.numerator, size.denominator
-        a, tail, v = self.above, self.tails, self.values
-        k = bisect.bisect_left(
-            range(len(v)), True, key=lambda j: (a[j] * v[j] + tail[j]) * ld >= ln * v[j]
-        )
-        while k > 0 and tail[k - 1] * TIE.numerator * ld >= (
-            (ln - a[k - 1] * ld) * v[k - 1] * TIE.denominator
-        ):
-            k -= 1
-        if k == 0:
-            return 0.0, -math.inf
-        room = ln - a[k] * ld  # (L - A_k) ld
-        log_p = math.log2(tail[k]) + math.log2(ln) - math.log2(room) - self.shift
-        # excess above t: sum_{j<k} m_j (v_j - t) = (S_k room - T_k A_k ld) / room
-        excess = (tail[0] - tail[k]) * room - tail[k] * a[k] * ld
-        if excess <= 0:
-            return min(log_p, 0.0), -math.inf
-        return min(log_p, 0.0), math.log2(excess) - math.log2(room) - self.shift
-
-
-class BinomialScan:
-    """ExactProduct's scan for d = 2 in 40-digit mpmath, fast at n = 16000:
-    group j has count C(n, j) and value p_1**(n - j) p_2**j."""
-
-    def __init__(self, p, n):
-        with mpmath.workdps(40):
-            first, second = (mpmath.mpf(q) for q in p.probs.tolist())
-            counts, values = [mpmath.mpf(1)], [first**n]
-            for j in range(n):
-                counts.append(counts[-1] * (n - j) / (j + 1))
-                values.append(values[-1] * second / first)
-            masses = [m * v for m, v in zip(counts, values)]
-            self.above = [0, *itertools.accumulate(counts)]
-            self.tails = [*itertools.accumulate(masses[::-1])][::-1] + [0]
-            self.counts, self.values = counts, values
-
-    def _cut(self, size):
-        """The first k with B_k >= L, stepped down over ties as ExactProduct
-        steps, and t = T_k / (L - A_k)."""
-        tie = mpmath.mpf(2) ** -TIE_BITS
-        a, tail, v = self.above, self.tails, self.values
-        k = bisect.bisect_left(
-            range(len(v)), True, key=lambda j: a[j] + tail[j] / v[j] >= size
-        )
-        while k > 0 and tail[k - 1] >= (size - a[k - 1]) * v[k - 1] * tie:
-            k -= 1
-        return k, tail[k] / (size - a[k])
-
-    def log_success(self, bits):
-        """log2 P at size L = 2**bits, the threshold placed as ExactProduct
-        places it."""
-        with mpmath.workdps(40):
-            size = mpmath.mpf(2) ** bits
-            return float(mpmath.log(self._cut(size)[1] * size, 2))
-
-    def log_failure(self, bits):
-        """log2 (1 - P) at size L = 2**bits: the mass above t less t for
-        each coefficient above it, a sum of positive terms."""
-        with mpmath.workdps(40):
-            k, t = self._cut(mpmath.mpf(2) ** bits)
-            excess = mpmath.fsum(c * (v - t) for c, v in zip(self.counts[:k], self.values))
-            return float(mpmath.log(excess, 2)) if excess > 0 else -math.inf
-
-
 def _assert_matches_exact(spec, exact, bits):
     _, _, log_p, log_f = _solve_grouped_threshold(spec, bits)
     want_p, want_f = exact.log_success(bits, spec.total_log_dim)
@@ -535,7 +407,7 @@ def test_scan_prefix_crossing_chunk_boundaries():
     # a binomial lattice, whose count above grows strictly up to n / 2
     p, n = new_spectrum([0.75, 0.25]), 16_000
     spec = grouped_spectrum(p, n)
-    oracle = BinomialScan(p, n)
+    oracle = Lattice(p.probs.tolist(), n)
     whole = _whole_log_above(spec)
     # blocks end at k = BLOCK, 3 BLOCK, 7 BLOCK
     for edge in (BLOCK, 3 * BLOCK, 7 * BLOCK):
@@ -551,9 +423,9 @@ def test_scan_prefix_crossing_chunk_boundaries():
             bits = _group_sizes(spec, [k])[0]
             got = _solve_grouped_threshold(spec, bits)
             assert got[1] in (k, k + 1)
-            # log2 P against the mpmath scan, to the 1e-9 bits that the
+            # log2 P against the 50-digit lattice, to the 1e-9 bits that the
             # log-space sums hold at n in the thousands
-            assert abs(got[2] - oracle.log_success(bits)) <= 1e-9, (k, bits)
+            assert abs(got[2] - oracle.log2_probs(bits)[0]) <= 1e-9, (k, bits)
             assert got == _reference_threshold(spec, bits), bits
 
 
@@ -756,15 +628,11 @@ def test_blocked_search_sums_against_40_digits(probs, n):
         assert bits < top - 1.0
         k, log_tail, log_room = _breakpoint_search(lp, lm, bits, top)
         assert k > 1
-        with mpmath.workdps(40):
-            two = mpmath.mpf(2)
-            above = mpmath.fsum(two ** mpmath.mpf(v) for v in lm[:k].tolist())
-            tail = mpmath.fsum(two ** mpmath.mpf(v) for v in (lm + lp)[k:].tolist())
-            want_tail = mpmath.log(tail, 2)
-            want_room = mpmath.log(two ** mpmath.mpf(bits) - above, 2)
-            for got, want in ((log_tail, want_tail), (log_room, want_room)):
-                error = abs(mpmath.mpf(got) - want)
-                assert error <= 2e-15 * max(1.0, abs(want)), (rate, float(want), float(error))
+        want_tail = log2_sum((lm + lp)[k:], dps=40)
+        want_room = log2_sum([bits], less=lm[:k], dps=40)
+        for got, want in ((log_tail, want_tail), (log_room, want_room)):
+            error = abs(got - want)
+            assert error <= 2e-15 * max(1.0, abs(want)), (rate, want, error)
 
 
 class _ChainLengths:
@@ -801,48 +669,6 @@ def test_breakpoint_search_chains_within_blocks(monkeypatch):
         assert 0 < max(chains.lengths) <= BLOCK + 1, (top - bits, max(chains.lengths))
 
 
-class DigitsLattice:
-    """The n-copy product of probs in 50 digits over exact class sizes,
-    largest value first, with the count above and the masses above and from
-    each type on: built once per lattice, then read at any size."""
-
-    def __init__(self, probs, n):
-        with mpmath.workdps(50):
-            powers = [[mpmath.mpf(q) ** c for c in range(n + 1)] for q in probs]
-            types = []
-            for counts in itertools.product(range(n + 1), repeat=len(probs) - 1):
-                if sum(counts) <= n:
-                    counts = (*counts, n - sum(counts))
-                    size = math.factorial(n)
-                    for c in counts:
-                        size //= math.factorial(c)
-                    types.append((math.prod(w[c] for w, c in zip(powers, counts)), size))
-            types.sort(key=lambda t: t[0], reverse=True)
-            self.values = [v for v, _ in types]
-            self.above = list(itertools.accumulate((c for _, c in types), initial=0))
-            self.mass_above = list(itertools.accumulate(
-                (v * c for v, c in types), initial=mpmath.mpf(0)))
-        self.count = len(types)
-
-    def tail(self, k):
-        return self.mass_above[-1] - self.mass_above[k]
-
-    def log2_breakpoint(self, k):
-        with mpmath.workdps(50):
-            return mpmath.log(self.above[k] + self.tail(k) / self.values[k], 2)
-
-    def log2_probs(self, log2_size):
-        """(log2 P, log2 (1 - P)) at the size 2**log2_size, an exact real."""
-        with mpmath.workdps(50):
-            size = mpmath.mpf(2) ** mpmath.mpf(log2_size)
-            k = bisect.bisect_left(range(self.count), True, key=lambda j: (
-                self.above[j] + self.tail(j) / self.values[j] >= size))
-            t = self.tail(k) / (size - self.above[k])
-            failure = self.mass_above[k] - t * self.above[k]
-            log_failure = mpmath.log(failure, 2) if failure > 0 else -mpmath.inf
-            return mpmath.log(self.tail(k) + t * self.above[k], 2), log_failure
-
-
 @pytest.mark.parametrize(
     "probs, n", [([0.297, 0.288, 0.212, 0.203], 37), ([0.36, 0.33, 0.31], 120)]
 )
@@ -856,16 +682,16 @@ def test_near_top_against_50_digits(probs, n):
     # [0.35, 0.33, 0.32] at n = 120, a bit below the top, log2 (1 - P) is
     # 1.8e-12 bits off
     p = new_spectrum(probs)
-    ref = DigitsLattice(p.probs.tolist(), n)
+    ref = Lattice(p.probs.tolist(), n)
     assert ref.count == count_types(n, len(probs)) > BLOCK
     top = n * math.log2(len(probs))
     sizes = [top - gap for gap in (1.0 + 1e-9, 1.0 - 1e-9, 0.7, 0.3, 0.01)]
-    edges = [float(ref.log2_breakpoint(k)) for k in range(BLOCK, ref.count, BLOCK)]
+    edges = [ref.log2_breakpoint(k) for k in range(BLOCK, ref.count, BLOCK)]
     sizes += [bits for bits in edges if top - 1.0 < bits < top - 1e-3]
     assert len(sizes) > 8
     for bits in sizes:
         for value, exact in zip(exact_success_prob(p, n, bits), ref.log2_probs(bits)):
-            assert abs(value - exact) <= 1e-12, (top - bits, value, float(exact))
+            assert abs(value - exact) <= 1e-12, (top - bits, value, exact)
 
 
 def test_grouped_spectrum_peaks_within_six_result_arrays():
@@ -991,9 +817,7 @@ def test_ties_in_product_spectrum_merge_correctly():
     p = new_spectrum([0.5, 0.25, 0.25])
     n = 3
     spec = grouped_spectrum(p, n)
-    assert spec.group_count < len(
-        {counts for counts in itertools.product(range(n + 1), repeat=3)}
-    )
+    assert spec.group_count < len(compositions(n, 3))
     product = full_product_spectrum(p, n)
     distinct = np.unique(np.round(np.log2(product.probs), 9))
     assert spec.group_count == distinct.size
@@ -1129,16 +953,17 @@ def test_direct_cut_matches_exact_product(d, n_list, monkeypatch):
 
 def test_direct_cut_matches_binomial_scan(monkeypatch):
     # d = 2 at n in the thousands, answered from the types above 1/(2L),
-    # against the 40-digit scan
+    # against the 50-digit lattice
     full = _counting_full_route(monkeypatch)
     for probs, n in (([0.75, 0.25], 1000), ([0.6, 0.4], 2500), ([0.9, 0.1], 4000)):
         p = new_spectrum(probs)
-        oracle = BinomialScan(p, n)
+        oracle = Lattice(p.probs.tolist(), n)
         for bits in _direct_sizes(p, n, (0.2, 0.5, 0.8, 0.95)):
             log_p, log_f = exact_success_prob(p, n, bits)
             assert full == [], (n, bits)
-            assert abs(log_p - oracle.log_success(bits)) <= 1e-9, (n, bits)
-            assert abs(log_f - oracle.log_failure(bits)) <= 1e-9, (n, bits)
+            want_p, want_f = oracle.log2_probs(bits)
+            assert abs(log_p - want_p) <= 1e-9, (n, bits)
+            assert abs(log_f - want_f) <= 1e-9, (n, bits)
 
 
 def test_direct_cut_falls_back_to_the_whole_lattice(monkeypatch):

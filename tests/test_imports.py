@@ -4,7 +4,8 @@ simplex-grid oracle stays independent of the tilted family, only spectra
 names the tilted-family kernel, and ties are decided by one rule, in one
 place: n-copy types that share a value are left to the threshold search.
 The n-copy path builds no counts matrix, one walk builds the type lattice,
-and the check suite judges its residuals in one place."""
+the counts route and every mpmath reference live in tests/reference.py
+alone, and the check suite judges its residuals in one place."""
 
 import ast
 import inspect
@@ -166,14 +167,23 @@ def test_groups_are_found_once_in_new_spectrum():
     assert "starts" in set(_names(_function("fidelity", "verify_recovery_bound")))
 
 
+#: the counts route, which lives in tests/reference.py alone
+ROW_FUNCTIONS = ("log_sequence_prob", "log_type_class_size", "log_type_class_prob")
+
+
+def _src_mentions(words):
+    """The words named anywhere in a file under src/, as file stem: word."""
+    return sorted(f"{f.stem}: {word}" for f in (ROOT / "src").rglob("*.py")
+                  for word in words if word in f.read_text())
+
+
 def test_n_copy_path_builds_no_counts_matrix():
-    # iid reads the lattice from lattice_logs alone, and the breakpoint
-    # search has one size constant, its block
+    # iid reads the lattice from lattice_logs alone, no file under src/
+    # names a row function, and the breakpoint search has one size
+    # constant, its block
     names = set(_names(ast.parse((ROOT / "src" / "concentrate" / "iid.py").read_text())))
-    assert "lattice_logs" in names
-    row_functions = {"type_matrix", "log_sequence_prob", "log_type_class_size",
-                     "log_type_class_prob"}
-    assert sorted(names & row_functions) == []
+    assert "lattice_logs" in names and "type_matrix" not in names
+    assert _src_mentions(ROW_FUNCTIONS) == []
     constants = {f"{f.stem}.{name}" for f in (ROOT / "src").rglob("*.py")
                  for name in _module_constants(f)}
     assert "finite.BLOCK" in constants
@@ -193,9 +203,28 @@ def test_one_lattice_walk():
     grouped = _function("iid", "grouped_spectrum")
     assert not [node for node in ast.walk(grouped) if isinstance(node, ast.Raise)]
     for check in ("_check_type_sandwiches", "_check_type_completeness"):
-        names = set(_names(_function("harness", check)))
-        assert "lattice_logs" in names, check
-        assert sorted(names & {"log_type_class_size", "log_type_class_prob"}) == [], check
+        assert "lattice_logs" in set(_names(_function("harness", check))), check
+    # the counts route is a test reference, not a second way in src/
+    assert _src_mentions(ROW_FUNCTIONS + ("_as_counts", "_one_or_many")) == []
+
+
+def _assigned_attributes(path):
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                if isinstance(target, ast.Attribute):
+                    yield target.attr
+
+
+def test_one_module_holds_the_mpmath_references():
+    # every high-precision reference is written once, in tests/reference.py,
+    # and runs under its own workdps: no test sets the process-wide
+    # precision, which another module (perfbench's checks) may set at import
+    files = sorted((ROOT / "tests").rglob("*.py"))
+    importing = [f.name for f in files if "mpmath" in _imported_roots(f)]
+    assert importing == ["reference.py"]
+    setting = [f.name for f in files if {"dps", "prec"} & set(_assigned_attributes(f))]
+    assert setting == []
 
 
 def test_check_suite_judges_once():

@@ -1,13 +1,12 @@
 """Spectrum construction, entropy functionals, and the tilt solvers.
 
-Frozen expected values were computed with the mpmath oracles defined at the
-top of this file (50 decimal digits); each frozen literal is re-checked
-against its oracle so a drifting constant cannot go unnoticed.
+Frozen expected values were computed with the tilted-family oracle of
+reference.py (50 decimal digits); each frozen literal is re-checked against
+it so a drifting constant cannot go unnoticed.
 """
 
 import math
 
-import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +24,6 @@ from concentrate import (
     TiltOutOfRangeError,
     divergence_from_uniform,
     new_spectrum,
-    log_sequence_prob,
     relative_entropy,
     shannon_entropy,
     solve_tilts,
@@ -36,22 +34,10 @@ from concentrate import (
 from concentrate import rates, spectra
 from concentrate.spectra import BRACKET_CAP, SNAP_TOL
 from conftest import random_spectrum
+from reference import f_root, family
 
-mp.mp.dps = 50
-
-
-def mp_entropy(probs):
-    return float(-sum(mp.mpf(p) * mp.log(mp.mpf(p), 2) for p in probs if p > 0))
-
-
-def mp_divergence(q, p):
-    return float(
-        sum(mp.mpf(a) * mp.log(mp.mpf(a) / mp.mpf(b), 2) for a, b in zip(q, p) if a > 0)
-    )
-
-
-def mp_psi(probs, s):
-    return float(mp.log(sum(mp.mpf(p) ** s for p in probs), 2))
+#: fields of reference.family, in TiltedFamilyPoint's order after s
+PSI, PSI_PRIME, F, H = 0, 1, 3, 4
 
 
 # --- construction -----------------------------------------------------------
@@ -171,8 +157,8 @@ def test_spectrum_within_1e12_of_flat_is_one_group(values):
 def test_entropy_examples():
     assert shannon_entropy(new_spectrum([0.5, 0.5])) == pytest.approx(1.0, abs=1e-15)
     assert shannon_entropy(new_spectrum([1.0])) == 0.0
-    frozen = 0.8112781244591328  # mp_entropy([0.75, 0.25])
-    assert mp_entropy([0.75, 0.25]) == pytest.approx(frozen, abs=1e-15)
+    frozen = 0.8112781244591328  # H(h(1)) = H(p) of [0.75, 0.25]
+    assert family([0.75, 0.25], 1)[H] == pytest.approx(frozen, abs=1e-15)
     assert shannon_entropy(new_spectrum([0.75, 0.25])) == pytest.approx(
         frozen, abs=1e-12
     )
@@ -181,8 +167,8 @@ def test_entropy_examples():
 def test_relative_entropy_examples():
     p = new_spectrum([0.75, 0.25])
     assert relative_entropy(p, p) == 0.0
-    frozen = 0.2075187496394219  # mp_divergence([0.5, 0.5], [0.75, 0.25])
-    assert mp_divergence([0.5, 0.5], [0.75, 0.25]) == pytest.approx(frozen, abs=1e-15)
+    frozen = 0.2075187496394219  # F(0) = D(u||p) of [0.75, 0.25], u = [0.5, 0.5]
+    assert family([0.75, 0.25], 0)[F] == pytest.approx(frozen, abs=1e-15)
     assert relative_entropy([0.5, 0.5], p) == pytest.approx(frozen, abs=1e-12)
     # point mass on the top coefficient: divergence is -log2 p_1
     assert relative_entropy([1.0, 0.0], p) == pytest.approx(
@@ -192,8 +178,7 @@ def test_relative_entropy_examples():
         relative_entropy([0.5, 0.25, 0.25], p)
 
 
-@pytest.mark.parametrize("fn", [relative_entropy, lambda q, p: log_sequence_prob((0, 2), q)],
-                         ids=["relative_entropy", "log_sequence_prob"])
+@pytest.mark.parametrize("fn", [relative_entropy], ids=["relative_entropy"])
 @pytest.mark.parametrize("q, error", [
     ([math.nan, 1.0], NonFiniteEntryError),
     ([0.5, math.inf], NonFiniteEntryError),
@@ -224,8 +209,8 @@ def test_psi_examples():
         assert tilted_point(flat, s).psi == pytest.approx(1.0 - s, abs=1e-12)
     p = new_spectrum([0.75, 0.25])
     assert tilted_point(p, 1.0).psi == pytest.approx(0.0, abs=1e-12)
-    frozen = -0.6780719051126377  # mp_psi([0.75, 0.25], 2)
-    assert mp_psi([0.75, 0.25], 2) == pytest.approx(frozen, abs=1e-15)
+    frozen = -0.6780719051126377  # psi(2) of [0.75, 0.25]
+    assert family([0.75, 0.25], 2)[PSI] == pytest.approx(frozen, abs=1e-15)
     assert tilted_point(p, 2.0).psi == pytest.approx(frozen, abs=1e-12)
 
 
@@ -389,7 +374,7 @@ def test_tilted_point_bundles_consistent_values():
     p = new_spectrum([0.6, 0.25, 0.15])
     point = tilted_point(p, 2.3)
     assert point.s == 2.3
-    assert point.psi == pytest.approx(mp_psi(p.probs, 2.3), abs=1e-15)
+    assert point.psi == pytest.approx(family(p.probs, 2.3)[PSI], abs=1e-15)
     assert point.f_value == pytest.approx(relative_entropy(tilted(p, 2.3), p), abs=1e-12)
     assert point.entropy == pytest.approx(shannon_entropy(tilted(p, 2.3)), abs=1e-12)
     assert point.psi_double_prime > 0.0
@@ -536,18 +521,8 @@ def test_engine_tilt_matches_mpmath_root_at_large_d():
     p = new_spectrum(rng.dirichlet(np.ones(1024)), renormalize=True)
     r = 0.99 * p.min_entropy
     s = solve_tilts(p, [r], "s_plus")[0].s
-    with mp.workdps(40):
-        probs = [mp.mpf(float(x)) for x in p.probs]
-        logs = [mp.log(x, 2) for x in probs]
-
-        def f(t):
-            w = [mp.power(x, t) for x in probs]
-            z = mp.fsum(w)
-            prime = mp.fsum(a * b for a, b in zip(w, logs)) / z
-            return -mp.log(z, 2) - (1 - t) * prime - mp.mpf(r)
-
-        root = mp.findroot(f, mp.mpf(s))
-        assert abs(s - root) / root <= 1e-11
+    root = f_root(p.probs, r, s, dps=40)
+    assert abs(s - root) / root <= 1e-11
 
 
 TIED_SPECTRA = (
@@ -686,19 +661,6 @@ def test_tilt_outside_family_is_typed_error(fn, s):
         ONE_POINT[fn](new_spectrum([0.6, 0.3, 0.1]), s)
 
 
-def _mp_family(p, s):
-    """(psi, psi', psi'', F, H(h)) at tilt s, summed directly in mpmath."""
-    probs = [mp.mpf(float(x)) for x in p.probs]
-    logs = [mp.log(x, 2) for x in probs]
-    s = mp.mpf(s)
-    w = [mp.power(x, s) for x in probs]
-    z = mp.fsum(w)
-    m1 = mp.fsum(a * b for a, b in zip(w, logs)) / z
-    m2 = mp.fsum(a * b * b for a, b in zip(w, logs)) / z
-    value = mp.log(z, 2)
-    return value, m1, mp.log(2) * (m2 - m1 * m1), -value - (1 - s) * m1, value - s * m1
-
-
 NEAR_FLAT = [0.5000003, 0.4999997]
 
 
@@ -715,7 +677,7 @@ def test_tilted_family_matches_mpmath(spectrum, tilts, rel):
         raw = np.random.default_rng(0).dirichlet(np.ones(2048))
         p = new_spectrum(raw, renormalize=True)
     for s in tilts:
-        want = _mp_family(p, s)
+        want = family(p.probs, s)
         got = tilted_point(p, s)[1:]
         for name, a, b in zip(("psi", "psi'", "psi''", "F", "H"), got, want):
             assert abs(a - b) <= rel * abs(b), (name, s)
@@ -726,6 +688,5 @@ def test_inverse_direct_near_flat_top_matches_mpmath(tilt, rel):
     # the rate lanes stop on the scale of F, (s - 1) |-psi' - rate| <= F_TOL;
     # at tilt 1e3 the rounding of the rate to a float sets the limit
     p = new_spectrum(NEAR_FLAT)
-    with mp.workdps(40):
-        _, prime, _, f, _ = _mp_family(p, tilt)
-        assert abs(rates.inverse_direct(p, float(-prime)) - f) <= rel * f
+    want = family(p.probs, tilt, dps=40)
+    assert abs(rates.inverse_direct(p, -want[PSI_PRIME]) - want[F]) <= rel * want[F]
