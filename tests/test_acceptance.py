@@ -204,7 +204,7 @@ def test_07_type_counting_sandwiches():
                 q = random_spectrum(rng, d)
                 cross = -(frac @ q.log2)
                 div = cross - h_vec
-                seq = counts @ q.log2
+                seq = lattice_logs(n, q.log2)[0]
                 # per-sequence probability identity
                 if np.any(np.abs(seq - (-n * (h_vec + div))) > 1e-9):
                     violations += 1

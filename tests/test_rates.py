@@ -27,6 +27,7 @@ from concentrate import (
     tilted_point,
 )
 from conftest import gentle_spectrum, random_spectrum
+from reference import compositions
 
 P34 = new_spectrum([0.75, 0.25])
 FLAT = new_spectrum([0.5, 0.5])
@@ -253,11 +254,7 @@ def literal_grid_optimum(p, r, g):
     lp = p.log2
     best_direct, best_converse = np.inf, -np.inf
     nearest = (np.inf, np.nan, np.nan)  # (divergence, cross, entropy)
-    if p.dim == 2:
-        combos = ((i, g - i) for i in range(g + 1))
-    else:
-        combos = ((i, j, g - i - j) for i in range(g + 1) for j in range(g - i + 1))
-    for counts in combos:
+    for counts in compositions(g, p.dim):
         q = np.asarray(counts, dtype=float) / g
         mask = q > 0
         h = float(-(q[mask] @ np.log2(q[mask])))
