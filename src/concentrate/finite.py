@@ -98,19 +98,19 @@ def _block_logsums(values, buffer):
     top = np.maximum.reduce(rows, axis=1)
     np.subtract(rows, top[:, None], out=shifted)
     sums = top + np.log2(np.add.reduce(np.exp2(shifted, out=shifted), axis=1))
-    return np.append(sums, logsumexp2(values[full:])) if full < values.size else sums
+    return np.concatenate((sums, [logsumexp2(values[full:])])) if full < values.size else sums
 
 
 def _first_hit(base, reach, log_tail, log_probs):
     """The first k with B_k >= L, as base + T_k / p_k >= reach, the allowance
     on T_k / p_k (so on t) included; None if there is none."""
     hits = np.logaddexp2(base, log_tail - log_probs + TIE_BITS) >= reach
-    return int(np.argmax(hits)) if hits.any() else None
+    return int(hits.argmax()) if hits.any() else None
 
 
 def _chain(seed, values):
     """log2 of the running sums of 2**values after 2**seed, seed first."""
-    return np.logaddexp2.accumulate(np.append(seed, values))
+    return np.logaddexp2.accumulate(np.concatenate(([seed], values)))
 
 
 def _breakpoint_search(log_probs, log_mults, log2_size: float, top: float):
@@ -185,7 +185,7 @@ def solve_plan(p: SchmidtSpectrum, target_size: int) -> ConcentrationPlan:
         cut_index=a + 1,
         success_prob=1.0 - failure if failure < 0.5 else float(min(t * L, 1.0)),
         failure_prob=failure,
-        measurement_coeffs=np.append(np.sqrt(t / probs[:a]), np.ones(probs.size - a)),
+        measurement_coeffs=np.concatenate((np.sqrt(t / probs[:a]), np.ones(probs.size - a))),
     )
 
 

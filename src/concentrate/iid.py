@@ -13,13 +13,16 @@ log space. Every size up to d**n has an answer; at d**n, log2 P =
 n log2(d p_d). d = 2 reaches n of several thousand without underflow.
 Below n H(p) it builds only the types above 1/(2L) and answers from them
 when P >= 1/2; above n H(p), only those in a band around the threshold,
-the rest entering the search as two exact sums. On one core of a shared
-host, d = 3 at n = 2000 (about 2M types) takes 0.004-0.04 s of CPU and a
-peak RSS of 32-44 MiB at direct rates 30-95% of the way from -log2 p_1 to
-H(p), and 0.10-0.16 s and 106-117 MiB at converse rates 20-80% of the way
-from H(p) to log2 d (over three values every type is still built); d = 4
-at n = 400 (10.8M types) takes 0.01-0.3 s and 34-132 MiB at direct rates,
-and 0.04-0.08 s and 50-62 MiB at converse rates.
+the rest entering the search as two exact sums. Over three or more values
+a lattice of at most BLOCK types is built whole, 90-122 us a call against
+95-172 by band or cut up to 496 types at d = 3 and 455 at d = 4 (the band
+wins from about 666 and 560); over two values the whole lattice's
+log2 (1 - P) drifts (1.6e-11 bits at n = 461), so the cut holds. On one
+core of a shared host, d = 3 at n = 2000 (about 2M types) takes 0.007-0.06
+s of CPU and 32-48 MiB peak RSS at direct rates 30-95% of the way from
+-log2 p_1 to H(p), 0.11-0.20 s and 107-118 MiB at converse rates 20-80% of
+the way to log2 d (over three values every type is still built); d = 4 at
+n = 400 (10.8M types), 0.008-0.17 s and 33-106 MiB, 0.06-0.12 s and 48-60 MiB.
 
 While P >= 1/2, 1 - P is the exact sum of per-group excess mass above the
 threshold, accurate when P is within 1e-300 of one; whichever of P and
@@ -34,8 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RateOutOfRangeError, SizeOutOfRangeError
-from .finite import _breakpoint_search
-from .method_of_types import DEFAULT_TYPE_GUARD, lattice_logs
+from .finite import BLOCK, _breakpoint_search
+from .method_of_types import DEFAULT_TYPE_GUARD, count_types, lattice_logs
 from .numerics import LN2, logsumexp2
 from .spectra import SchmidtSpectrum, shannon_entropy, solve_tilts
 
@@ -72,7 +75,7 @@ def grouped_spectrum(
 ) -> GroupedSpectrum:
     """The n-copy product state's coefficients, one entry per type, largest first."""
     log_probs, log_mults = lattice_logs(n, p.log2[p.starts], max_types, p.mults)
-    order = np.argsort(log_probs)[::-1]
+    order = log_probs.argsort()[::-1]
     return GroupedSpectrum(log_probs[order], log_mults[order], n, n * math.log2(p.dim))
 
 
@@ -114,9 +117,9 @@ def exact_success_prob(
     ceiling above n H(p); without one it is solved at log2_size / n there.
 
     A bit or more below n log2 d (where the search counts the groups above
-    t, not the size left from the top), only the types with log2 values in
-    a band (f, c] around log2 t are built, by lattice_logs, whose guard
-    still counts the whole lattice, and one argsort orders them.
+    t), on over BLOCK types or at most two values, only the types with log2
+    values in a band (f, c] around log2 t are built, by lattice_logs, whose
+    guard still counts the whole lattice, and one argsort orders them.
 
     - Below n H(p), f = -log2 L - 1 and c = +inf. The types left out enter
       the search as one group at value 2**f holding their mass, 1 minus the
@@ -138,7 +141,8 @@ def exact_success_prob(
         raise SizeOutOfRangeError(f"log2 size {log2_size} outside [0, {top}]")
     log2_size = min(max(log2_size, 0.0), top)
     entropy_bits = n * shannon_entropy(p)
-    if log2_size <= top - 1.0 and log2_size != entropy_bits:
+    if (log2_size <= top - 1.0 and log2_size != entropy_bits
+            and (p.starts.size < 3 or count_types(n, p.starts.size) > BLOCK)):
         if log2_size < entropy_bits:
             floor, ceiling = -log2_size - 1.0, math.inf
         else:
@@ -177,7 +181,7 @@ def _band_answer(p, n, log2_size, max_types, floor, ceiling):
     """exact_success_prob from the types in (floor, ceiling], or None if t
     lies outside the band."""
     built = lattice_logs(n, p.log2[p.starts], max_types, p.mults, floor, ceiling)
-    order = np.argsort(built[0])[::-1]
+    order = built[0].argsort()[::-1]
     log_probs, log_mults = built[0][order], built[1][order]
     if ceiling < math.inf:
         log_count, log_mass, below = built[2]

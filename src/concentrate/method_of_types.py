@@ -18,7 +18,10 @@ type's logs are those of its counts row summed in that order, whatever
 types come with it. Multinomials read ln c! from one process-wide table,
 grown on demand to the largest n seen and never recomputed:
 math.log(math.factorial(c)) up to c = 170, correctly rounded, and
-math.lgamma(c + 1) above, within 2 ulp to c = 20000. All logs are base 2.
+math.lgamma(c + 1) above, within 2 ulp to c = 20000. The band's chain
+counts, free of the values and n, sit in a second such table, one per pair
+of last-two multiplicities: (n+1)(n+2) floats twice per pair, 0.13 MB at
+n = 89 and 2.6 MB at n = 400. All logs are base 2.
 """
 
 from __future__ import annotations
@@ -28,13 +31,15 @@ import math
 import numpy as np
 
 from .errors import TooManyTypesError
-from .numerics import LN2, log2_cumsum, logsumexp2
+from .numerics import LN2, logsumexp2, shifted_cumsums
 
 #: refuse enumerations beyond this many compositions (resource policy)
 DEFAULT_TYPE_GUARD = 10**8
 
 #: ln c! for c = 0, 1, ...; grown by _ln_factorials, never recomputed
 _LN_FACTORIAL = np.zeros(1)
+#: (x, y) -> (leaf counts, their shifted running sums) of the band's chains
+_CHAIN_COUNTS = {}
 
 
 def count_types(n: int, d: int) -> int:
@@ -65,8 +70,8 @@ def _walk(n: int, d: int, max_count: int, keep=None):
         first, sizes = (0, rest + 1) if keep is None else keep(j, rest)
         starts = np.cumsum(sizes) - sizes - first
         offset = np.arange(int(sizes.sum()), dtype=np.int64)
-        offset -= np.repeat(starts, sizes)
-        counts = np.repeat(rest, sizes)
+        offset -= starts.repeat(sizes)
+        counts = rest.repeat(sizes)
         counts -= offset
         yield sizes, counts
         rest = offset
@@ -81,7 +86,7 @@ def type_matrix(n: int, d: int, max_count: int = DEFAULT_TYPE_GUARD) -> np.ndarr
     cols = []
     for sizes, counts in walk:
         if sizes is not None:
-            cols = [np.repeat(col, sizes) for col in cols]
+            cols = [col.repeat(sizes) for col in cols]
         cols.append(counts)
     return np.stack(cols).T
 
@@ -112,10 +117,11 @@ def lattice_logs(n: int, log_q, max_count: int = DEFAULT_TYPE_GUARD, mults=None,
     drops out. Over four or more values, a chain -- the leaves of a prefix that leaves
     rho for the last two values, falling by their gap -- builds only its
     leaves within the margin of the band; the leaves before and after enter
-    from per-call tables of partial sums over C(rho, i) x**(rho - i) y**i,
-    with (x, y) the last two values' multiplicities, then their masses.
-    Over three or fewer the tables would be as large as the lattice, so
-    every type is built. Built types outside the band join the sums.
+    from shifted partial sums over C(rho, i) x**(rho - i) y**i, (x, y) the
+    last two values' multiplicities (a process-wide table), then over their
+    masses (per call), read in log2 only where a chain ends. Over three or
+    fewer the tables would be as large as the lattice, so every type is
+    built. Built types outside the band join the sums.
     """
     log_q = np.asarray(log_q, dtype=float)
     d = log_q.size
@@ -128,19 +134,21 @@ def lattice_logs(n: int, log_q, max_count: int = DEFAULT_TYPE_GUARD, mults=None,
         best = logs + rest * log_q[j]
         kept = np.floor((best - floor + 1e-9 * (1.0 + abs(floor))) / gap) + 1.0
         if ceiling == math.inf:
-            return 0, np.clip(kept, 0, rest + 1).astype(np.int64)
+            return 0, np.minimum(np.maximum(kept, 0), rest + 1).astype(np.int64)
         if j < d - 2:
             return 0, rest + 1
         # a chain's leaf i lies at best - i gap: those before first lie
         # above the ceiling by over the margin, those from end on below the floor
         first = np.ceil((best - ceiling - 1e-9 * (1.0 + abs(ceiling))) / gap)
-        first = np.clip(first, 0, rest + 1).astype(np.int64)
-        end = np.clip(kept, first, rest + 1).astype(np.int64)
+        first = np.minimum(np.maximum(first, 0), rest + 1).astype(np.int64)
+        end = np.minimum(np.maximum(kept, first), rest + 1).astype(np.int64)
+        def at(top, sums, k):  # log2 of row rest's k-th shifted running sum
+            return top.take(rest) + np.log2(sums.take(rest * sums.shape[1] + k))
         prefix = (table[n] - ln_classes - table[rest]) / LN2
-        row = rest * (n + 2)
-        folded[:] = (prefix + np.take(count_above, row + first),
-                     prefix + logs + np.take(mass_above, row + first),
-                     prefix + logs + np.take(mass_below, row + rest + 1 - end))
+        with np.errstate(divide="ignore"):  # an empty sum's log2 is -inf
+            folded[:] = (prefix + at(*counts_above, first),
+                         prefix + logs + at(*masses[:2], first),
+                         prefix + logs + at(masses[0], masses[2], n + 1 - end))
         return first, end - first
 
     chains = ceiling < math.inf and d >= 4
@@ -151,27 +159,27 @@ def lattice_logs(n: int, log_q, max_count: int = DEFAULT_TYPE_GUARD, mults=None,
     tables = [table if m == 1 else table - np.arange(n + 1) * math.log(m)
               for m in ([1] * d if mults is None else mults)]
     if chains:
-        # [rho, k]: log2 of the sum of the chain's leaf terms over i < k, with
-        # i copies of value d - 1 and rho - i of d - 2 (over rho - i < k for
-        # mass_below, read at rho - k + 1 for the leaves from k on)
+        # leaf i of a chain of rho (i copies of value d - 1) at [rho, i]; the
+        # sums over its first and its last k leaves at [rho, k]
+        key = (1, 1) if mults is None else (int(mults[d - 2]), int(mults[d - 1]))
         rho, i = np.arange(n + 1)[:, None], np.arange(n + 1)
-        lead = np.maximum(rho - i, 0)
-        leaf_counts = (table[rho] - tables[d - 2][lead] - tables[d - 1][i]) / LN2
-        leaf_counts[i > rho] = -np.inf
-        leaf_masses = leaf_counts + (lead * log_q[d - 2] + i * log_q[d - 1])
-        edge = np.full((n + 1, 1), -np.inf)
-        count_above, mass_above, mass_below = (
-            np.hstack((edge, log2_cumsum(leaves))) for leaves in (
-                leaf_counts, leaf_masses,
-                np.take_along_axis(leaf_masses, np.where(i <= rho, rho - i, i), axis=1)))
+        entry = _CHAIN_COUNTS.get(key)
+        if entry is None or entry[0].shape[0] <= n:
+            # a racing thread may store a smaller table: its entries are the same
+            leaves = (table[rho] - tables[d - 2][np.maximum(rho - i, 0)] - tables[d - 1][i]) / LN2
+            leaves[i > rho] = -np.inf
+            entry = _CHAIN_COUNTS[key] = (leaves, *shifted_cumsums(leaves)[:2])
+        leaves, *counts_above = entry
+        masses = shifted_cumsums(leaves[: n + 1, : n + 1]
+                                 + ((rho - i) * log_q[d - 2] + i * log_q[d - 1]))
     logs, ln_classes, terms = np.zeros(1), np.zeros(1), np.empty(1)
     for j, (sizes, counts) in enumerate(walk):
         if sizes is not None:
-            logs = np.repeat(logs, sizes)
-            ln_classes = np.repeat(ln_classes, sizes)
+            logs = logs.repeat(sizes)
+            ln_classes = ln_classes.repeat(sizes)
             terms = np.empty(counts.size)
         logs += np.multiply(counts, log_q[j], out=terms)
-        ln_classes += np.take(tables[j], counts, out=terms, mode="clip")
+        ln_classes += tables[j].take(counts, out=terms, mode="clip")
     del counts  # the last column's, as large as the result
     if ceiling < math.inf:
         np.subtract(table[n], ln_classes, out=ln_classes)
@@ -201,3 +209,4 @@ def _ln_factorials(n: int) -> np.ndarray:
         # a racing thread may store a shorter table: its entries are the same
         table = _LN_FACTORIAL = np.concatenate((table, grown))
     return table
+

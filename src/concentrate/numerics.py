@@ -40,11 +40,13 @@ def logsumexp2(values) -> float:
     return top + math.log2(np.add.reduce(np.exp2(shifted, out=shifted)))
 
 
-def log2_cumsum(values) -> np.ndarray:
-    """log2 of the running sums of 2**values along the last axis, each row
-    shifted by its largest value and summed in turn; every row must start
-    with a finite entry."""
-    arr = np.asarray(values, dtype=float)
-    top = np.max(arr, axis=-1, keepdims=True)
-    shifted = np.subtract(arr, top)
-    return top + np.log2(np.cumsum(np.exp2(shifted, out=shifted), axis=-1))
+def shifted_cumsums(values):
+    """(top, left, right): each row's largest value, as a column, and the sums
+    of 2**(values - top) over its first and over its last k entries, k = 0 to
+    its length; log2 of a sum is top + its log2. Every row needs a finite entry."""
+    top = np.maximum.reduce(values, axis=-1, keepdims=True)
+    shifted = np.exp2(values - top)
+    left, right = (np.zeros(values.shape[:-1] + (values.shape[-1] + 1,)) for _ in range(2))
+    np.cumsum(shifted, axis=-1, out=left[..., 1:])
+    np.cumsum(shifted[..., ::-1], axis=-1, out=right[..., 1:])
+    return top, left, right

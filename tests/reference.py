@@ -5,10 +5,10 @@ as a full spectrum and in exact integers (ExactProduct); the n-copy lattice
 in mpmath (Lattice); the tilted family in mpmath (family, f_root); and
 high-precision sums of floats.
 
-Every mpmath computation runs under mpmath.workdps(dps), 50 digits unless
-the caller asks otherwise, and returns floats, so no result depends on the
-process-wide mpmath precision, which any module may set. This is the only
-test module that imports mpmath.
+Every mpmath computation runs under mpmath.workdps(dps), 50 digits (for
+Lattice, 50 past n log10 d) unless the caller asks otherwise, and returns
+floats, so no result depends on the process-wide mpmath precision, which
+any module may set. This is the only test module that imports mpmath.
 """
 
 import bisect
@@ -148,11 +148,12 @@ class Lattice:
     type k and T_k the mass from it on, the first k whose breakpoint
     A_k + T_k / v_k reaches L, stepped down as ExactProduct steps over ties
     within TIE_BITS, gives t = T_k / (L - A_k) and P = t L. L - A_k loses
-    log10(L / (L - A_k)) of the dps digits, so sizes near d**n need d**n
-    well below 10**dps.
+    log10(L / (L - A_k)) of the dps digits, at most n log10 d at L = d**n,
+    so dps defaults to DPS more than that.
     """
 
-    def __init__(self, probs, n, dps=DPS):
+    def __init__(self, probs, n, dps=None):
+        dps = DPS + math.ceil(n * math.log10(len(probs))) if dps is None else dps
         self.digits = dps
         rows = compositions(n, len(probs)).tolist()
         self.count = len(rows)

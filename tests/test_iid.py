@@ -37,6 +37,7 @@ from concentrate.numerics import LN2, log2_sub, logsumexp2
 from concentrate.spectra import SNAP_TOL
 from conftest import random_spectrum
 from reference import (
+    DPS,
     ExactProduct,
     Lattice,
     compositions,
@@ -188,6 +189,7 @@ def test_size_checked_before_the_lattice_is_built(monkeypatch):
     assert calls == []
     # a direct size builds only the types above 1/(2L) = 1/4 (none here)
     # and answers from them
+    _every_lattice_tries_the_band(monkeypatch)
     exact_success_prob(p, 3, 1.0)
     assert calls == [(3, 4, iid.DEFAULT_TYPE_GUARD, -2.0)]
 
@@ -407,7 +409,8 @@ def test_scan_prefix_crossing_chunk_boundaries():
     # a binomial lattice, whose count above grows strictly up to n / 2
     p, n = new_spectrum([0.75, 0.25]), 16_000
     spec = grouped_spectrum(p, n)
-    oracle = Lattice(p.probs.tolist(), n)
+    # every size lies far below d**n, so no digits cancel: 50 are enough
+    oracle = Lattice(p.probs.tolist(), n, dps=DPS)
     whole = _whole_log_above(spec)
     # blocks end at k = BLOCK, 3 BLOCK, 7 BLOCK
     for edge in (BLOCK, 3 * BLOCK, 7 * BLOCK):
@@ -913,10 +916,48 @@ def _full_route(p, n, bits):
     return tuple(float(x) for x in _solve_grouped_threshold(spec, bits)[2:])
 
 
-def test_exact_success_prob_returns_floats_on_every_branch():
+def _every_lattice_tries_the_band(monkeypatch):
+    """Route every lattice over the band or the cut, not only those of more
+    than one search block, where exact references are cheap."""
+    monkeypatch.setattr(iid, "BLOCK", 0)
+
+
+def test_small_lattices_take_the_whole_route(monkeypatch):
+    # over three or more values, a lattice of BLOCK = 512 types (one search
+    # block; n = 1 over 512 values) makes one lattice_logs call at a direct
+    # and at a converse size, with no floor or ceiling; at 513 types the
+    # first call is the cut's (a floor, no ceiling) or the band's (both).
+    # Over two values the cut and the band are tried at any n
+    calls = []
+    build = iid.lattice_logs
+
+    def counting(*args):
+        calls.append(args[4:])
+        return build(*args)
+
+    monkeypatch.setattr(iid, "lattice_logs", counting)
+    cases = [(new_spectrum(np.exp(-np.arange(d) / 40.0), renormalize=True), 1, d == BLOCK)
+             for d in (BLOCK, BLOCK + 1)] + [(new_spectrum([0.7, 0.3]), 511, False)]
+    for p, n, whole in cases:
+        assert count_types(n, p.starts.size) == (BLOCK if n == 511 else p.dim)
+        for sizes in (_direct_sizes, _converse_sizes):
+            calls.clear()
+            bits = sizes(p, n, (0.3,))[0]
+            assert bits <= n * math.log2(p.dim) - 1.0
+            exact_success_prob(p, n, bits)
+            if whole:
+                assert calls == [()], (p.dim, sizes, calls)
+                continue
+            floor, ceiling = calls[0]
+            assert floor > -math.inf, (p.dim, sizes, calls)
+            assert (ceiling < math.inf) == (sizes is _converse_sizes), (p.dim, sizes, calls)
+
+
+def test_exact_success_prob_returns_floats_on_every_branch(monkeypatch):
     # k = 0; P < 1/2; P >= 1/2 from the types above 1/(2L) and from the
     # whole lattice (over half the mass above 1/(2L)); the count from the
     # top at d**n, P < 1/2
+    _every_lattice_tries_the_band(monkeypatch)
     first, skewed = new_spectrum([0.6, 0.3, 0.1]), new_spectrum([0.9, 0.1])
     cases = [(first, 3, 0.0, lambda lp: lp == 0.0),
              (first, 20, 20 * math.log2(3) - 2.0, lambda lp: lp < -1.0),
@@ -936,6 +977,7 @@ def test_direct_cut_matches_exact_product(d, n_list, monkeypatch):
     # direct sizes answered from the types above 1/(2L), against the exact
     # integer product, both log2 P and log2 (1 - P)
     rng = np.random.default_rng(500 + d)
+    _every_lattice_tries_the_band(monkeypatch)
     full = _counting_full_route(monkeypatch)
     answered = 0
     for p in [random_spectrum(rng, d) for _ in range(3)]:
@@ -957,7 +999,7 @@ def test_direct_cut_matches_binomial_scan(monkeypatch):
     full = _counting_full_route(monkeypatch)
     for probs, n in (([0.75, 0.25], 1000), ([0.6, 0.4], 2500), ([0.9, 0.1], 4000)):
         p = new_spectrum(probs)
-        oracle = Lattice(p.probs.tolist(), n)
+        oracle = Lattice(p.probs.tolist(), n, dps=DPS)  # far below d**n
         for bits in _direct_sizes(p, n, (0.2, 0.5, 0.8, 0.95)):
             log_p, log_f = exact_success_prob(p, n, bits)
             assert full == [], (n, bits)
@@ -971,6 +1013,7 @@ def test_direct_cut_falls_back_to_the_whole_lattice(monkeypatch):
     # over half the mass), a larger kept mass, and a size within a bit of
     # d**n, which tries no cut: the whole lattice answers, exactly as
     # without the cut
+    _every_lattice_tries_the_band(monkeypatch)
     floors = []
     build = iid.lattice_logs
 
@@ -1062,12 +1105,14 @@ def _band_cases(draw):
 def test_band_route_matches_the_whole_lattice(case, fractions):
     # converse and direct sizes: the band (or, below n H(p), the floor)
     # answers as the whole lattice does, within 1e-10 bits in log2 P and
-    # log2 (1 - P)
+    # log2 (1 - P), at every lattice size
     p, n = case
-    for bits in _converse_sizes(p, n, fractions) + _direct_sizes(p, n, fractions):
-        got, want = exact_success_prob(p, n, bits), _full_route(p, n, bits)
-        for x, y in zip(got, want):
-            assert x == y or abs(x - y) <= 1e-10, (n, bits, got, want)
+    with pytest.MonkeyPatch.context() as patch:
+        _every_lattice_tries_the_band(patch)
+        for bits in _converse_sizes(p, n, fractions) + _direct_sizes(p, n, fractions):
+            got, want = exact_success_prob(p, n, bits), _full_route(p, n, bits)
+            for x, y in zip(got, want):
+                assert x == y or abs(x - y) <= 1e-10, (n, bits, got, want)
 
 
 @pytest.mark.parametrize("d, n_list", [(2, (60, 200)), (3, (30, 45)), (4, (16, 24))])
@@ -1076,6 +1121,7 @@ def test_converse_band_matches_exact_product(d, n_list, monkeypatch):
     # product, both log2 P and log2 (1 - P); every size a bit or more below
     # d**n answers from the band
     rng = np.random.default_rng(800 + d)
+    _every_lattice_tries_the_band(monkeypatch)
     full = _counting_full_route(monkeypatch)
     tried = answered = 0
     for p in [random_spectrum(rng, d) for _ in range(3)]:
@@ -1096,6 +1142,7 @@ def test_converse_band_falls_back_to_the_whole_lattice(monkeypatch):
     # with no width the band is empty and t, a bit or more below the
     # ceiling, lies below it: the whole lattice answers, exactly as without
     # the band
+    _every_lattice_tries_the_band(monkeypatch)
     full = _counting_full_route(monkeypatch)
     monkeypatch.setattr(iid, "_band_width", lambda n, tilt: 0.0)
     for probs, n in (([0.6, 0.3, 0.1], 40), ([0.5, 0.25, 0.15, 0.1], 20), ([0.7, 0.3], 300)):

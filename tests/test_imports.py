@@ -5,7 +5,9 @@ names the tilted-family kernel, and ties are decided by one rule, in one
 place: n-copy types that share a value are left to the threshold search.
 The n-copy path builds no counts matrix, one walk builds the type lattice,
 the counts route and every mpmath reference live in tests/reference.py
-alone, and the check suite judges its residuals in one place."""
+alone, the lattice builder and the breakpoint search call no numpy wrapper
+where a ufunc or array method does, and the check suite judges its
+residuals in one place."""
 
 import ast
 import inspect
@@ -206,6 +208,29 @@ def test_one_lattice_walk():
         assert "lattice_logs" in set(_names(_function("harness", check))), check
     # the counts route is a test reference, not a second way in src/
     assert _src_mentions(ROW_FUNCTIONS + ("_as_counts", "_one_or_many")) == []
+
+
+#: numpy's Python-level wrappers, left out of the n-copy path's hot loops for
+#: the ufuncs and array methods they call
+NUMPY_WRAPPERS = {"clip", "append", "repeat", "take"}
+
+
+def _numpy_wrapper_calls(tree):
+    return sorted(node.func.attr for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute) and node.func.attr in NUMPY_WRAPPERS
+                  and isinstance(node.func.value, ast.Name) and node.func.value.id == "np")
+
+
+def test_lattice_and_search_call_no_numpy_wrappers():
+    # the lattice builder and the breakpoint search, run on every n-copy
+    # call, call np.minimum/np.maximum, arr.repeat, arr.take and
+    # np.concatenate, not the wrappers that dispatch to them
+    tree = ast.parse((ROOT / "src" / "concentrate" / "method_of_types.py").read_text())
+    assert _numpy_wrapper_calls(tree) == []
+    for helper in ("_chain", "_block_logsums", "_first_hit", "_breakpoint_search"):
+        assert _numpy_wrapper_calls(_function("finite", helper)) == [], helper
+    # the check sees a wrapper call
+    assert _numpy_wrapper_calls(ast.parse("np.take(a, i) + np.repeat(b, 2)")) == ["repeat", "take"]
 
 
 def _assigned_attributes(path):

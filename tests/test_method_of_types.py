@@ -135,7 +135,7 @@ def test_band_build_is_the_full_build_split(d, n):
     # bits either side; bands holding every type, none, or one end. Over
     # four or more values the chains' sums add the terms in another order
     # and rounding than the entries; at these n the entries' own rounding
-    # stays below the tolerance (see the 50-digit test for larger n)
+    # stays below the tolerance (see the mpmath test for larger n)
     rng = np.random.default_rng(600 + d)
     for log_q, mults in _floor_cases(rng, d):
         full = lattice_logs(n, log_q, mults=mults)
@@ -166,7 +166,7 @@ def test_band_build_is_the_full_build_split(d, n):
 def test_band_sums_against_50_digits(d, n):
     # at larger n each entry carries a rounding of a few ulp of its ~100-bit
     # terms, so the full build's sums drift from the exact ones as well: the
-    # chains' sums are within 5e-14 bits of the 50-digit lattice's sums (the
+    # chains' sums are within 5e-14 bits of the mpmath lattice's sums (the
     # full build's sums were up to 3.1e-14 off on such draws)
     rng = np.random.default_rng(700 + d)
     p = random_spectrum(rng, d)
@@ -179,6 +179,46 @@ def test_band_sums_against_50_digits(d, n):
         for got, want in zip(sums, wanted):
             assert (got == want == -math.inf
                     or abs(got - want) <= 5e-14 * max(1.0, abs(want))), (d, got, want)
+
+
+def test_chain_count_table_is_a_cache(monkeypatch):
+    # band entries and sums over four and five values (random, and with the
+    # last pair tied as multiplicities 2 and 1 or 1 and 2) are the same with
+    # the process-wide chain count table cold, warm from a larger n, and
+    # built in ascending and in descending n; the table holds one entry per
+    # pair of last multiplicities, grown in place to the largest n
+    rng = np.random.default_rng(910)
+    cases = [(np.sort(np.log2(rng.dirichlet(np.ones(d))))[::-1], mults)
+             for d, mults in ((4, None), (4, [1, 1, 2, 1]), (5, [2, 1, 1, 1, 2]))]
+    ns = (9, 17, 30)
+    bands = {(c, n): np.sort(rng.choice(lattice_logs(n, cases[c][0], mults=cases[c][1])[0],
+                                        size=(3, 2)), axis=1).tolist()
+             for c in range(len(cases)) for n in ns}
+
+    def build(c, n):
+        log_q, mults = cases[c]
+        return [lattice_logs(n, log_q, mults=mults, floor=floor, ceiling=ceiling)
+                for floor, ceiling in bands[c, n]]
+
+    cold = {}
+    for key in bands:
+        monkeypatch.setattr(method_of_types, "_CHAIN_COUNTS", {})
+        cold[key] = build(*key)
+    for order in (ns, ns[::-1]):
+        monkeypatch.setattr(method_of_types, "_CHAIN_COUNTS", {})
+        for n in order:
+            for c in range(len(cases)):
+                for got, want in zip(build(c, n), cold[c, n]):
+                    assert np.array_equal(got[0], want[0]), (order, c, n)
+                    assert np.array_equal(got[1], want[1]), (order, c, n)
+                    assert got[2] == want[2], (order, c, n)
+        table = method_of_types._CHAIN_COUNTS
+        assert sorted(table) == [(1, 1), (1, 2), (2, 1)], order
+        entries = dict(table)
+        for leaves, top, sums in entries.values():
+            assert leaves.shape == (31, 31) and top.shape == (31, 1) and sums.shape == (31, 32)
+        build(2, 9)
+        assert all(table[key] is entry for key, entry in entries.items())
 
 
 @pytest.mark.parametrize("build", [
