@@ -19,6 +19,7 @@ from .errors import (
     NegativeEntryError,
     NonFiniteEntryError,
     NonPositiveExponentError,
+    NotASpectrumError,
     NotNormalizedError,
     RateOutOfRangeError,
     SizeOrderError,

@@ -1,8 +1,16 @@
 """Command-line front end.
 
 Every subcommand is a thin mapping onto exactly one library operation; no
-numeric logic lives here. One parser, built at import, serves every call:
-each subparser stores its runner as `run`, so `main` parses, runs and emits.
+numeric logic lives here. One parser, built at import, serves every call,
+and each subparser stores its runner as `run`. `main` parses, runs and
+emits. When argv starts with a subcommand name, `_parse` hands the rest to
+that subcommand's parser alone (COMMANDS), so a valid call is parsed once.
+Every other argv takes the full parse, PARSER.parse_args: no arguments, a
+leading option (-h, --), an unknown command, or arguments the subcommand
+leaves over. The one-pass route gives the namespace the full parse gives,
+and a usage error in it comes from the same subcommand parser, so help
+text, messages and exit codes are those of the full parse.
+
 A subcommand declares only the shared flags its runner reads: --renormalize
 wherever a spectrum is read, --seed where the record writes it to meta
 (sweep, converge, nonadd, check) and --tolerance where a verdict uses it
@@ -320,10 +328,23 @@ def _cmd_check(args) -> ExperimentRecord:
 
 
 PARSER = build_parser()
+#: each subcommand's own parser, by name, as PARSER's subparsers action holds them
+COMMANDS = PARSER._subparsers._group_actions[0].choices
+
+
+def _parse(argv=None) -> argparse.Namespace:
+    """PARSER.parse_args(argv), parsing a valid subcommand call only once."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in COMMANDS:
+        args, extra = COMMANDS[argv[0]].parse_known_args(argv[1:])
+        if not extra:
+            args.command = argv[0]
+            return args
+    return PARSER.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    args = PARSER.parse_args(argv)
+    args = _parse(argv)
     try:
         record = args.run(args)
     except ConcentrationError as exc:

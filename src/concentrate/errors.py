@@ -14,6 +14,10 @@ class EmptySpectrumError(ConcentrationError):
     """Spectrum construction received no strictly positive entry."""
 
 
+class NotASpectrumError(ConcentrationError, TypeError):
+    """A spectrum argument is not a SchmidtSpectrum; new_spectrum builds one."""
+
+
 class NegativeEntryError(ConcentrationError):
     """A spectrum or a type received a negative probability or count."""
 

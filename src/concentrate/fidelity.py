@@ -28,7 +28,7 @@ from .errors import (
     TTooSmallError,
 )
 from .finite import deterministic_yield
-from .spectra import SchmidtSpectrum, new_spectrum
+from .spectra import SchmidtSpectrum, _require_spectrum, new_spectrum
 
 #: coefficients at or above (1 + sqrt(2))**2 / T get projected out
 STRIP_CONSTANT = (1.0 + math.sqrt(2.0)) ** 2
@@ -79,6 +79,7 @@ def best_fidelity_to_target(p: SchmidtSpectrum, target_size: int) -> float:
     With both states written in the aligned basis the overlap is maximized
     by keeping the T largest coefficients: (sum_{i<=T} sqrt(p_i))**2 / T.
     """
+    _require_spectrum(p)
     if not (1 <= target_size <= p.dim):
         raise SizeOutOfRangeError(
             f"target size {target_size} outside [1, {p.dim}]"
@@ -111,8 +112,8 @@ def verify_recovery_bound(p: SchmidtSpectrum, target_size: int) -> RecoveryBound
     fid = best_fidelity_to_target(p, target_size)
     bound = recovery_bound(target_size, fid)
     probs, starts = p.probs, p.starts
-    count = np.append(starts[1:], p.dim)
-    below = np.append(np.cumsum(probs[::-1])[::-1], 0.0)[count]
+    count = np.concatenate((starts[1:], [p.dim]))
+    below = np.concatenate((probs[::-1].cumsum()[::-1], [0.0]))[count]
     heads = probs[starts]
     values = (count + below / heads) * np.sqrt(heads)
     k = int(np.argmax(values))

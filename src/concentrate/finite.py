@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import SizeOutOfRangeError
 from .numerics import LN2, log2_sub, logsumexp2
-from .spectra import SchmidtSpectrum, new_spectrum
+from .spectra import SchmidtSpectrum, _require_spectrum, new_spectrum
 
 #: log2 allowance on t at a tie t = p_k (the smallest k wins), iid's shared type values too
 TIE_BITS = 1e-12
@@ -66,6 +66,7 @@ class ConcentrationPlan:
 
 
 def _check_size(p: SchmidtSpectrum, target_size: int) -> None:
+    _require_spectrum(p)
     if not (1 <= target_size <= p.dim):
         raise SizeOutOfRangeError(
             f"size {target_size} outside [1, {p.dim}] for this spectrum"
@@ -75,6 +76,7 @@ def _check_size(p: SchmidtSpectrum, target_size: int) -> None:
 def deterministic_yield(p: SchmidtSpectrum) -> int:
     """Largest size distillable with probability one: Vidal's floor(1 / p_1),
     read with TIE_BITS, so the largest L that solve_plan puts at k = 0."""
+    _require_spectrum(p)
     return math.floor(2.0**TIE_BITS / float(p.probs[0]))
 
 
@@ -197,6 +199,7 @@ def post_measurement_spectrum(
     The first cut_index - 1 entries are clipped to t, over the new sum P:
     they equal t / P = 1/L, so the result concentrates deterministically to size >= L.
     """
+    _require_spectrum(p)
     clipped = p.probs.copy()
     clipped[: plan.cut_index - 1] = plan.threshold
     return new_spectrum(clipped, renormalize=True)

@@ -40,7 +40,7 @@ from .errors import RateOutOfRangeError, SizeOutOfRangeError
 from .finite import BLOCK, _breakpoint_search
 from .method_of_types import DEFAULT_TYPE_GUARD, count_types, lattice_logs
 from .numerics import LN2, logsumexp2
-from .spectra import SchmidtSpectrum, shannon_entropy, solve_tilts
+from .spectra import SchmidtSpectrum, _require_spectrum, shannon_entropy, solve_tilts
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,6 +74,7 @@ def grouped_spectrum(
     p: SchmidtSpectrum, n: int, max_types: int = DEFAULT_TYPE_GUARD
 ) -> GroupedSpectrum:
     """The n-copy product state's coefficients, one entry per type, largest first."""
+    _require_spectrum(p)
     log_probs, log_mults = lattice_logs(n, p.log2[p.starts], max_types, p.mults)
     order = log_probs.argsort()[::-1]
     return GroupedSpectrum(log_probs[order], log_mults[order], n, n * math.log2(p.dim))
@@ -136,6 +137,7 @@ def exact_success_prob(
     the mass from t on are the whole lattice's. Otherwise the whole lattice
     answers.
     """
+    _require_spectrum(p)
     top = n * math.log2(p.dim)
     if log2_size < -1e-12 or log2_size > top + 1e-12:
         raise SizeOutOfRangeError(f"log2 size {log2_size} outside [0, {top}]")

@@ -45,6 +45,7 @@ from .errors import (
 from .spectra import (
     SchmidtSpectrum,
     _require_positive,
+    _require_spectrum,
     shannon_entropy,
     solve_tilts,
     tensor,
@@ -86,6 +87,7 @@ def converse_yield(p: SchmidtSpectrum, r: float) -> RateCurvePoint:
 
 def direct_curve(p: SchmidtSpectrum, r_values) -> list[RateCurvePoint]:
     """direct_yield at each exponent of r_values: one tilt solve, clamped on the plateau."""
+    _require_spectrum(p)
     floor = p.min_entropy
     return [
         RateCurvePoint(r, floor, REGIME_SATURATED_HIGH) if pt is None
@@ -97,6 +99,7 @@ def direct_curve(p: SchmidtSpectrum, r_values) -> list[RateCurvePoint]:
 
 def converse_curve(p: SchmidtSpectrum, r_values) -> list[RateCurvePoint]:
     """converse_yield at each exponent of r_values: one tilt solve, clamped on the plateau."""
+    _require_spectrum(p)
     top = math.log2(p.dim)
     return [
         RateCurvePoint(r, top, REGIME_SATURATED_LOW) if pt is None
@@ -160,6 +163,7 @@ def inverse_direct(p: SchmidtSpectrum, rate: float) -> float:
     Near-flat tops raise SolverError (root past the bracket cap). An
     exponent that rounds below zero next to H(p) is clamped at 0.
     """
+    _require_spectrum(p)
     floor = p.min_entropy
     entropy = shannon_entropy(p)
     if not (floor <= rate < entropy):
@@ -260,6 +264,7 @@ def brute_force_curves(
     to p (possible only for r comparable to 1/grid_steps**2), that point
     stands in for the empty feasible set, matching the r -> 0 limit.
     """
+    _require_spectrum(p)
     if p.dim > 3:
         raise DimensionTooLargeError(f"grid oracle supports d <= 3, got {p.dim}")
     if grid_steps < 1:

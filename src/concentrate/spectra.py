@@ -41,6 +41,7 @@ from .errors import (
     NegativeEntryError,
     NonFiniteEntryError,
     NonPositiveExponentError,
+    NotASpectrumError,
     NotNormalizedError,
     SolverError,
     TiltOutOfRangeError,
@@ -116,6 +117,14 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _require_spectrum(*spectra) -> None:
+    """Refuse a spectrum argument that is not a SchmidtSpectrum (a plain list, say)."""
+    for p in spectra:
+        if not isinstance(p, SchmidtSpectrum):
+            raise NotASpectrumError(f"expected a SchmidtSpectrum, got {type(p).__name__}; "
+                                    "build one with new_spectrum(values)")
+
+
 def _as_prob_vector(q) -> np.ndarray:
     """q's entries; a plain vector must be finite and non-negative (zeros allowed)."""
     if isinstance(q, SchmidtSpectrum):
@@ -123,7 +132,7 @@ def _as_prob_vector(q) -> np.ndarray:
     arr = np.asarray(q, dtype=float)
     if not np.isfinite(arr).all():
         raise NonFiniteEntryError(f"non-finite probability in {arr!r}")
-    if np.any(arr < 0.0):
+    if (arr < 0.0).any():
         raise NegativeEntryError(f"negative probability in {arr!r}")
     return arr
 
@@ -139,7 +148,7 @@ def new_spectrum(values, renormalize: bool = False) -> SchmidtSpectrum:
     of the groups the spectrum is built with.
     """
     arr = _as_prob_vector(values).ravel()
-    if arr.size == 0 or not np.any(arr > 0.0):
+    if arr.size == 0 or not (arr > 0.0).any():
         raise EmptySpectrumError("spectrum needs at least one positive entry")
     total = float(arr.sum())
     if not renormalize and abs(total - 1.0) > SUM_TOL:
@@ -159,19 +168,21 @@ def new_spectrum(values, renormalize: bool = False) -> SchmidtSpectrum:
     np.greater(gaps, SNAP_TOL / arr[0] * arr[:-1], out=edges[1:])
     starts = edges.nonzero()[0]
     if np.count_nonzero(gaps) >= starts.size:  # a run holds unequal entries
-        sizes = np.append(starts[1:], arr.size) - starts
-        heads = np.repeat(arr[starts], sizes)
-        arr = heads + np.repeat(np.add.reduceat(arr - heads, starts) / sizes, sizes)
+        sizes = np.concatenate((starts[1:], [arr.size])) - starts
+        heads = arr[starts].repeat(sizes)
+        arr = heads + (np.add.reduceat(arr - heads, starts) / sizes).repeat(sizes)
     return SchmidtSpectrum(arr, starts)
 
 
 def tensor(p: SchmidtSpectrum, q: SchmidtSpectrum) -> SchmidtSpectrum:
     """Spectrum of a product state: all pairwise products, re-sorted."""
+    _require_spectrum(p, q)
     return new_spectrum(np.outer(p.probs, q.probs).ravel(), renormalize=True)
 
 
 def shannon_entropy(p: SchmidtSpectrum) -> float:
     """H(p) in bits; zero for a product state, log2 d for a flat spectrum."""
+    _require_spectrum(p)
     return 0.0 - float(p.probs @ p.log2)
 
 
@@ -181,6 +192,7 @@ def relative_entropy(q, p: SchmidtSpectrum) -> float:
     q may be a SchmidtSpectrum or a plain probability vector (finite and
     non-negative, else it raises) over the same (sorted) index set as p.
     """
+    _require_spectrum(p)
     qv = _as_prob_vector(q)
     if qv.size != p.dim:
         raise DimensionMismatchError(f"q has {qv.size} entries, p has {p.dim}")
@@ -213,6 +225,7 @@ def _family(p: SchmidtSpectrum, tilts) -> tuple[list[tuple], np.ndarray]:
 
 def _at(p: SchmidtSpectrum, s: float) -> tuple[tuple, np.ndarray]:
     """_family at one tilt, refusing a negative or non-finite one."""
+    _require_spectrum(p)
     if not 0.0 <= s < math.inf:
         raise TiltOutOfRangeError(f"tilt must be finite and >= 0, got {s!r}")
     values, weights = _family(p, [float(s)])
@@ -226,6 +239,7 @@ def tilted(p: SchmidtSpectrum, s: float) -> SchmidtSpectrum:
 
 def divergence_from_uniform(p: SchmidtSpectrum) -> float:
     """D(u||p) for u uniform over p's support; the converse saturation point."""
+    _require_spectrum(p)
     return 0.0 - float(np.log2(p.dim) + p.log2.mean())
 
 
@@ -276,6 +290,7 @@ def solve_tilts(p: SchmidtSpectrum, targets, equation: str) -> list:
     direct_rate, since dF = (s - 1) d(-psi') there), or when its bracket is
     two adjacent floats.
     """
+    _require_spectrum(p)
     above_one, increasing = equation in ("s_plus", "direct_rate"), equation == "s_plus"
     lo, hi = (1.0, _OPEN) if above_one else (0.0, 1.0)
     want = [float(v) for v in targets]

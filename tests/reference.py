@@ -157,6 +157,7 @@ class Lattice:
         self.digits = dps
         rows = compositions(n, len(probs)).tolist()
         self.count = len(rows)
+        self.top = n * math.log2(len(probs))  # exact_success_prob's float n log2 d
         with mpmath.workdps(dps):
             one, zero = mpmath.mpf(1), mpmath.mpf(0)
             inverses = [*itertools.accumulate(range(1, n + 1), initial=one,
@@ -182,6 +183,7 @@ class Lattice:
             self.tails = [*itertools.accumulate(masses[::-1], initial=zero)][::-1]
             self.tie = mpmath.mpf(2) ** -TIE_BITS
             self.kept = mpmath.mpf(10) ** (20 - dps)  # 20 digits left after cancelling
+            self.full = mpmath.mpf(len(probs)) ** n  # the size the float top stands for
 
     def log2_sums(self, select=None):
         """(log2 count, log2 mass) of the types a boolean mask in row order
@@ -197,12 +199,13 @@ class Lattice:
             return _log2(self.above[k] + self.tails[k] / self.values[k])
 
     def log2_probs(self, log2_size):
-        """(log2 P, log2 (1 - P)) at the size 2**log2_size; 1 - P is the mass
+        """(log2 P, log2 (1 - P)) at the size 2**log2_size, d**n exactly at the
+        float n log2 d, as exact_success_prob reads it; 1 - P is the mass
         above t less t for each coefficient above it, read from the prefix
         sums while that keeps 20 digits and summed term by term, each
         positive, when it does not."""
         with mpmath.workdps(self.digits):
-            size = mpmath.mpf(2) ** float(log2_size)
+            size = self.full if log2_size == self.top else mpmath.mpf(2) ** float(log2_size)
             a, tail, v = self.above, self.tails, self.values
             k = bisect.bisect_left(range(self.count), True,
                                    key=lambda j: a[j] + tail[j] / v[j] >= size)

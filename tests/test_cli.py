@@ -1,5 +1,6 @@
 """CLI surface: flag parsing, outputs, and exit codes."""
 
+import argparse
 import json
 import math
 import shlex
@@ -441,6 +442,77 @@ def test_main_does_not_build_a_parser(monkeypatch, capsys):
     monkeypatch.setattr(cli, "build_parser", refuse)
     code, out, _ = run_cli(capsys, "info", "--spectrum", "0.75,0.25")
     assert code == 0 and "0.81127812" in out
+
+
+#: every valid call of the flag tests: BASE_ARGV, and each with a kept shared flag
+VALID_ARGV = [*BASE_ARGV.values(), *(_with_flag(cmd, flag) for cmd, flag in KEPT)]
+
+
+@pytest.mark.parametrize("argv", VALID_ARGV, ids=[" ".join(a) for a in VALID_ARGV])
+def test_one_pass_parse_is_the_full_parse(argv):
+    # main's parse hands argv[1:] to the subcommand's parser alone; the
+    # namespace it runs with is the one the full parse gives
+    assert vars(cli._parse(argv)) == vars(cli.PARSER.parse_args(argv))
+
+
+#: argv that fail, print help or pass, each as the full parse has them do
+PARSE_CASES = {
+    "no arguments": [],
+    "help": ["-h"],
+    "unknown command": ["bogus", "--spectrum", "0.75,0.25"],
+    "subcommand help": ["yield", "-h"],
+    "unknown flag": [*BASE_ARGV["yield"], "--bogus"],
+    "extra positional": [*BASE_ARGV["info"], "extra"],
+    "malformed float": ["yield", "--spectrum", "0.75,0.25", "--r", "abc"],
+    "bad kind": [*BASE_ARGV["yield"], "--kind", "sideways"],
+    "ambiguous abbreviation": ["info", "--spec", "0.75,0.25"],
+    "unique abbreviation": [*BASE_ARGV["info"], "--form", "json"],
+    "both spectrum flags": ["info", "--spectrum", "0.75,0.25", "--spectrum-file", "s.txt"],
+    "missing required flag": ["yield", "--spectrum", "0.75,0.25"],
+    "leading --": ["--", *BASE_ARGV["info"]],
+    "format with =": [*BASE_ARGV["info"], "--format=json"],
+    "fidelity mode mistake": ["fidelity", "--eps", "0.01", "--size", "5",
+                              "--target-size", "4"],
+    "non-finite tolerance": ["check", "--tolerance", "nan"],
+}
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("case", PARSE_CASES)
+def test_main_exits_as_the_full_parse_does(monkeypatch, capsys, case):
+    argv = PARSE_CASES[case]
+    got = _outcome(capsys, argv)
+    monkeypatch.setattr(cli, "_parse", cli.PARSER.parse_args)
+    assert got == _outcome(capsys, argv)
+    assert got[0] in (0, 2)
+
+
+def test_a_valid_call_is_parsed_once(monkeypatch, capsys):
+    calls = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    for argv in BASE_ARGV.values():
+        calls.clear()
+        assert _outcome(capsys, argv)[0] == 0, argv
+        assert calls == [f"concentrate {argv[0]}"], argv
+    # the full parse scans argv once more, at the top level: the counter sees it
+    monkeypatch.setattr(cli, "_parse", cli.PARSER.parse_args)
+    calls.clear()
+    assert _outcome(capsys, BASE_ARGV["info"])[0] == 0
+    assert calls == ["concentrate", "concentrate info"]
 
 
 def _readme_commands():

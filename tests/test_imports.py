@@ -215,9 +215,9 @@ def test_one_lattice_walk():
 NUMPY_WRAPPERS = {"clip", "append", "repeat", "take"}
 
 
-def _numpy_wrapper_calls(tree):
+def _numpy_wrapper_calls(tree, wrappers=NUMPY_WRAPPERS):
     return sorted(node.func.attr for node in ast.walk(tree) if isinstance(node, ast.Call)
-                  and isinstance(node.func, ast.Attribute) and node.func.attr in NUMPY_WRAPPERS
+                  and isinstance(node.func, ast.Attribute) and node.func.attr in wrappers
                   and isinstance(node.func.value, ast.Name) and node.func.value.id == "np")
 
 
@@ -231,6 +231,17 @@ def test_lattice_and_search_call_no_numpy_wrappers():
         assert _numpy_wrapper_calls(_function("finite", helper)) == [], helper
     # the check sees a wrapper call
     assert _numpy_wrapper_calls(ast.parse("np.take(a, i) + np.repeat(b, 2)")) == ["repeat", "take"]
+
+
+def test_per_query_spectrum_path_calls_no_numpy_wrappers():
+    # every CLI query reads its spectrum through new_spectrum, and every
+    # fidelity --verify bound query scans its groups: array methods and
+    # np.concatenate there, where np.any and np.all are wrappers too
+    wrappers = NUMPY_WRAPPERS | {"any", "all"}
+    for module, name in (("spectra", "_as_prob_vector"), ("spectra", "new_spectrum"),
+                         ("fidelity", "verify_recovery_bound")):
+        assert _numpy_wrapper_calls(_function(module, name), wrappers) == [], name
+    assert _numpy_wrapper_calls(ast.parse("np.any(a) or np.all(b)"), wrappers) == ["all", "any"]
 
 
 def _assigned_attributes(path):

@@ -32,10 +32,12 @@ def test_binary_lattice_counts_every_sequence(probs):
 
 @pytest.mark.parametrize("probs, n", [([0.75, 0.25], 50), ([0.6, 0.4], 100),
                                       ([0.4, 0.3, 0.2, 0.1], 6), ([0.6, 0.4], 200),
-                                      ([0.75, 0.25], 400)])
+                                      ([0.75, 0.25], 400), ([0.5, 0.3, 0.2], 40),
+                                      ([0.3, 0.25, 0.2, 0.15, 0.1], 16)])
 def test_lattice_at_the_largest_size(probs, n):
     # at L = d**n the threshold is the smallest coefficient: P = (d p_d)**n.
-    # L - A_k loses log10 d**n digits here, which the default precision adds
+    # L - A_k loses log10 d**n digits here, which the default precision adds;
+    # at d = 3 and 5 the float n log2 d is not log2 d**n, and still means d**n
     d = len(probs)
     log_p, log_f = Lattice(probs, n).log2_probs(n * math.log2(d))
     assert log_p == pytest.approx(n * math.log2(d * probs[-1]), abs=1e-12)

@@ -5,6 +5,7 @@ reference.py (50 decimal digits); each frozen literal is re-checked against
 it so a drifting constant cannot go unnoticed.
 """
 
+import inspect
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from concentrate import (
     NegativeEntryError,
     NonFiniteEntryError,
     NonPositiveExponentError,
+    NotASpectrumError,
     NotNormalizedError,
     SolverError,
     TiltedFamilyPoint,
@@ -31,6 +33,7 @@ from concentrate import (
     tilted,
     tilted_point,
 )
+import concentrate
 from concentrate import rates, spectra
 from concentrate.spectra import BRACKET_CAP, SNAP_TOL
 from conftest import random_spectrum
@@ -93,6 +96,43 @@ def test_construction_invariants_hold(values):
     assert np.all(p.probs > 0)
     assert abs(p.probs.sum() - 1.0) <= 1e-12
     assert np.all(np.diff(p.probs) <= 0)
+
+
+_GOOD = new_spectrum([0.5, 0.3, 0.2])
+#: a valid value of every other parameter of the functions that read a spectrum
+#: (rate 1.2 is in E's range, 1.5 in E*'s); each is tried with _GOOD first
+_OTHER_ARGS = {"target_size": 3, "r": 0.1, "r_values": [0.1], "grid_steps": 4, "n": 4,
+               "log2_size": 1.0, "rate": 1.2, "n_list": [4], "targets": [0.1],
+               "equation": "s_plus", "s": 1.0, "q": _GOOD,
+               "plan": concentrate.solve_plan(_GOOD, 2)}
+#: (function, parameter) for each spectrum parameter of every public function
+SPECTRUM_PARAMETERS = [
+    (name, param) for name in concentrate.__all__
+    if inspect.isfunction(fn := getattr(concentrate, name))
+    for param, spec in inspect.signature(fn).parameters.items()
+    if spec.annotation == "SchmidtSpectrum"
+]
+
+
+@pytest.mark.parametrize("name, param", SPECTRUM_PARAMETERS,
+                         ids=[f"{n}-{p}" for n, p in SPECTRUM_PARAMETERS])
+def test_a_plain_list_is_not_a_spectrum(name, param):
+    # a list where a SchmidtSpectrum belongs used to end in AttributeError
+    fn = getattr(concentrate, name)
+    params = inspect.signature(fn).parameters
+    args = {k: _GOOD if v.annotation == "SchmidtSpectrum" else _OTHER_ARGS[k]
+            for k, v in params.items() if v.default is inspect.Parameter.empty}
+    if name == "inverse_converse":
+        args["rate"] = 1.5
+    fn(**args)
+    args[param] = [0.5, 0.3, 0.2]
+    with pytest.raises(NotASpectrumError, match="new_spectrum"):
+        fn(**args)
+
+
+def test_spectrum_parameters_walk_every_public_reader():
+    names = {name for name, _ in SPECTRUM_PARAMETERS}
+    assert len(names) == 28 and len(SPECTRUM_PARAMETERS) == 30
 
 
 # --- groups and the tie rule -------------------------------------------------
